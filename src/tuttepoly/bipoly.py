@@ -4,12 +4,11 @@ BiPoly is the workhorse: a polynomial in x and y with int coefficients,
 stored sparsely as {(i, j): c}.  All Tutte computations stay in this ring;
 nothing here ever goes through floats.  UniPoly (dense, Fraction
 coefficients) exists for one-variable work such as characteristic
-polynomials and Lagrange interpolation.  PolyMatrix gives the small exact
+polynomials and colouring counts.  PolyMatrix gives the small exact
 matrix algebra the transfer-matrix engines and the sum formulas need.
 
 Conventions: 0**0 := 1 throughout, zero coefficients are never stored, and
-every object is immutable once built, so values can be shared freely across
-threads.
+every object is immutable once built.
 """
 
 from __future__ import annotations
@@ -183,26 +182,14 @@ class BiPoly:
             n >>= 1
         return result
 
-    # spec-level aliases
-    def add(self, other):
-        return self + other
-
-    def sub(self, other):
-        return self - other
-
-    def mul(self, other):
-        return self * other
-
-    def pow(self, n):
-        return self**n
-
     # -- evaluation and substitution -------------------------------------
 
     def eval(self, x, y):
         """Value at (x, y) for int or Fraction arguments; 0**0 == 1."""
         total = 0
-        xi = _power_table(x, self.bidegree()[0])
-        yj = _power_table(y, self.bidegree()[1])
+        a, b = self.bidegree()
+        xi = _powers(x, a)
+        yj = _powers(y, b)
         for (i, j), c in self._terms.items():
             total += c * xi[i] * yj[j]
         return total
@@ -210,10 +197,6 @@ class BiPoly:
     def swap(self):
         """Exchange the roles of x and y."""
         return _wrap({(j, i): c for (i, j), c in self._terms.items()})
-
-    def subst_y_power(self, k):
-        """Replace y by y**k."""
-        return _wrap({(i, j * k): c for (i, j), c in self._terms.items()})
 
 
 def _wrap(d):
@@ -231,13 +214,17 @@ def _coerce(v):
     return NotImplemented
 
 
-def _power_table(base, maxexp):
-    if maxexp < 0:
-        return [1]
-    powers = [1]
-    for _ in range(maxexp):
-        powers.append(powers[-1] * base)
-    return powers
+def _powers(base, k):
+    """[base**0, base**1, ..., base**k]; base**0 is the one of base's ring."""
+    out = [base**0]
+    for _ in range(k):
+        out.append(out[-1] * base)
+    return out
+
+
+def _geom(p, k):
+    """1 + p + ... + p^(k-1)."""
+    return sum(_powers(p, k)[:k], _ZERO)
 
 
 _ZERO = _wrap({})
@@ -245,29 +232,6 @@ _ONE = _wrap({(0, 0): 1})
 
 X = BiPoly.monomial(1, 0)
 Y = BiPoly.monomial(0, 1)
-
-
-# -- module-level operation set ------------------------------------------
-
-
-def add(p, q):
-    return _coerce(p) + _coerce(q)
-
-
-def sub(p, q):
-    return _coerce(p) - _coerce(q)
-
-
-def mul(p, q):
-    return _coerce(p) * _coerce(q)
-
-
-def power(p, n):
-    return _coerce(p) ** n
-
-
-def scale(p, c):
-    return _coerce(p).scale(c)
 
 
 def evaluate(p, x, y):
@@ -321,23 +285,16 @@ def subst_rational(p, x_num, x_den, y_num, y_den, clear_factor=None):
     if p.is_zero():
         return _ZERO
     a, b = p.bidegree()
-    xn = _poly_power_table(_coerce(x_num), a)
-    xd = _poly_power_table(_coerce(x_den), a)
-    yn = _poly_power_table(_coerce(y_num), b)
-    yd = _poly_power_table(_coerce(y_den), b)
+    xn = _powers(_coerce(x_num), a)
+    xd = _powers(_coerce(x_den), a)
+    yn = _powers(_coerce(y_num), b)
+    yd = _powers(_coerce(y_den), b)
     total = _ZERO
     for (i, j), c in p.items():
         total = total + (xn[i] * xd[a - i] * yn[j] * yd[b - j]).scale(c)
     if clear_factor is not None:
         total = total * _coerce(clear_factor)
     return exact_div(total, xd[a] * yd[b])
-
-
-def _poly_power_table(base, maxexp):
-    powers = [_ONE]
-    for _ in range(maxexp):
-        powers.append(powers[-1] * base)
-    return powers
 
 
 # -- univariate layer -----------------------------------------------------
@@ -463,31 +420,6 @@ def _coerce_uni(v):
     return NotImplemented
 
 
-def interpolate(xs, ys):
-    """Lagrange interpolation: the unique UniPoly of degree < len(xs) through the points."""
-    if len(xs) != len(ys) or len(set(xs)) != len(xs):
-        raise ValueError("need distinct nodes, one value each")
-    result = UniPoly.zero()
-    for k, xk in enumerate(xs):
-        basis = UniPoly.one()
-        denom = Fraction(1)
-        for m, xm in enumerate(xs):
-            if m == k:
-                continue
-            basis = basis * UniPoly((-xm, 1))
-            denom *= Fraction(xk - xm)
-        result = result + basis * UniPoly.const(Fraction(ys[k]) / denom)
-    return result
-
-
-def falling_factorial(k):
-    """(v)_k = v (v-1) ... (v-k+1) as a UniPoly; (v)_0 = 1."""
-    out = UniPoly.one()
-    for i in range(k):
-        out = out * UniPoly((-i, 1))
-    return out
-
-
 # -- matrix layer ----------------------------------------------------------
 
 
@@ -575,7 +507,3 @@ def mat_pow(a, n):
         if n:
             base = mat_mul(base, base)
     return result
-
-
-def trace(a):
-    return a.trace()

@@ -373,7 +373,8 @@ def verify(name, engines=None):
 
     Returns a report dict: route polynomials, pairwise agreement, the
     verdict against the stored ground truth, and erratum context if the
-    stored value is a flagged misprint.
+    stored value is a flagged misprint.  Where the bases are enumerated,
+    "ok" also requires their count to equal T(1, 1) of the agreed polynomial.
     """
     entry = lookup(name)
     m = build_recipe(entry.recipe)
@@ -395,13 +396,16 @@ def verify(name, engines=None):
         and computed == entry.erratum["derived_truth"]
     )
     basis_count = len(mt.bases(m)) if m.n <= 16 else None
+    ok = (matches_truth or erratum_confirmed) and (
+        basis_count is None or basis_count == computed.eval(1, 1)
+    )
     return {
         "name": name,
         "routes": results,
         "routes_agree": routes_agree,
         "matches_truth": matches_truth,
         "erratum_confirmed": erratum_confirmed,
-        "ok": matches_truth or erratum_confirmed,
+        "ok": ok,
         "basis_count": basis_count,
         "entry": entry,
     }

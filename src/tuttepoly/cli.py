@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -26,14 +25,8 @@ from .errors import (
     TuttepolyError,
     UnsupportedWidth,
 )
-from .formats import (
-    parse_graph,
-    parse_matrix,
-    parse_matroid,
-    poly_to_obj,
-    render_latex,
-    render_text,
-)
+from .formats import parse_graph, parse_matrix, parse_matroid
+from .render import to_json, to_latex, to_text
 
 _BUDGET_ERRORS = (
     GroundSetTooLarge,
@@ -61,11 +54,7 @@ _FAMILIES = {
     "gaussian": (fam.gaussian, ("m", "k", "q")),
 }
 
-_RENDERERS = {
-    "text": render_text,
-    "json": lambda p: json.dumps(poly_to_obj(p)),
-    "latex": render_latex,
-}
+_RENDERERS = {"text": to_text, "json": to_json, "latex": to_latex}
 
 
 def _rational(text):
@@ -115,7 +104,7 @@ def _family_poly(args):
 
 def _engine_poly(m, args):
     if args.engine == "subset":
-        return eng.tutte_subset(m, threads=args.threads)
+        return eng.tutte_subset(m)
     if args.engine == "dc":
         return eng.tutte_dc(m, budget_nodes=args.budget_nodes)
     if args.engine == "activities":
@@ -156,10 +145,10 @@ def cmd_catalog_show(args):
     print(f"provenance: {entry.provenance}")
     for key in sorted(entry.flags):
         print(f"{key}: {entry.flags[key]}")
-    print(f"tutte:      {render_text(entry.ground_truth)}")
+    print(f"tutte:      {to_text(entry.ground_truth)}")
     if entry.erratum:
         print(f"erratum:    {entry.erratum['note']}")
-        print(f"corrected:  {render_text(entry.erratum['derived_truth'])}")
+        print(f"corrected:  {to_text(entry.erratum['derived_truth'])}")
     return 0
 
 
@@ -185,7 +174,7 @@ def cmd_catalog_verify(args):
                 "erratum_confirmed": r["erratum_confirmed"],
                 "routes_agree": r["routes_agree"],
                 "basis_count": r["basis_count"],
-                "routes": {label: render_text(p)
+                "routes": {label: to_text(p)
                            for label, p in r["routes"].items()},
             }
             for r in reports
@@ -206,7 +195,6 @@ def _add_input_flags(p):
                    choices=["subset", "dc", "activities", "coboundary"])
     for flag in ("--n", "--m", "--r", "--q", "--k", "--dim", "--ch-count"):
         p.add_argument(flag, type=int)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--budget-nodes", type=int, default=eng.DEFAULT_BUDGET)
 
 

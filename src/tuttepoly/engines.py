@@ -19,7 +19,6 @@ others:
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 from . import matroids as mt
@@ -29,6 +28,8 @@ from .bipoly import (
     UniPoly,
     X,
     Y,
+    _geom,
+    _powers,
     exact_div,
     mat_mul,
     mat_pow,
@@ -51,30 +52,15 @@ _COLOURING_CAP = 12
 DEFAULT_BUDGET = 10_000_000
 
 
-def _powers(p, maxexp):
-    out = [_ONE]
-    for _ in range(maxexp):
-        out.append(out[-1] * p)
-    return out
-
-
-def _geom(p, k):
-    """1 + p + ... + p^(k-1)."""
-    acc = BiPoly.zero()
-    term = _ONE
-    for _ in range(k):
-        acc = acc + term
-        term = term * p
-    return acc
-
-
 # -- subset expansion ---------------------------------------------------------
 
 
-def _scan_masks(m, lo, hi, full):
+def _corank_nullity_counts(m):
+    """Histogram of (r(E)-r(A), |A|-r(A)) over all subsets A."""
+    full = m.full_rank
     rank = m.rank
-    local = {}
-    for mask in range(lo, hi):
+    counts = {}
+    for mask in range(1 << m.n):
         elems = []
         mm = mask
         while mm:
@@ -83,35 +69,15 @@ def _scan_masks(m, lo, hi, full):
             mm ^= b
         r = rank(elems)
         key = (full - r, len(elems) - r)
-        local[key] = local.get(key, 0) + 1
-    return local
-
-
-def _corank_nullity_counts(m, threads=1):
-    """Histogram of (r(E)-r(A), |A|-r(A)) over all subsets A."""
-    full = m.full_rank
-    total = 1 << m.n
-    if threads <= 1 or total < 4096:
-        return _scan_masks(m, 0, total, full)
-    chunk = (total + threads - 1) // threads
-    counts = {}
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [
-            ex.submit(_scan_masks, m, k * chunk, min(total, (k + 1) * chunk), full)
-            for k in range(threads)
-            if k * chunk < total
-        ]
-        for f in futures:
-            for key, c in f.result().items():
-                counts[key] = counts.get(key, 0) + c
+        counts[key] = counts.get(key, 0) + 1
     return counts
 
 
-def tutte_subset(m, threads=1):
+def tutte_subset(m):
     """Tutte polynomial by the corank-nullity sum over all 2^n subsets."""
     if m.n > _SUBSET_CAP:
         raise GroundSetTooLarge(f"subset expansion needs n <= {_SUBSET_CAP}")
-    counts = _corank_nullity_counts(m, threads)
+    counts = _corank_nullity_counts(m)
     zmax = max((k[0] for k in counts), default=0)
     nmax = max((k[1] for k in counts), default=0)
     xp = _powers(X - 1, zmax)
@@ -391,13 +357,12 @@ def tutte_via_coboundary(m):
 # -- colouring enumeration ----------------------------------------------------
 
 
-def bad_colouring(g, colors, as_poly_in_t=True):
+def bad_colouring(g, colors):
     """Count colourings by their number of monochromatic edges.
 
     Returns sum_j b_j t^j where b_j is the number of colourings of the
     vertices of g in the given number of colours having exactly j
-    monochromatic ("bad") edges; with the flag off, the raw list of counts
-    b_0, b_1, ... is returned instead.
+    monochromatic ("bad") edges.
     """
     if g.nverts > _COLOURING_CAP:
         raise GraphTooLarge(f"direct enumeration needs |V| <= {_COLOURING_CAP}")
@@ -411,9 +376,7 @@ def bad_colouring(g, colors, as_poly_in_t=True):
             if sigma[u] == sigma[v]:
                 bad += 1
         counts[bad] += 1
-    if as_poly_in_t:
-        return UniPoly(counts)
-    return counts
+    return UniPoly(counts)
 
 
 # -- transfer-matrix methods --------------------------------------------------

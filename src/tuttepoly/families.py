@@ -16,14 +16,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bipoly import BiPoly, PolyMatrix, UniPoly, X, Y, exact_div, subst_rational
+from .bipoly import (
+    BiPoly,
+    PolyMatrix,
+    X,
+    Y,
+    _geom,
+    _powers,
+    exact_div,
+    subst_rational,
+)
 from .engines import tutte_from_coboundary
 from .errors import (
     InvalidParameters,
     InvalidPartition,
     InvalidRank,
     InvalidSize,
-    NotPrimePower,
+    NonExactDivision,
+    PreconditionViolated,
     SizeBudgetExceeded,
     UnknownSystem,
 )
@@ -36,16 +46,6 @@ COMPLETE_GRAPH_LIMIT = 30
 COMPLETE_BIPARTITE_LIMIT = 64
 
 
-def _geom(p, k):
-    """1 + p + ... + p^(k-1)."""
-    acc = BiPoly.zero()
-    term = _ONE
-    for _ in range(k):
-        acc = acc + term
-        term = term * p
-    return acc
-
-
 # -- uniform matroids and relatives -------------------------------------------
 
 
@@ -53,19 +53,13 @@ def uniform(r, n):
     """Tutte polynomial of U_{r,n} by two independent closed forms.
 
     The subset form groups the corank-nullity sum by subset size; for
-    0 < r < n it is asserted equal to the basis-activity form
+    0 < r < n it is checked against the basis-activity form
     sum_j C(n-j-1, r-1) y^j + sum_i C(n-i-1, n-r-1) x^i.
     """
     if not 0 <= r <= n:
         raise InvalidRank(f"need 0 <= r <= n, got r={r}, n={n}")
-    xm = X - 1
-    ym = Y - 1
-    xp = [_ONE]
-    for _ in range(r):
-        xp.append(xp[-1] * xm)
-    yp = [_ONE]
-    for _ in range(n - r):
-        yp.append(yp[-1] * ym)
+    xp = _powers(X - 1, r)
+    yp = _powers(Y - 1, n - r)
     total = BiPoly.zero()
     for a in range(n + 1):
         ra = min(a, r)
@@ -76,7 +70,8 @@ def uniform(r, n):
             alt = alt + BiPoly.monomial(0, j, comb(n - j - 1, r - 1))
         for i in range(1, r + 1):
             alt = alt + BiPoly.monomial(i, 0, comb(n - i - 1, n - r - 1))
-        assert alt == total
+        if alt != total:
+            raise PreconditionViolated(f"the closed forms of U_{{{r},{n}}} disagree")
     return total
 
 
@@ -205,7 +200,8 @@ def catalan(n):
         c = Fraction(s - 2, n - 1) * comb(2 * n - s - 1, n - s + 1)
         if c == 0:
             continue
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise NonExactDivision(f"non-integer Catalan coefficient {c}")
         for i in range(1, s):
             terms[(i, s - i)] = int(c)
     return BiPoly(terms)
@@ -267,7 +263,8 @@ def _diffs_to_bipoly(values):
             diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
         for e, c in enumerate(out):
             if c:
-                assert c.denominator == 1
+                if c.denominator != 1:
+                    raise NonExactDivision(f"non-integer coefficient {c}")
                 terms[(e, d)] = int(c)
     return BiPoly(terms)
 
@@ -361,8 +358,10 @@ def gaussian(m, k, q):
     for i in range(k):
         num *= q**m - q**i
         den *= q**k - q**i
-    assert num % den == 0
-    return num // den
+    quot, rem = divmod(num, den)
+    if rem:
+        raise NonExactDivision(f"Gaussian binomial [{m} {k}]_{q} is not integral")
+    return quot
 
 
 def _check_prime_power(q):

@@ -1,9 +1,8 @@
-"""Input parsing and output rendering.
+"""Input parsing and the JSON object form of polynomials.
 
-Polynomials render three ways: plain text ("c*x^i*y^j" terms, descending
-x-degree then ascending y-degree), JSON ({"terms": [[i, j, "c"], ...]} in
-ascending graded order with string coefficients, safe for big integers),
-and LaTeX.  Graphs arrive as "p V E" edge lists, GF(p) matrices as
+Polynomials travel as JSON objects {"terms": [[i, j, "c"], ...]} in
+ascending graded order with string coefficients, safe for big integers;
+the text, JSON and LaTeX renderings live in ``render``.  Graphs arrive as "p V E" edge lists, GF(p) matrices as
 "gf p rows cols" residue grids, and matroids as {"kind": ...} JSON objects.
 """
 
@@ -19,11 +18,7 @@ from .gf import GFMatrix
 from .graphs import Multigraph
 
 
-# -- polynomial rendering ------------------------------------------------------
-
-render_text = render.to_text
-render_latex = render.to_latex
-render_json = render.to_json
+# -- polynomial JSON -----------------------------------------------------------
 
 
 def poly_to_obj(p):

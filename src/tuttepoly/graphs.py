@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import ElementOutOfRange, GraphTooLarge, InvalidParameters
+from .errors import ElementOutOfRange, InvalidParameters
 
 
 class UnionFind:

@@ -361,10 +361,6 @@ class ThickenView(Matroid):
 # -- basic operations ---------------------------------------------------------
 
 
-def rank(m, subset):
-    return m.rank(subset)
-
-
 def dual(m):
     if isinstance(m, DualView):
         return m.parent
@@ -497,27 +493,6 @@ def flats(m):
 def hyperplanes(m):
     r = m.full_rank
     return [f for f in flats(m) if m._rank(f) == r - 1]
-
-
-def spanning_sets(m):
-    _guard(m)
-    r = m.full_rank
-    out = []
-    for mask in range(1 << m.n):
-        s = frozenset(i for i in range(m.n) if mask >> i & 1)
-        if m._rank(s) == r:
-            out.append(s)
-    return out
-
-
-def enumerate_all(m):
-    return {
-        "bases": bases(m),
-        "circuits": circuits(m),
-        "flats": flats(m),
-        "hyperplanes": hyperplanes(m),
-        "spanning": spanning_sets(m),
-    }
 
 
 def parallel_classes(m):

@@ -53,10 +53,8 @@ def json_terms(p):
     return [[i, j, str(c)] for (i, j), c in terms]
 
 
-def to_json(p, **meta):
-    doc = dict(meta)
-    doc["terms"] = json_terms(p)
-    return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
+def to_json(p):
+    return json.dumps({"terms": json_terms(p)})
 
 
 def to_latex(p):

@@ -13,12 +13,9 @@ from tuttepoly.bipoly import (
     X,
     Y,
     exact_div,
-    falling_factorial,
-    interpolate,
     mat_mul,
     mat_pow,
     subst_rational,
-    trace,
 )
 from tuttepoly.errors import DimensionMismatch, NonExactDivision
 from tuttepoly.render import json_terms, to_latex, to_text
@@ -156,19 +153,6 @@ def test_unipoly_int_coeffs_guard():
         h.int_coeffs()
 
 
-def test_interpolation_recovers_polynomial():
-    f = UniPoly((3, -2, 0, 1))
-    xs = [0, 1, 2, 3]
-    ys = [f.eval(v) for v in xs]
-    assert interpolate(xs, ys) == f
-
-
-def test_falling_factorial():
-    f = falling_factorial(3)
-    assert [f.eval(v) for v in range(5)] == [0, 0, 0, 6, 24]
-    assert falling_factorial(0) == UniPoly.one()
-
-
 def test_matrix_mul_pow_trace():
     a = PolyMatrix([[X, 1], [0, Y]])
     sq = mat_mul(a, a)
@@ -176,7 +160,7 @@ def test_matrix_mul_pow_trace():
     assert sq.entry(0, 1) == X + Y
     assert mat_pow(a, 0) == PolyMatrix.identity(2)
     assert mat_pow(a, 3).entry(0, 0) == X**3
-    assert trace(a) == X + Y
+    assert a.trace() == X + Y
 
 
 def test_matrix_dimension_errors():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from tuttepoly import catalog as cat
@@ -122,6 +124,16 @@ def test_basis_count_sample():
         entry = cat.lookup(name)
         m = cat.build(name)
         assert evaluate(entry.ground_truth, 1, 1) == len(mt.bases(m)), name
+
+
+def test_verify_compares_basis_count(monkeypatch):
+    # only the catalog's view of bases loses one; the engine routes still agree
+    short = SimpleNamespace(**vars(mt))
+    short.bases = lambda m: mt.bases(m)[1:]
+    monkeypatch.setattr(cat, "mt", short)
+    report = cat.verify("F7")
+    assert report["routes_agree"] and report["matches_truth"]
+    assert report["ok"] is False
 
 
 # -- the flagged misprint ----------------------------------------------------------

@@ -115,21 +115,6 @@ def test_eval_two_two_power(tmp_path, capsys):
     assert code == 0 and out == "128\n"
 
 
-def test_threads_do_not_change_bytes(tmp_path, capsys):
-    path = tmp_path / "k4.edges"
-    path.write_text("p 4 6\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n")
-    seen = set()
-    for threads in ("1", "2", "5"):
-        code, out, _ = run(
-            ["compute", "--graph", str(path), "--engine", "subset",
-             "--threads", threads],
-            capsys,
-        )
-        assert code == 0
-        seen.add(out)
-    assert len(seen) == 1
-
-
 def test_catalog_list(capsys):
     code, out, _ = run(["catalog", "list"], capsys)
     names = out.splitlines()

@@ -122,11 +122,6 @@ def test_subset_loops_and_coloops_multiply():
     assert tutte_subset(m) == BiPoly.monomial(3, 2)
 
 
-def test_subset_threads_agree():
-    m = mt.Uniform(3, 12)
-    assert tutte_subset(m, threads=4) == tutte_subset(m)
-
-
 def test_subset_size_guard():
     with pytest.raises(GroundSetTooLarge):
         tutte_subset(mt.Uniform(2, 25))
@@ -226,7 +221,7 @@ def test_char_poly_counts_proper_colourings():
     g = cycle_graph(3)
     cp = char_poly(mt.Graphic(g))
     for k in (1, 2, 3, 4):
-        proper = bad_colouring(g, k, as_poly_in_t=False)[0]
+        proper = bad_colouring(g, k).eval(0)
         assert k * cp.eval(k) == proper
 
 
@@ -290,7 +285,7 @@ def test_bad_colouring_wheel():
 def test_bad_colouring_edgeless_and_raw():
     g = Multigraph(4, [])
     assert bad_colouring(g, 3).int_coeffs() == [81]
-    assert bad_colouring(cycle_graph(3), 2, as_poly_in_t=False) == [0, 6, 0, 2]
+    assert bad_colouring(cycle_graph(3), 2).int_coeffs() == [0, 6, 0, 2]
 
 
 def test_bad_colouring_loops_always_bad():
@@ -307,7 +302,7 @@ def test_bad_colouring_matches_coboundary():
         coeffs = [0] * 4
         for (a, b), c in cob.items():
             coeffs[b] += c * k**a
-        assert [k * v for v in coeffs] == bad_colouring(g, k, as_poly_in_t=False)
+        assert [k * v for v in coeffs] == bad_colouring(g, k).int_coeffs()
 
 
 def test_bad_colouring_guards():
@@ -437,17 +432,34 @@ def test_series_class_split_identity():
     assert tutte_subset(m) == (1 + X) * tutte_subset(minus) + tutte_subset(contracted)
 
 
-@given(
-    st.integers(min_value=2, max_value=5),
-    st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=0, max_size=7
-    ),
-)
-@settings(max_examples=50, deadline=None)
-def test_dc_matches_subset_on_random_graphs(nv, pairs):
-    edges = [(u % nv, v % nv) for u, v in pairs]
-    m = mt.Graphic(Multigraph(nv, edges))
-    assert tutte_dc(m) == tutte_subset(m)
+@st.composite
+def multigraphs(draw):
+    """Up to 6 vertices in up to three blocks, up to 9 edges inside the blocks.
+
+    Loops and parallel edges are allowed, and separate blocks give graphs
+    with several non-trivial components.
+    """
+    nv = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(3, nv)))
+    cuts = [b * nv // k for b in range(k + 1)]
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(0, 5), st.integers(0, 5)),
+        max_size=9,
+    ))
+    edges = []
+    for b, u, v in picks:
+        size = cuts[b + 1] - cuts[b]
+        edges.append((cuts[b] + u % size, cuts[b] + v % size))
+    return Multigraph(nv, edges)
+
+
+@given(multigraphs())
+@settings(max_examples=150, deadline=None)
+def test_dc_matches_subset_on_random_graphs(g):
+    m = mt.Graphic(g)
+    expected = tutte_subset(m)
+    assert tutte_dc(m) == expected
+    assert tutte_activities(m) == expected
 
 
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))

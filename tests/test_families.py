@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tuttepoly
 from tuttepoly import engines as eng
 from tuttepoly import families as fam
 from tuttepoly import graphs
@@ -577,3 +580,13 @@ def test_steiner_systems():
 def test_steiner_unknown_system():
     with pytest.raises(UnknownSystem):
         fam.steiner_sparse((3, 8, 8))
+
+
+def test_no_assert_statements_in_package():
+    # self-checks must raise TuttepolyError; an assert vanishes under python -O
+    hits = []
+    for path in sorted(Path(tuttepoly.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        hits += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+    assert hits == []

@@ -20,10 +20,8 @@ from tuttepoly.formats import (
     parse_poly,
     poly_from_obj,
     poly_to_obj,
-    render_json,
-    render_latex,
-    render_text,
 )
+from tuttepoly.render import to_json, to_latex, to_text
 
 polys = st.dictionaries(
     st.tuples(st.integers(0, 9), st.integers(0, 9)),
@@ -36,42 +34,42 @@ polys = st.dictionaries(
 
 
 def test_text_golden_wheel():
-    assert render_text(fam.wheel(3)) == (
+    assert to_text(fam.wheel(3)) == (
         "x^3 + 3*x^2 + 2*x + 4*x*y + 2*y + 3*y^2 + y^3"
     )
 
 
 def test_text_corner_cases():
-    assert render_text(BiPoly({})) == "0"
-    assert render_text(BiPoly({(0, 0): 1})) == "1"
-    assert render_text(BiPoly({(0, 0): -7})) == "-7"
-    assert render_text(BiPoly({(1, 1): 1})) == "x*y"
-    assert render_text(BiPoly({(2, 0): -3, (1, 1): 1, (0, 0): 5})) == (
+    assert to_text(BiPoly({})) == "0"
+    assert to_text(BiPoly({(0, 0): 1})) == "1"
+    assert to_text(BiPoly({(0, 0): -7})) == "-7"
+    assert to_text(BiPoly({(1, 1): 1})) == "x*y"
+    assert to_text(BiPoly({(2, 0): -3, (1, 1): 1, (0, 0): 5})) == (
         "-3*x^2 + x*y + 5"
     )
-    assert render_text(BiPoly({(1, 0): 1, (0, 1): -1})) == "x - y"
+    assert to_text(BiPoly({(1, 0): 1, (0, 1): -1})) == "x - y"
 
 
 def test_text_order_is_x_major():
     p = BiPoly({(0, 2): 1, (2, 1): 1, (2, 0): 1, (1, 5): 1})
-    assert render_text(p) == "x^2 + x^2*y + x*y^5 + y^2"
+    assert to_text(p) == "x^2 + x^2*y + x*y^5 + y^2"
 
 
 # -- latex ---------------------------------------------------------------------
 
 
 def test_latex_braces_and_no_stars():
-    assert render_latex(fam.wheel(3)) == (
+    assert to_latex(fam.wheel(3)) == (
         "x^{3} + 3x^{2} + 2x + 4xy + 2y + 3y^{2} + y^{3}"
     )
-    assert render_latex(BiPoly({(12, 1): -2})) == "-2x^{12}y"
+    assert to_latex(BiPoly({(12, 1): -2})) == "-2x^{12}y"
 
 
 # -- json ----------------------------------------------------------------------
 
 
 def test_json_golden():
-    obj = json.loads(render_json(fam.uniform(1, 2)))
+    obj = json.loads(to_json(fam.uniform(1, 2)))
     assert obj == {"terms": [[0, 1, "1"], [1, 0, "1"]]}
 
 
@@ -82,7 +80,7 @@ def test_json_sorted_by_total_degree_then_x():
 
 @given(polys)
 def test_json_round_trip(p):
-    assert parse_poly(render_json(p)) == p
+    assert parse_poly(to_json(p)) == p
 
 
 def test_poly_from_obj_merges_duplicates():
@@ -106,7 +104,7 @@ def test_poly_parse_errors():
 
 def test_big_coefficients_survive_json():
     p = BiPoly({(1, 1): 10 ** 40})
-    assert parse_poly(render_json(p)) == p
+    assert parse_poly(to_json(p)) == p
 
 
 # -- graph files -----------------------------------------------------------------

@@ -359,14 +359,12 @@ def test_tensor_identity():
 
 def test_enumerate_u24():
     u = mt.Uniform(2, 4)
-    e = mt.enumerate_all(u)
-    assert len(e["bases"]) == 6
-    assert sorted(map(sorted, e["circuits"])) == [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
-    fl = e["flats"]
+    assert len(mt.bases(u)) == 6
+    assert sorted(map(sorted, mt.circuits(u))) == [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    fl = mt.flats(u)
     assert fl[0] == frozenset()
     assert len(fl) == 6  # empty, four points, everything
-    assert len(e["hyperplanes"]) == 4
-    assert len(e["spanning"]) == 11  # all subsets of size >= 2
+    assert len(mt.hyperplanes(u)) == 4
 
 
 def test_enumeration_guard():
