@@ -1,7 +1,7 @@
 """Batch command line: compute, evaluate, and verify Tutte polynomials.
 
-Exit codes: 0 success, 2 parse or usage error, 3 resource budget exceeded,
-4 verification mismatch.
+Exit codes: 0 success, 2 parse or usage error, 3 resource budget exceeded
+(including Python's recursion limit and memory), 4 verification mismatch.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ _FAMILIES = {
     "sparse-paving": (fam.sparse_paving, ("r", "n", "ch_count")),
     "projective": (fam.projective, ("dim", "q")),
     "affine": (fam.affine, ("dim", "q")),
-    "gaussian": (fam.gaussian, ("m", "k", "q")),
 }
 
 _RENDERERS = {"text": to_text, "json": to_json, "latex": to_latex}
@@ -243,6 +242,9 @@ def main(argv=None):
         return args.func(args)
     except _BUDGET_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too large ({type(exc).__name__})", file=sys.stderr)
         return 3
     except TuttepolyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -125,8 +125,10 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     components multiply, and a whole parallel class X that is not a cocircuit
     splits as T = T(M\\X) + (y^(p-1)+...+1) T(M/X); dually a series class
     that is not a circuit splits as T = (x^(p-1)+...+1) T(M\\X) + T(M/X).
-    Graphic inputs additionally use single-cycle base cases and memoization
-    on a canonical multigraph key.
+    Graphic inputs additionally use single-cycle base cases and memoize
+    every connected minor on ``graphs.canonical_key``, a complete isomorphism
+    invariant, so isomorphic minors reached along different branches are
+    expanded once.
     """
     budget = _Budget(budget_nodes)
     if isinstance(m, mt.Graphic):
@@ -170,11 +172,9 @@ def _dc_graph(g, budget, memo):
     if g.is_cycle():
         return acc * _cycle_poly(len(g.edges))
     key = canonical_key(g)
-    if key is not None and key in memo:
+    if key in memo:
         return acc * memo[key]
-    poly = _dc_graph_split(g, budget, memo)
-    if key is not None:
-        memo[key] = poly
+    poly = memo[key] = _dc_graph_split(g, budget, memo)
     return acc * poly
 
 

@@ -8,8 +8,6 @@ element labels stay aligned with matroid minors.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .errors import ElementOutOfRange, InvalidParameters
 
 
@@ -127,15 +125,50 @@ class Multigraph:
         return list(comp.values())
 
     def bridges(self):
-        """Indices of edges whose removal would raise the component count."""
+        """Indices of edges whose removal would raise the component count.
+
+        One iterative Tarjan low-link search.  The edge a vertex was reached
+        by is skipped by index, not by endpoint, so a parallel edge gives its
+        twin a back edge and neither is a bridge.
+        """
+        n = self.nverts
+        incident = [[] for _ in range(n)]
+        for i, (u, v) in enumerate(self.edges):
+            if u != v:
+                incident[u].append((v, i))
+                incident[v].append((u, i))
+        disc = [0] * n  # discovery time from 1; 0 means unvisited
+        low = [0] * n
         out = []
-        full = self.full_rank()
-        for i in range(len(self.edges)):
-            u, v = self.edges[i]
-            if u == v:
+        clock = 0
+        for start in range(n):
+            if disc[start]:
                 continue
-            if self.rank_of(k for k in range(len(self.edges)) if k != i) < full:
-                out.append(i)
+            clock += 1
+            disc[start] = low[start] = clock
+            stack = [(start, -1, iter(incident[start]))]
+            while stack:
+                w, via, edges = stack[-1]
+                for z, i in edges:
+                    if i == via:
+                        continue
+                    if disc[z]:
+                        if disc[z] < low[w]:
+                            low[w] = disc[z]
+                    else:
+                        clock += 1
+                        disc[z] = low[z] = clock
+                        stack.append((z, i, iter(incident[z])))
+                        break
+                else:
+                    stack.pop()
+                    if stack:
+                        p = stack[-1][0]
+                        if low[w] < low[p]:
+                            low[p] = low[w]
+                        if low[w] > disc[p]:
+                            out.append(via)
+        out.sort()
         return out
 
     def parallel_classes(self):
@@ -204,17 +237,53 @@ class Multigraph:
 
 # -- canonical form ---------------------------------------------------------
 
-_PERM_CAP = 50000
+
+def _ranks(values):
+    """Each value replaced by its rank among the distinct values."""
+    palette = {c: i for i, c in enumerate(sorted(set(values)))}
+    return [palette[c] for c in values], len(palette)
 
 
-def canonical_key(g, perm_cap=_PERM_CAP):
-    """Canonical encoding of a multigraph, or None if it would cost too much.
+def _refine(col, ncol, adj):
+    """Iterate colour refinement from an ordered colouring until equitable.
 
-    Vertex classes are refined by iterated neighborhood colorings, then the
-    lexicographically least edge multiset over all class-preserving
-    relabelings is taken.  Equal keys imply isomorphic multigraphs; when the
-    number of relabelings exceeds perm_cap the caller must skip memoization,
-    which costs speed, never correctness.
+    A vertex's new colour is its old colour followed by the sorted multiset
+    of (neighbour colour, multiplicity); ranking by that keeps every old cell
+    in place and splits it in an order that depends on no vertex name.
+    """
+    n = len(col)
+    while ncol < n:
+        size = [0] * ncol
+        for c in col:
+            size[c] += 1
+        # a vertex alone in its cell keeps its place whatever its neighbours
+        sig = [
+            (c, tuple(sorted([(col[z], m) for z, m in adj[w]]))
+             if size[c] > 1 else ())
+            for w, c in enumerate(col)
+        ]
+        col, k = _ranks(sig)
+        if k == ncol:
+            break
+        ncol = k
+    return col, ncol
+
+
+def canonical_key(g):
+    """Complete canonical encoding of a multigraph: equal keys iff isomorphic.
+
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): colour refinement on loop counts and edge
+    multiplicities makes the vertex partition equitable; each vertex of the
+    first non-singleton cell is individualized in turn and the search
+    recurses until the partition is discrete.  Each leaf labels the vertices
+    by their cell, and the key is the least sorted (min label, max label,
+    multiplicity) edge list over all leaves, with the loop count of every
+    labelled vertex.  Automorphisms found between leaves of equal encoding
+    prune the search: a child in the orbit of an explored sibling under the
+    automorphisms fixing the path to it is skipped, and a subtree that yields
+    a leaf equal to the best returns to the level where the two paths part.
+    Never gives up, so every deletion-contraction node can be memoized.
     """
     n = g.nverts
     mult = {}
@@ -229,71 +298,78 @@ def canonical_key(g, perm_cap=_PERM_CAP):
     for (u, v), m in mult.items():
         adj[u].append((v, m))
         adj[v].append((u, m))
+    triples = [(u, v, m) for (u, v), m in mult.items()]
 
-    colors = [
-        (loopc[w], tuple(sorted(m for _, m in adj[w])))
-        for w in range(n)
-    ]
-    for _ in range(n):
-        palette = {c: i for i, c in enumerate(sorted(set(colors)))}
-        base = [palette[c] for c in colors]
-        refined = [
-            (base[w], tuple(sorted((base[z], m) for z, m in adj[w])))
-            for w in range(n)
-        ]
-        if len(set(refined)) == len(set(colors)):
-            colors = refined
-            break
-        colors = refined
+    best = None  # least leaf encoding so far
+    best_col = None
+    best_path = None
+    auts = []  # automorphisms as vertex maps, from leaves equal to best
+    path = []
 
-    palette = {c: i for i, c in enumerate(sorted(set(colors)))}
-    final = [palette[c] for c in colors]
-    classes = {}
-    for w in range(n):
-        classes.setdefault(final[w], []).append(w)
-    ordered = [classes[c] for c in sorted(classes)]
-
-    total = 1
-    for cl in ordered:
-        for k in range(2, len(cl) + 1):
-            total *= k
-        if total > perm_cap:
+    def leaf(col):
+        nonlocal best, best_col, best_path
+        enc = tuple(sorted([
+            (col[u], col[v], m) if col[u] < col[v] else (col[v], col[u], m)
+            for u, v, m in triples
+        ]))
+        if best is None or enc < best:
+            best, best_col, best_path = enc, col, list(path)
             return None
+        if enc != best:
+            return None
+        inv = [0] * n
+        for w, c in enumerate(best_col):
+            inv[c] = w
+        auts.append([inv[c] for c in col])
+        # An individualized vertex keeps the first label of its cell, so a
+        # leaf's labels fix the path to it and the automorphism maps this
+        # path onto the best one.  It fixes their common prefix, and the
+        # subtree where this path leaves the best one repeats an explored one.
+        j = 0
+        while path[j] == best_path[j]:
+            j += 1
+        return j
 
-    offsets = []
-    pos = 0
-    for cl in ordered:
-        offsets.append(pos)
-        pos += len(cl)
+    def search(col, ncol):
+        if ncol == n:
+            return leaf(col)
+        counts = [0] * ncol
+        for c in col:
+            counts[c] += 1
+        target = next(c for c in range(ncol) if counts[c] > 1)
+        depth = len(path)
+        explored = []
+        seen_auts = 0
+        root = None
+        for v in [w for w in range(n) if col[w] == target]:
+            if explored and len(auts) > seen_auts:
+                seen_auts = len(auts)
+                root = _orbits(n, [a for a in auts
+                                   if all(a[p] == p for p in path)])
+            if root is not None and root[v] in {root[e] for e in explored}:
+                continue
+            explored.append(v)
+            child = [c + 1 if c > target or (c == target and w != v) else c
+                     for w, c in enumerate(col)]
+            path.append(v)
+            back = search(*_refine(child, ncol + 1, adj))
+            path.pop()
+            if back is not None and back < depth:
+                return back
+        return None
 
-    pairs = sorted(mult.items())
-    loops_by_class = tuple(
-        sorted((final[w], c) for w, c in enumerate(loopc) if c)
-    )
+    search(*_refine(*_ranks(loopc), adj))
+    loops = tuple(sorted((best_col[w], c) for w, c in enumerate(loopc) if c))
+    return (n, loops, best)
 
-    best = None
-    label = [0] * n
 
-    def assign(ci):
-        nonlocal best
-        if ci == len(ordered):
-            enc = sorted(
-                (min(label[u], label[v]), max(label[u], label[v]), m)
-                for (u, v), m in pairs
-            )
-            enc = tuple(enc)
-            if best is None or enc < best:
-                best = enc
-            return
-        cl = ordered[ci]
-        base = offsets[ci]
-        for perm in permutations(cl):
-            for k, w in enumerate(perm):
-                label[w] = base + k
-            assign(ci + 1)
-
-    assign(0)
-    return (n, loops_by_class, best)
+def _orbits(n, gens):
+    """Orbit representative of every vertex under the group gens generate."""
+    uf = UnionFind(n)
+    for a in gens:
+        for w in range(n):
+            uf.union(w, a[w])
+    return [uf.find(w) for w in range(n)]
 
 
 # -- builders ----------------------------------------------------------------

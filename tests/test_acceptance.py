@@ -162,6 +162,10 @@ def test_05_grid_consistency():
     for n in range(3, 11):
         gap = fam.grid2(n) - mult * fam.grid2(n - 1) + damp * fam.grid2(n - 2)
         assert gap.is_zero(), n
+    # sizes the brute-force canonical form could not reach in minutes
+    ladder = mt.Graphic(graphs.grid_graph(2, 40))
+    assert eng.tutte_dc(ladder, budget_nodes=1000) == fam.grid2(40)
+    assert eng.tutte_dc(mt.Graphic(graphs.grid_graph(3, 8))) == eng.transfer_grid(3, 8)
     print("[gate 05] grid closed form, transfer matrix, recurrence: PASS")
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from tuttepoly import catalog as cat
 from tuttepoly import cli
+from tuttepoly import engines as eng
 
 WHEEL3 = "x^3 + 3*x^2 + 2*x + 4*x*y + 2*y + 3*y^2 + y^3"
 
@@ -194,6 +195,32 @@ def test_exit_three_on_budget(tmp_path, capsys):
         capsys,
     )
     assert code == 3 and err
+
+
+def test_gaussian_is_not_a_polynomial_family(capsys):
+    # families.gaussian returns an integer, which neither renders nor evaluates
+    for argv in (
+        ["compute", "--family", "gaussian", "--m", "5", "--k", "2", "--q", "3"],
+        ["eval", "--family", "gaussian", "--m", "5", "--k", "2", "--q", "3",
+         "--x", "1", "--y", "1"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert "invalid choice" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_exit_three_on_recursion_and_memory(monkeypatch, tmp_path, capsys, exc):
+    def boom(m, budget_nodes=None):
+        raise exc()
+
+    monkeypatch.setattr(eng, "tutte_dc", boom)
+    path = tmp_path / "c4.edges"
+    path.write_text(C4_FILE)
+    code, out, err = run(["compute", "--graph", str(path)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_family_grid_transfer(capsys):

@@ -1,0 +1,203 @@
+"""Multigraph canonical form and bridges against independent references."""
+
+from __future__ import annotations
+
+import random
+from itertools import permutations
+
+from tuttepoly.graphs import (
+    Multigraph,
+    canonical_key,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+)
+
+
+def reference_key(g):
+    """Brute-force canonical encoding, kept only as a test oracle.
+
+    Vertex classes come from iterated neighbourhood colouring; the key is the
+    least edge multiset over every class-preserving relabelling, so it is
+    complete but factorial in the class sizes.
+    """
+    n = g.nverts
+    mult = {}
+    loopc = [0] * n
+    for u, v in g.edges:
+        if u == v:
+            loopc[u] += 1
+        else:
+            k = (min(u, v), max(u, v))
+            mult[k] = mult.get(k, 0) + 1
+    adj = [[] for _ in range(n)]
+    for (u, v), m in mult.items():
+        adj[u].append((v, m))
+        adj[v].append((u, m))
+
+    colors = [(loopc[w], tuple(sorted(m for _, m in adj[w]))) for w in range(n)]
+    for _ in range(n):
+        palette = {c: i for i, c in enumerate(sorted(set(colors)))}
+        base = [palette[c] for c in colors]
+        refined = [
+            (base[w], tuple(sorted((base[z], m) for z, m in adj[w])))
+            for w in range(n)
+        ]
+        done = len(set(refined)) == len(set(colors))
+        colors = refined
+        if done:
+            break
+    palette = {c: i for i, c in enumerate(sorted(set(colors)))}
+    final = [palette[c] for c in colors]
+    classes = {}
+    for w in range(n):
+        classes.setdefault(final[w], []).append(w)
+    ordered = [classes[c] for c in sorted(classes)]
+    offsets = []
+    pos = 0
+    for cl in ordered:
+        offsets.append(pos)
+        pos += len(cl)
+
+    pairs = sorted(mult.items())
+    best = None
+    label = [0] * n
+
+    def assign(ci):
+        nonlocal best
+        if ci == len(ordered):
+            enc = tuple(sorted(
+                (min(label[u], label[v]), max(label[u], label[v]), m)
+                for (u, v), m in pairs
+            ))
+            if best is None or enc < best:
+                best = enc
+            return
+        for perm in permutations(ordered[ci]):
+            for k, w in enumerate(perm):
+                label[w] = offsets[ci] + k
+            assign(ci + 1)
+
+    assign(0)
+    loops = tuple(sorted((final[w], c) for w, c in enumerate(loopc) if c))
+    return (n, loops, best)
+
+
+def random_multigraph(rng, max_verts, max_edges):
+    n = rng.randint(1, max_verts)
+    edges = []
+    for _ in range(rng.randint(0, max_edges)):
+        r = rng.random()
+        if r < 0.15:
+            w = rng.randrange(n)
+            edges.append((w, w))
+        elif r < 0.3 and edges:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append((rng.randrange(n), rng.randrange(n)))
+    return Multigraph(n, edges)
+
+
+def relabelled(rng, g):
+    perm = list(range(g.nverts))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+             for u, v in g.edges]
+    rng.shuffle(edges)
+    return Multigraph(g.nverts, edges)
+
+
+def random_regular(rng, n, k):
+    """A random simple k-regular graph: pairings drawn until one is simple."""
+    stubs = [w for w in range(n) for _ in range(k)]
+    while True:
+        rng.shuffle(stubs)
+        edges = {(min(e), max(e)) for e in zip(stubs[::2], stubs[1::2])}
+        if len(edges) * 2 == len(stubs) and all(u != v for u, v in edges):
+            return Multigraph(n, sorted(edges))
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Multigraph(10, outer + spokes + inner)
+
+
+def hypercube(d):
+    return Multigraph(1 << d, [(w, w | 1 << b) for w in range(1 << d)
+                               for b in range(d) if not w >> b & 1])
+
+
+def test_key_invariant_under_relabelling():
+    rng = random.Random(7)
+    for _ in range(400):
+        g = random_multigraph(rng, 7, 12)
+        assert canonical_key(relabelled(rng, g)) == canonical_key(g), g
+
+
+def test_key_invariant_on_regular_graphs():
+    # refinement leaves a regular graph in one cell, so only the search
+    # (and its pruning) can make the key independent of vertex names
+    rng = random.Random(13)
+    for _ in range(150):
+        n = rng.randint(6, 14)
+        k = rng.choice([d for d in (2, 3, 4) if n * d % 2 == 0])
+        g = random_regular(rng, n, k)
+        assert canonical_key(relabelled(rng, g)) == canonical_key(g), g
+
+
+def test_key_equality_matches_reference():
+    rng = random.Random(11)
+    equal = 0
+    for _ in range(600):
+        # few vertices and edges, so that many pairs are isomorphic
+        a = random_multigraph(rng, 5, 6)
+        if rng.random() < 0.3:
+            b = relabelled(rng, a)
+        else:
+            b = random_multigraph(rng, 5, 6)
+        same = canonical_key(a) == canonical_key(b)
+        assert same == (reference_key(a) == reference_key(b)), (a, b)
+        equal += same
+    big = [random_multigraph(rng, 7, 10) for _ in range(120)]
+    big += [random_regular(rng, rng.choice((6, 7)), 2) for _ in range(20)]
+    big += [random_regular(rng, 6, 3) for _ in range(10)]
+    for a, b in zip(big, big[1:] + [relabelled(rng, big[0])]):
+        assert (canonical_key(a) == canonical_key(b)) == (
+            reference_key(a) == reference_key(b)), (a, b)
+    assert equal >= 150
+
+
+def test_key_is_complete_on_symmetric_graphs():
+    rng = random.Random(3)
+    for g in (complete_graph(12), complete_bipartite_graph(6, 6), petersen(),
+              hypercube(4), grid_graph(6, 6), cycle_graph(9)):
+        key = canonical_key(g)
+        assert key[0] == g.nverts and sum(m for *_, m in key[2]) == g.nedges
+        assert canonical_key(relabelled(rng, g)) == key
+    # same vertex count, edge count and degrees, not isomorphic
+    two_triangles = Multigraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert canonical_key(two_triangles) != canonical_key(cycle_graph(6))
+    assert canonical_key(Multigraph(0, [])) == (0, (), ())
+
+
+def test_bridges_match_rank_definition():
+    rng = random.Random(5)
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        g = random_multigraph(rng, n, rng.randint(0, 12))
+        full = g.full_rank()
+        expected = [
+            i for i, (u, v) in enumerate(g.edges)
+            if u != v and g.rank_of(k for k in range(g.nedges) if k != i) < full
+        ]
+        assert g.bridges() == expected, g
+
+
+def test_bridges_parallel_edges_and_loops():
+    assert Multigraph(2, [(0, 1), (1, 0)]).bridges() == []
+    assert Multigraph(3, [(0, 0), (0, 1), (1, 2), (2, 2)]).bridges() == [1, 2]
+    assert Multigraph(4, [(0, 1), (2, 3), (3, 2), (1, 0), (0, 1)]).bridges() == []
+    assert Multigraph(4, [(2, 3), (0, 1)]).bridges() == [0, 1]
