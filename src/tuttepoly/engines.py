@@ -58,17 +58,11 @@ DEFAULT_BUDGET = 10_000_000
 def _corank_nullity_counts(m):
     """Histogram of (r(E)-r(A), |A|-r(A)) over all subsets A."""
     full = m.full_rank
-    rank = m.rank
+    rank = m._rank
     counts = {}
     for mask in range(1 << m.n):
-        elems = []
-        mm = mask
-        while mm:
-            b = mm & -mm
-            elems.append(b.bit_length() - 1)
-            mm ^= b
-        r = rank(elems)
-        key = (full - r, len(elems) - r)
+        r = rank(mask)
+        key = (full - r, mask.bit_count() - r)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -222,18 +216,18 @@ def _dc_generic(m, budget):
             return acc
         return acc * _dc_generic(rest, budget)
     full = m.full_rank
-    ground = m.groundset()
+    ground = (1 << m.n) - 1
     classes = [c for c in mt.parallel_classes(m) if len(c) >= 2]
     if classes:
         cls = sorted(max(classes, key=len))
-        if m.rank(ground - frozenset(cls)) == full:  # not a cocircuit
+        if m._rank(ground ^ mt._mask(m, cls)) == full:  # not a cocircuit
             return _dc_generic(mt.delete_many(m, cls), budget) + _geom(
                 BiPoly.monomial(0, 1), len(cls)
             ) * _dc_generic(mt.contract_many(m, cls), budget)
     sclasses = [c for c in mt.series_classes(m) if len(c) >= 2]
     if sclasses:
         cls = sorted(max(sclasses, key=len))
-        if m.rank(cls) == len(cls):  # not a circuit
+        if m._rank(mt._mask(m, cls)) == len(cls):  # not a circuit
             return _geom(BiPoly.monomial(1, 0), len(cls)) * _dc_generic(
                 mt.delete_many(m, cls), budget
             ) + _dc_generic(mt.contract_many(m, cls), budget)
@@ -248,7 +242,7 @@ def _dc_generic(m, budget):
 
 @lru_cache(maxsize=64)
 def _basis_mask_set(m):
-    return frozenset(sum(1 << e for e in b) for b in mt.bases(m))
+    return frozenset(mt._basis_masks(m))
 
 
 def tutte_activities(m, order=None):
@@ -271,36 +265,20 @@ def tutte_activities(m, order=None):
         order = list(order)
         if sorted(order) != list(range(n)):
             raise InvalidParameters("order must be a permutation of the ground set")
+    earlier = {e: order[:k] for k, e in enumerate(order)}
     counts = {}
     for bmask in masks:
-        i = j = 0
+        active = [0, 0]  # [external, internal]
         for e in range(n):
-            be = 1 << e
-            if bmask & be:
-                swapped = bmask ^ be
-                active = True
-                for f in order:
-                    if f == e:
-                        break
-                    bf = 1 << f
-                    if not (bmask & bf) and (swapped | bf) in masks:
-                        active = False
-                        break
-                if active:
-                    i += 1
+            side = bmask >> e & 1
+            swapped = bmask ^ (1 << e)
+            for f in earlier[e]:
+                if (bmask >> f & 1) != side and (swapped ^ (1 << f)) in masks:
+                    break
             else:
-                swapped = bmask | be
-                active = True
-                for f in order:
-                    if f == e:
-                        break
-                    bf = 1 << f
-                    if (bmask & bf) and (swapped ^ bf) in masks:
-                        active = False
-                        break
-                if active:
-                    j += 1
-        counts[(i, j)] = counts.get((i, j), 0) + 1
+                active[side] += 1
+        key = (active[1], active[0])
+        counts[key] = counts.get(key, 0) + 1
     return BiPoly(counts)
 
 

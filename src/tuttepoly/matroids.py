@@ -1,11 +1,15 @@
 """Matroids behind one rank oracle: concrete variants, views, constructions.
 
-Every matroid exposes a ground set 0..n-1 and rank(subset).  Concrete
-variants (uniform, graphic, linear, paving encodings, explicit basis lists,
-lattice-path) implement rank directly; views (dual, minor, relaxation, free
-and parallel extensions, thickening) derive it from a wrapped matroid, so
-every construction in the package stays exact and checkable against
-brute-force enumeration.
+Every matroid exposes a ground set 0..n-1 and rank(subset).  Internally a
+subset is an int bitmask (bit e stands for element e), and every class
+implements ``_rank(mask)`` on it: the one rank-oracle protocol between the
+variants, the views and the engines.  Concrete variants (uniform, graphic,
+linear, paving encodings, explicit basis lists, lattice-path) rank masks
+directly; views (dual, relaxation, free extension, direct sum and the one
+element-map view behind minors, parallel extensions and thickenings)
+derive the rank from a wrapped matroid, so every construction in the
+package stays exact and checkable against brute-force enumeration.  Public
+functions take and return element sets.
 
 Minors relabel the surviving elements to 0..n'-1 preserving order, which
 keeps recipes reproducible.
@@ -31,25 +35,28 @@ ENUM_LIMIT = 24
 
 
 class Matroid:
-    """Base: subclasses set n and implement _rank(frozenset)."""
+    """Base: subclasses set n and implement _rank(mask).
+
+    The mask is an int over 0..n-1 (bit e set when element e is in the
+    subset).  rank(iterable) checks each element and builds the mask.
+    Minors, parallel extensions and thickenings that are not built
+    structurally (as a smaller Uniform, Graphic or Linear) are one MapView
+    whose parent is not itself a MapView.
+    """
 
     n = 0
 
-    def _rank(self, subset):
+    def _rank(self, mask):
         raise NotImplementedError
 
     def rank(self, subset):
-        s = frozenset(subset)
-        for e in s:
-            if not (isinstance(e, int) and 0 <= e < self.n):
-                raise ElementOutOfRange(f"element {e} not in 0..{self.n - 1}")
-        return self._rank(s)
+        return self._rank(_mask(self, subset))
 
     @property
     def full_rank(self):
         r = getattr(self, "_full", None)
         if r is None:
-            r = self._rank(frozenset(range(self.n)))
+            r = self._rank((1 << self.n) - 1)
             self._full = r
         return r
 
@@ -70,8 +77,8 @@ class Uniform(Matroid):
         self.r = r
         self.n = n
 
-    def _rank(self, subset):
-        return min(len(subset), self.r)
+    def _rank(self, mask):
+        return min(mask.bit_count(), self.r)
 
 
 class Graphic(Matroid):
@@ -81,8 +88,8 @@ class Graphic(Matroid):
         self.graph = graph
         self.n = graph.nedges
 
-    def _rank(self, subset):
-        return self.graph.rank_of(subset)
+    def _rank(self, mask):
+        return self.graph.rank_of(_bits(mask))
 
 
 class Linear(Matroid):
@@ -92,8 +99,8 @@ class Linear(Matroid):
         self.mat = mat
         self.n = mat.ncols
 
-    def _rank(self, subset):
-        return self.mat.rank_of_columns(sorted(subset))
+    def _rank(self, mask):
+        return self.mat.rank_of_columns(_bits(mask))
 
 
 class SparsePaving(Matroid):
@@ -119,12 +126,13 @@ class SparsePaving(Matroid):
         self.r = r
         self.n = n
         self.chs = chs
+        self._ch_masks = frozenset(_mask(self, c) for c in chs)
 
-    def _rank(self, subset):
-        s = len(subset)
+    def _rank(self, mask):
+        s = mask.bit_count()
         if s < self.r:
             return s
-        if s == self.r and subset in self.chs:
+        if s == self.r and mask in self._ch_masks:
             return self.r - 1
         return self.r
 
@@ -156,18 +164,19 @@ class PavingPartition(Matroid):
         self.n = n
         self.blocks = blocks
         bymember = [[] for _ in range(n)]
-        for bi, b in enumerate(blocks):
+        for b in blocks:
+            bmask = _mask(self, b)
             for e in b:
-                bymember[e].append(bi)
+                bymember[e].append(bmask)
         self._bymember = bymember
 
-    def _rank(self, subset):
-        s = len(subset)
+    def _rank(self, mask):
+        s = mask.bit_count()
         if s <= self.r - 1:
             return s
-        e = next(iter(subset))
-        for bi in self._bymember[e]:
-            if subset <= self.blocks[bi]:
+        # a block holding the subset holds its lowest element
+        for b in self._bymember[(mask & -mask).bit_length() - 1]:
+            if mask & b == mask:
                 return self.r - 1
         return self.r
 
@@ -197,9 +206,10 @@ class BasisList(Matroid):
         self.r = r
         self.n = n
         self.bases = bases
+        self._masks = tuple(_mask(self, b) for b in bases)
 
-    def _rank(self, subset):
-        return max(len(subset & b) for b in self.bases)
+    def _rank(self, mask):
+        return max((mask & b).bit_count() for b in self._masks)
 
 
 class LatticePath(BasisList):
@@ -258,25 +268,39 @@ class DualView(Matroid):
     def __init__(self, parent):
         self.parent = parent
         self.n = parent.n
+        self._ground = (1 << parent.n) - 1
 
-    def _rank(self, subset):
-        rest = frozenset(range(self.n)) - subset
-        return len(subset) - self.parent.full_rank + self.parent._rank(rest)
+    def _rank(self, mask):
+        rest = self.parent._rank(self._ground ^ mask)
+        return mask.bit_count() - self.parent.full_rank + rest
 
 
-class MinorView(Matroid):
-    """parent with some elements contracted, others deleted, rest relabeled."""
+class MapView(Matroid):
+    """Element i is parent element image[i], with the parent mask contracted
+    contracted.
 
-    def __init__(self, parent, kept, contracted):
+    rank(A) = r_parent(image(A) | contracted) - r_parent(contracted).  An
+    injective image gives a minor; a repeated parent element gives parallel
+    copies (parallel extension, thickening).  Operations on a MapView
+    compose onto its parent (see _remap), so views never stack.
+    """
+
+    def __init__(self, parent, image, contracted):
         self.parent = parent
-        self.kept = tuple(kept)
-        self.contracted = frozenset(contracted)
-        self.n = len(self.kept)
-        self._rc = parent._rank(self.contracted)
+        self.image = tuple(image)
+        self.contracted = contracted
+        self.n = len(self.image)
+        self._bit = [1 << p for p in self.image]
+        self._rc = parent._rank(contracted)
 
-    def _rank(self, subset):
-        originals = frozenset(self.kept[e] for e in subset) | self.contracted
-        return self.parent._rank(originals) - self._rc
+    def _rank(self, mask):
+        pmask = self.contracted
+        bit = self._bit
+        while mask:
+            low = mask & -mask
+            pmask |= bit[low.bit_length() - 1]
+            mask ^= low
+        return self.parent._rank(pmask) - self._rc
 
 
 class RelaxView(Matroid):
@@ -284,11 +308,12 @@ class RelaxView(Matroid):
         self.parent = parent
         self.ch = frozenset(ch)
         self.n = parent.n
+        self._ch = _mask(parent, self.ch)
 
-    def _rank(self, subset):
-        if self.ch <= subset:
+    def _rank(self, mask):
+        if mask & self._ch == self._ch:
             return self.parent.full_rank
-        return self.parent._rank(subset)
+        return self.parent._rank(mask)
 
 
 class FreeExtView(Matroid):
@@ -299,28 +324,12 @@ class FreeExtView(Matroid):
         self.n = parent.n + 1
         self.new = parent.n
 
-    def _rank(self, subset):
-        if self.new not in subset:
-            return self.parent._rank(subset)
-        inner = self.parent._rank(subset - {self.new})
+    def _rank(self, mask):
+        new = 1 << self.new
+        if not mask & new:
+            return self.parent._rank(mask)
+        inner = self.parent._rank(mask ^ new)
         return min(inner + 1, self.parent.full_rank)
-
-
-class ParallelExtView(Matroid):
-    """parent plus a new element (index n) parallel to element e."""
-
-    def __init__(self, parent, e):
-        if not 0 <= e < parent.n:
-            raise ElementOutOfRange(f"element {e}")
-        self.parent = parent
-        self.e = e
-        self.n = parent.n + 1
-        self.new = parent.n
-
-    def _rank(self, subset):
-        if self.new in subset:
-            subset = (subset - {self.new}) | {self.e}
-        return self.parent._rank(subset)
 
 
 class DirectSum(Matroid):
@@ -335,27 +344,13 @@ class DirectSum(Matroid):
         self.offsets = offsets
         self.n = offsets[-1]
 
-    def _rank(self, subset):
+    def _rank(self, mask):
         total = 0
         for m, off in zip(self.parts, self.offsets):
-            piece = frozenset(e - off for e in subset if off <= e < off + m.n)
+            piece = mask >> off & ((1 << m.n) - 1)
             if piece:
                 total += m._rank(piece)
         return total
-
-
-class ThickenView(Matroid):
-    """Each parent element replaced by k parallel copies (grouped, in order)."""
-
-    def __init__(self, parent, k):
-        if k < 1:
-            raise InvalidParameters("need k >= 1")
-        self.parent = parent
-        self.k = k
-        self.n = parent.n * k
-
-    def _rank(self, subset):
-        return self.parent._rank(frozenset(e // self.k for e in subset))
 
 
 # -- basic operations ---------------------------------------------------------
@@ -370,12 +365,13 @@ def dual(m):
 
 
 def is_loop(m, e):
-    return m.rank([e]) == 0
+    _check_element(m, e)
+    return m._rank(1 << e) == 0
 
 
 def is_coloop(m, e):
     _check_element(m, e)
-    return m._rank(frozenset(range(m.n)) - {e}) < m.full_rank
+    return m._rank(((1 << m.n) - 1) ^ (1 << e)) < m.full_rank
 
 
 def delete(m, e):
@@ -386,11 +382,7 @@ def delete(m, e):
         return Graphic(m.graph.delete_edges([e]))
     if isinstance(m, Linear):
         return Linear(m.mat.delete_column(e))
-    if isinstance(m, MinorView):
-        kept = m.kept[:e] + m.kept[e + 1 :]
-        return MinorView(m.parent, kept, m.contracted)
-    kept = tuple(i for i in range(m.n) if i != e)
-    return MinorView(m, kept, frozenset())
+    return _remap(m, [i for i in range(m.n) if i != e], 0)
 
 
 def contract(m, e):
@@ -403,11 +395,19 @@ def contract(m, e):
         return Graphic(m.graph.contract_edge(e))
     if isinstance(m, Linear):
         return Linear(m.mat.contract_column(e))
-    if isinstance(m, MinorView):
-        kept = m.kept[:e] + m.kept[e + 1 :]
-        return MinorView(m.parent, kept, m.contracted | {m.kept[e]})
-    kept = tuple(i for i in range(m.n) if i != e)
-    return MinorView(m, kept, frozenset({e}))
+    return _remap(m, [i for i in range(m.n) if i != e], 1 << e)
+
+
+def _remap(m, image, contracted):
+    """MapView whose element i is m's element image[i], with the mask
+    contracted of m's elements contracted.  A MapView m is not wrapped: the
+    maps compose onto its parent, so views never stack."""
+    if isinstance(m, MapView):
+        pc = m.contracted
+        for e in _bits(contracted):
+            pc |= m._bit[e]
+        return MapView(m.parent, [m.image[i] for i in image], pc)
+    return MapView(m, image, contracted)
 
 
 def delete_many(m, elements):
@@ -427,15 +427,42 @@ def _check_element(m, e):
         raise ElementOutOfRange(f"element {e} not in 0..{m.n - 1}")
 
 
+def _mask(m, elements):
+    """Bitmask of elements, each checked to lie in m's ground set."""
+    mask = 0
+    for e in elements:
+        _check_element(m, e)
+        mask |= 1 << e
+    return mask
+
+
+def _bits(mask):
+    """Elements of a mask in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _set(mask):
+    return frozenset(_bits(mask))
+
+
 # -- closure and enumeration ---------------------------------------------------
 
 
+def _closure(m, mask):
+    r = m._rank(mask)
+    out = mask
+    for e in range(m.n):
+        b = 1 << e
+        if not mask & b and m._rank(mask | b) == r:
+            out |= b
+    return out
+
+
 def closure(m, subset):
-    s = frozenset(subset)
-    r = m.rank(s)
-    return s | frozenset(
-        e for e in range(m.n) if e not in s and m._rank(s | {e}) == r
-    )
+    return _set(_closure(m, _mask(m, subset)))
 
 
 def _guard(m):
@@ -443,14 +470,20 @@ def _guard(m):
         raise GroundSetTooLarge(f"n={m.n} exceeds the enumeration limit {ENUM_LIMIT}")
 
 
-def bases(m):
+def _subset_masks(n, size):
+    """Masks of the size-subsets of 0..n-1, in lexicographic order."""
+    return map(sum, combinations([1 << e for e in range(n)], size))
+
+
+def _basis_masks(m):
+    """Masks of the bases, lazily, so no caller holds two copies of them."""
     _guard(m)
     r = m.full_rank
-    return [
-        frozenset(c)
-        for c in combinations(range(m.n), r)
-        if m._rank(frozenset(c)) == r
-    ]
+    return (b for b in _subset_masks(m.n, r) if m._rank(b) == r)
+
+
+def bases(m):
+    return [_set(b) for b in _basis_masks(m)]
 
 
 def circuits(m):
@@ -458,55 +491,53 @@ def circuits(m):
     found = []
     r = m.full_rank
     for size in range(1, min(r + 1, m.n) + 1):
-        for c in combinations(range(m.n), size):
-            s = frozenset(c)
-            if any(prev <= s for prev in found):
+        for s in _subset_masks(m.n, size):
+            if any(prev & s == prev for prev in found):
                 continue
             if m._rank(s) < size:
                 found.append(s)
-    return found
+    return [_set(c) for c in found]
 
 
 def flats(m):
+    """Flats by increasing rank; flats of one rank in lexicographic order.
+
+    Level k+1 holds the closures of F + e for the rank-k flats F, so every
+    level is exactly the flats of one rank and no flat repeats.
+    """
     _guard(m)
     out = []
-    level = {closure(m, frozenset())}
-    full = m.groundset()
+    level = {_closure(m, 0)}
     while level:
-        out.extend(sorted(level, key=sorted))
-        nxt = set()
-        for f in level:
-            for e in full - f:
-                nxt.add(closure(m, f | {e}))
-        level = nxt
-    # the BFS may revisit a flat from two lower flats only at the same rank,
-    # but distinct ranks never collide; dedupe while preserving rank order
-    seen = set()
-    uniq = []
-    for f in out:
-        if f not in seen:
-            seen.add(f)
-            uniq.append(f)
-    return uniq
+        out.extend(sorted(map(_set, level), key=sorted))
+        level = {
+            _closure(m, f | 1 << e)
+            for f in level
+            for e in range(m.n)
+            if not f >> e & 1
+        }
+    return out
 
 
 def hyperplanes(m):
     r = m.full_rank
-    return [f for f in flats(m) if m._rank(f) == r - 1]
+    return [f for f in flats(m) if m._rank(_mask(m, f)) == r - 1]
 
 
 def parallel_classes(m):
     """Maximal classes of pairwise-parallel non-loop elements."""
-    nonloops = [e for e in range(m.n) if m._rank(frozenset([e])) == 1]
-    classes = []
-    for e in nonloops:
-        for cl in classes:
-            if m._rank(frozenset([cl[0], e])) == 1:
-                cl.append(e)
+    classes = []  # masks; each class is tested through its lowest element
+    for e in range(m.n):
+        b = 1 << e
+        if m._rank(b) != 1:
+            continue
+        for i, cl in enumerate(classes):
+            if m._rank((cl & -cl) | b) == 1:
+                classes[i] = cl | b
                 break
         else:
-            classes.append([e])
-    return [frozenset(cl) for cl in classes]
+            classes.append(b)
+    return [_set(cl) for cl in classes]
 
 
 def series_classes(m):
@@ -518,14 +549,15 @@ def series_classes(m):
 
 def relax(m, subset):
     x = frozenset(subset)
+    xm = _mask(m, x)
     r = m.full_rank
-    if m.rank(x) != len(x) - 1 or len(x) - 1 != r - 1:
+    if m._rank(xm) != len(x) - 1 or len(x) - 1 != r - 1:
         raise NotCircuitHyperplane(f"{sorted(x)} is not a circuit-hyperplane")
     for e in x:
-        if m._rank(x - {e}) != len(x) - 1:
+        if m._rank(xm ^ 1 << e) != len(x) - 1:
             raise NotCircuitHyperplane(f"{sorted(x)} is not a circuit")
-    for e in m.groundset() - x:
-        if m._rank(x | {e}) != r:
+    for e in range(m.n):
+        if e not in x and m._rank(xm | 1 << e) != r:
             raise NotCircuitHyperplane(f"{sorted(x)} is not a hyperplane")
     if isinstance(m, SparsePaving):
         remaining = m.chs - {x}
@@ -542,7 +574,9 @@ def free_extension(m):
 
 
 def parallel_extension(m, e):
-    return ParallelExtView(m, e)
+    """m plus a new element (index n) parallel to element e."""
+    _check_element(m, e)
+    return _remap(m, [*range(m.n), e], 0)
 
 
 def direct_sum(ms):
@@ -590,9 +624,9 @@ def _triangle_check(m, t):
     t = tuple(t)
     if len(set(t)) != 3:
         raise PreconditionViolated("triangle labeling needs three distinct elements")
-    s = frozenset(t)
-    if m.rank(s) != 2 or any(m._rank(s - {e}) != 2 for e in s):
-        raise PreconditionViolated(f"{sorted(s)} is not a 3-circuit")
+    s = _mask(m, t)
+    if m._rank(s) != 2 or any(m._rank(s ^ 1 << e) != 2 for e in t):
+        raise PreconditionViolated(f"{sorted(t)} is not a 3-circuit")
     return t
 
 
@@ -742,7 +776,7 @@ def thicken(m, k):
             for row in m.mat.rows
         ]
         return Linear(GFMatrix(m.mat.p, rows))
-    return ThickenView(m, k)
+    return _remap(m, [e for e in range(m.n) for _ in range(k)], 0)
 
 
 def stretch(m, k):

@@ -12,39 +12,32 @@ from __future__ import annotations
 import json
 
 
-def _text_key(term):
-    (i, j), _ = term
-    return (-i, j)
-
-
-def _monomial_text(i, j, c, mulsign, xname="x", yname="y"):
+def _monomial(i, j, c, mulsign, power):
+    """|c| x^i y^j, factors joined by mulsign, powers as power.format(var, k)."""
     parts = []
     if abs(c) != 1 or (i == 0 and j == 0):
         parts.append(str(abs(c)))
     if i:
-        parts.append(f"{xname}^{i}" if i > 1 else xname)
+        parts.append(power.format("x", i) if i > 1 else "x")
     if j:
-        parts.append(f"{yname}^{j}" if j > 1 else yname)
+        parts.append(power.format("y", j) if j > 1 else "y")
     return mulsign.join(parts)
 
 
-def _join_signed(rendered):
+def _render(p, mulsign, power):
+    """Signed monomials by descending x-exponent, then ascending y-exponent."""
     out = []
-    for c, body in rendered:
-        if not out:
-            out.append(("-" if c < 0 else "") + body)
+    for (i, j), c in sorted(p.items(), key=lambda t: (-t[0][0], t[0][1])):
+        if out:
+            sign = "- " if c < 0 else "+ "
         else:
-            out.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(out)
+            sign = "-" if c < 0 else ""
+        out.append(sign + _monomial(i, j, c, mulsign, power))
+    return " ".join(out) if out else "0"
 
 
 def to_text(p):
-    terms = sorted(p.items(), key=_text_key)
-    if not terms:
-        return "0"
-    return _join_signed(
-        [(c, _monomial_text(i, j, c, "*")) for (i, j), c in terms]
-    )
+    return _render(p, "*", "{}^{}")
 
 
 def json_terms(p):
@@ -58,18 +51,4 @@ def to_json(p):
 
 
 def to_latex(p):
-    terms = sorted(p.items(), key=_text_key)
-    if not terms:
-        return "0"
-
-    def braced(i, j, c):
-        parts = []
-        if abs(c) != 1 or (i == 0 and j == 0):
-            parts.append(str(abs(c)))
-        if i:
-            parts.append(f"x^{{{i}}}" if i > 1 else "x")
-        if j:
-            parts.append(f"y^{{{j}}}" if j > 1 else "y")
-        return "".join(parts)
-
-    return _join_signed([(c, braced(i, j, c)) for (i, j), c in terms])
+    return _render(p, "", "{}^{{{}}}")

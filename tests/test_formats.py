@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -63,6 +64,13 @@ def test_latex_braces_and_no_stars():
         "x^{3} + 3x^{2} + 2x + 4xy + 2y + 3y^{2} + y^{3}"
     )
     assert to_latex(BiPoly({(12, 1): -2})) == "-2x^{12}y"
+
+
+@given(polys)
+def test_latex_is_text_with_braced_powers_and_no_stars(p):
+    # both forms come from one rendering path: same terms, order and signs
+    expected = re.sub(r"\^(\d+)", r"^{\1}", to_text(p)).replace("*", "")
+    assert to_latex(p) == expected
 
 
 # -- json ----------------------------------------------------------------------

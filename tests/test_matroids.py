@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -418,3 +419,172 @@ def test_two_sum_size_guard():
     big = mt.Uniform(5, 10)
     with pytest.raises(GroundSetTooLarge):
         mt.two_sum(mt.PointedMatroid(big, 0), mt.PointedMatroid(big, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: mt.parallel_extension(m, m.n),
+        lambda m: mt.parallel_extension(m, -1),
+        lambda m: m.rank([m.n]),
+        lambda m: m.rank([0, -1]),
+        lambda m: m.rank([1.0]),
+        lambda m: m.rank(["0"]),
+    ],
+    ids=["ext-n", "ext-neg", "rank-n", "rank-neg", "rank-float", "rank-str"],
+)
+@pytest.mark.parametrize(
+    "m",
+    [
+        mt.Uniform(2, 4),
+        mt.Graphic(complete_graph(4)),
+        mt.delete(fano_sparse(), 0),
+        mt.thicken(fano_sparse(), 2),
+    ],
+    ids=["U24", "K4", "F7-minor", "F7-thick"],
+)
+def test_elements_outside_the_ground_set_are_rejected(m, call):
+    with pytest.raises(ElementOutOfRange):
+        call(m)
+
+
+# -- views against a frozenset reference ---------------------------------------
+
+
+class RefMatroid:
+    """Test-only oracle: rank on frozensets, by the textbook formula of each
+    operation, stacked on the base matroid's public rank."""
+
+    def __init__(self, n, rank):
+        self.n = n
+        self.rank = rank
+        self.full_rank = rank(frozenset(range(n)))
+
+
+def ref_minor(ref, kept, contracted):
+    """r(A | C) - r(C), view element i being ref element kept[i]."""
+    rc = ref.rank(contracted)
+    return RefMatroid(
+        len(kept), lambda a: ref.rank(frozenset(kept[e] for e in a) | contracted) - rc
+    )
+
+
+def ref_dual(ref):
+    ground = frozenset(range(ref.n))
+    return RefMatroid(
+        ref.n, lambda a: len(a) - ref.full_rank + ref.rank(ground - a)
+    )
+
+
+def ref_relax(ref, x):
+    return RefMatroid(ref.n, lambda a: ref.full_rank if a == x else ref.rank(a))
+
+
+def ref_free_extension(ref):
+    new = ref.n
+
+    def rank(a):
+        if new not in a:
+            return ref.rank(a)
+        return min(ref.rank(a - {new}) + 1, ref.full_rank)
+
+    return RefMatroid(ref.n + 1, rank)
+
+
+def ref_parallel_extension(ref, p):
+    return RefMatroid(
+        ref.n + 1, lambda a: ref.rank(frozenset(p if e == ref.n else e for e in a))
+    )
+
+
+def ref_thicken(ref, k):
+    return RefMatroid(ref.n * k, lambda a: ref.rank(frozenset(e // k for e in a)))
+
+
+def ref_direct_sum(left, right):
+    def rank(a):
+        return left.rank(frozenset(e for e in a if e < left.n)) + right.rank(
+            frozenset(e - left.n for e in a if e >= left.n)
+        )
+
+    return RefMatroid(left.n + right.n, rank)
+
+
+def circuit_hyperplanes(ref):
+    r = ref.full_rank
+    out = []
+    for c in combinations(range(ref.n), r):
+        x = frozenset(c)
+        if (
+            ref.rank(x) == r - 1
+            and all(ref.rank(x - {e}) == r - 1 for e in x)
+            and all(ref.rank(x | {e}) == r for e in range(ref.n) if e not in x)
+        ):
+            out.append(x)
+    return out
+
+
+def random_step(rng, m, ref):
+    """One random operation applied to both the view and the reference."""
+    n = m.n
+    ops = ["dual", "relax"]
+    if n:
+        ops += ["delete", "contract", "contract"]
+    if n and n < 8:
+        ops += ["parallel_extension", "parallel_extension"]
+    if n < 8:
+        ops.append("free_extension")
+    if 0 < n <= 4:
+        ops.append("thicken")
+    if n <= 6:
+        ops.append("direct_sum")
+    op = rng.choice(ops)
+    if op in ("delete", "contract"):
+        e = rng.randrange(n)
+        kept = [i for i in range(n) if i != e]
+        if op == "delete":
+            return mt.delete(m, e), ref_minor(ref, kept, frozenset())
+        return mt.contract(m, e), ref_minor(ref, kept, frozenset({e}))
+    if op == "dual":
+        return mt.dual(m), ref_dual(ref)
+    if op == "relax":
+        chs = circuit_hyperplanes(ref)
+        if not chs:
+            return m, ref
+        x = rng.choice(chs)
+        return mt.relax(m, x), ref_relax(ref, x)
+    if op == "parallel_extension":
+        p = rng.randrange(n)
+        return mt.parallel_extension(m, p), ref_parallel_extension(ref, p)
+    if op == "free_extension":
+        return mt.free_extension(m), ref_free_extension(ref)
+    if op == "direct_sum":
+        other = mt.Uniform(1, 2)
+        other_ref = RefMatroid(2, other.rank)
+        if rng.random() < 0.5:
+            return mt.direct_sum([m, other]), ref_direct_sum(ref, other_ref)
+        return mt.direct_sum([other, m]), ref_direct_sum(other_ref, ref)
+    return mt.thicken(m, 2), ref_thicken(ref, 2)
+
+
+VIEW_BASES = {
+    "U36": lambda: mt.Uniform(3, 6),
+    "F7sp": fano_sparse,
+    "GF3": lambda: mt.Linear(standard_rep(3, 3, [(1, 1, 0), (0, 1, 1), (1, 2, 1)])),
+    "K4": lambda: mt.Graphic(complete_graph(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_BASES))
+def test_view_chains_match_frozenset_reference(name):
+    rng = random.Random(f"views-{name}")
+    for _ in range(30):
+        m = VIEW_BASES[name]()
+        ref = RefMatroid(m.n, m.rank)
+        for _ in range(8):
+            m, ref = random_step(rng, m, ref)
+            assert m.n == ref.n
+            if isinstance(m, mt.MapView):
+                assert not isinstance(m.parent, mt.MapView)
+            for s in subsets_upto(m.n, m.n):
+                assert m.rank(s) == ref.rank(s), (name, m, sorted(s))
