@@ -227,6 +227,30 @@ def _geom(p, k):
     return sum(_powers(p, k)[:k], _ZERO)
 
 
+def _taylor_shift(a):
+    """Turn the coefficients of sum a[k] (t-1)^k, in place, into those in t."""
+    # the synthetic-division form of expanding by C(k, i) (-1)^(k-i): additions only
+    for i in range(len(a) - 1):
+        for k in range(len(a) - 2, i - 1, -1):
+            a[k] -= a[k + 1]
+    return a
+
+
+def _from_corank_nullity(counts):
+    """sum c (x-1)^z (y-1)^nl over a histogram {(z, nl): c}, as a BiPoly."""
+    zmax = max((z for z, _ in counts), default=0)
+    nmax = max((nl for _, nl in counts), default=0)
+    table = [[0] * (nmax + 1) for _ in range(zmax + 1)]
+    for (z, nl), c in counts.items():
+        table[z][nl] += c
+    for row in table:  # (y-1)^nl to y^j
+        _taylor_shift(row)
+    cols = [_taylor_shift(list(col)) for col in zip(*table)]  # (x-1)^z to x^i
+    return _wrap(
+        {(i, j): c for j, col in enumerate(cols) for i, c in enumerate(col) if c}
+    )
+
+
 _ZERO = _wrap({})
 _ONE = _wrap({(0, 0): 1})
 

@@ -12,8 +12,10 @@ others:
   externally active elements relative to a total order.
 - ``coboundary`` plus the substitution pair ``tutte_from_coboundary`` /
   ``coboundary_from_tutte``: the flat-indexed route.
-- ``transfer_grid`` / ``transfer_wheel``: transfer-matrix computations for
-  the width-m grid graphs and for wheel bad-colouring polynomials.
+- ``tutte_frontier``: a sweep along the edge order of a multigraph whose
+  frontier stays small, over set partitions of the frontier vertices;
+  ``transfer_grid`` runs it on the m x n grid.  ``transfer_wheel`` is the
+  transfer matrix of the wheel bad-colouring polynomials.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from .bipoly import (
     UniPoly,
     X,
     Y,
+    _from_corank_nullity,
     _geom,
-    _powers,
     exact_div,
-    mat_mul,
     mat_pow,
     subst_rational,
 )
@@ -42,13 +43,14 @@ from .errors import (
     ResourceBudgetExceeded,
     UnsupportedWidth,
 )
-from .graphs import Multigraph, UnionFind, canonical_key
+from .graphs import Multigraph, canonical_key, grid_graph
 
 _ONE = BiPoly.one()
 _SUBSET_CAP = 24
 _ACTIVITY_CAP = 20
 _BASES_CAP = 10**6
 _COLOURING_CAP = 12
+_FRONTIER_CAP = 8
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -71,15 +73,7 @@ def tutte_subset(m):
     """Tutte polynomial by the corank-nullity sum over all 2^n subsets."""
     if m.n > _SUBSET_CAP:
         raise GroundSetTooLarge(f"subset expansion needs n <= {_SUBSET_CAP}")
-    counts = _corank_nullity_counts(m)
-    zmax = max((k[0] for k in counts), default=0)
-    nmax = max((k[1] for k in counts), default=0)
-    xp = _powers(X - 1, zmax)
-    yp = _powers(Y - 1, nmax)
-    acc = BiPoly.zero()
-    for (z, nl), c in counts.items():
-        acc = acc + (xp[z] * yp[nl]).scale(c)
-    return acc
+    return _from_corank_nullity(_corank_nullity_counts(m))
 
 
 def char_poly(m):
@@ -140,7 +134,7 @@ def _induced(g, verts):
     vs = sorted(verts)
     idx = {w: k for k, w in enumerate(vs)}
     edges = [(idx[u], idx[v]) for (u, v) in g.edges if u in idx]
-    return Multigraph(len(vs), edges)
+    return Multigraph._trusted(len(vs), edges)
 
 
 def _dc_graph(g, budget, memo):
@@ -218,6 +212,8 @@ def _dc_generic(m, budget):
     full = m.full_rank
     ground = (1 << m.n) - 1
     classes = [c for c in mt.parallel_classes(m) if len(c) >= 2]
+    if classes and len(classes[0]) == m.n:  # U(1,n): x + y + ... + y^(n-1)
+        return X + _geom(Y, m.n) - 1
     if classes:
         cls = sorted(max(classes, key=len))
         if m._rank(ground ^ mt._mask(m, cls)) == full:  # not a cocircuit
@@ -357,117 +353,90 @@ def bad_colouring(g, colors):
     return UniPoly(counts)
 
 
-# -- transfer-matrix methods --------------------------------------------------
+# -- frontier sweep and transfer matrices ------------------------------------
 
 
-def _noncrossing(assign):
-    k = len(assign)
-    for a in range(k):
-        for b in range(a + 1, k):
-            for c in range(b + 1, k):
-                for d in range(c + 1, k):
-                    if (
-                        assign[a] == assign[c]
-                        and assign[b] == assign[d]
-                        and assign[a] != assign[b]
-                    ):
-                        return False
-    return True
+def _relabel(blocks):
+    """Block labels renumbered in order of first appearance."""
+    seen = {}
+    return tuple(seen.setdefault(b, len(seen)) for b in blocks)
 
 
-def _noncrossing_partitions(m):
-    out = []
-
-    def rec(assign):
-        if len(assign) == m:
-            out.append(tuple(assign))
-            return
-        nxt = (max(assign) + 1) if assign else 0
-        for b in range(nxt + 1):
-            assign.append(b)
-            if _noncrossing(assign):
-                rec(assign)
-            assign.pop()
-
-    rec([])
-    return out
+def _add_shifted(states, s, hist, dr, dn):
+    """Add hist, with every (rank, nullity) moved by (dr, dn), into states[s]."""
+    acc = states.setdefault(s, {})
+    for (r, nl), c in hist.items():
+        key = (r + dr, nl + dn)
+        acc[key] = acc.get(key, 0) + c
 
 
-def _vertical_partition(m, vset):
-    uf = UnionFind(m)
-    for k in vset:
-        uf.union(k, k + 1)
-    canon = {}
-    out = []
-    for w in range(m):
-        root = uf.find(w)
-        if root not in canon:
-            canon[root] = len(canon)
-        out.append(canon[root])
-    return tuple(out)
+def tutte_frontier(g):
+    """Tutte polynomial of a multigraph by a frontier sweep over g.edges.
+
+    A vertex joins the frontier at its first edge and leaves after its last.
+    A state is the partition of the frontier into the blocks that the edges
+    taken so far connect, and it carries the histogram {(rank, nullity):
+    count} of those edge sets.  Skipping an edge keeps the state; taking it
+    merges two blocks (rank + 1) or stays inside one (nullity + 1).  The one
+    final histogram is the corank-nullity expansion of T, so no polynomial is
+    multiplied.  Orders whose frontier exceeds _FRONTIER_CAP vertices raise
+    GraphTooLarge before the sweep (Sekine, Imai & Tani, ISAAC 1995).
+    """
+    first = {}
+    last = {}
+    for k, (u, v) in enumerate(g.edges):
+        for w in (u, v):
+            first.setdefault(w, k)
+            last[w] = k
+    change = [0] * (len(g.edges) + 1)  # frontier size steps, edge by edge
+    for w, k in first.items():
+        change[k] += 1
+        change[last[w] + 1] -= 1
+    if max(itertools.accumulate(change)) > _FRONTIER_CAP:
+        raise GraphTooLarge(f"edge order has a frontier above {_FRONTIER_CAP} vertices")
+    front = []
+    states = {(): {(0, 0): 1}}
+    for k, (u, v) in enumerate(g.edges):
+        ends = dict.fromkeys((u, v))
+        for w in ends:
+            if first[w] == k:
+                front.append(w)
+                states = {s + (max(s, default=-1) + 1,): h for s, h in states.items()}
+        i, j = front.index(u), front.index(v)
+        nxt = {s: dict(hist) for s, hist in states.items()}  # the edge skipped
+        for s, hist in states.items():
+            a, b = s[i], s[j]
+            if a == b:
+                _add_shifted(nxt, s, hist, 0, 1)
+            else:
+                _add_shifted(nxt, _relabel(a if t == b else t for t in s), hist, 1, 0)
+        states = nxt
+        for w in ends:
+            if last[w] == k:
+                p = front.index(w)
+                del front[p]
+                nxt = {}
+                for s, hist in states.items():
+                    _add_shifted(nxt, _relabel(s[:p] + s[p + 1 :]), hist, 0, 0)
+                states = nxt
+    full = g.full_rank()
+    return _from_corank_nullity(
+        {(full - r, nl): c for (r, nl), c in states[()].items()}
+    )
 
 
 def transfer_grid(m, n):
-    """Tutte polynomial of the m x n grid graph by a transfer matrix.
+    """Tutte polynomial of the m x n grid graph by ``tutte_frontier``.
 
-    States are the non-crossing partitions of the m frontier vertices; the
-    entry of the transfer matrix at (s, s') accumulates u^dead v^(edges used)
-    over all ways of appending one column, where u marks connected components
-    retired from the frontier and v marks chosen edges.  The resulting
-    component-and-edge generating function W(u, v) yields the Tutte
-    polynomial through u = (x-1)(y-1), v = y-1 and division by the known
-    prefactor (x-1)(y-1)^(nm).
+    ``graphs.grid_graph`` lists the edges column by column, so the frontier
+    holds at most m + 1 vertices: the lattice-strip transfer matrix applied
+    one edge at a time (Calkin, Merino, Noble & Noy, EJC 2003).
     """
-    if m not in (2, 3, 4):
-        raise UnsupportedWidth("transfer matrices are built for widths 2, 3, 4")
+    if not 2 <= m <= 6:
+        raise UnsupportedWidth("grid sweeps are built for widths 2 to 6")
     if n < 2:
         raise InvalidParameters("need n >= 2 columns")
-    states = _noncrossing_partitions(m)
-    index = {s: i for i, s in enumerate(states)}
-    c = len(states)
-    u = BiPoly.monomial(1, 0)
-    v = BiPoly.monomial(0, 1)
-    init = [BiPoly.zero() for _ in range(c)]
-    for vbits in range(1 << (m - 1)):
-        vset = [k for k in range(m - 1) if vbits >> k & 1]
-        s = _vertical_partition(m, vset)
-        init[index[s]] = init[index[s]] + v ** len(vset)
-    lam = [[BiPoly.zero() for _ in range(c)] for _ in range(c)]
-    for s in states:
-        bo = max(s) + 1
-        row = lam[index[s]]
-        for hbits in range(1 << m):
-            hset = [k for k in range(m) if hbits >> k & 1]
-            for vbits in range(1 << (m - 1)):
-                vset = [k for k in range(m - 1) if vbits >> k & 1]
-                nb = _vertical_partition(m, vset)
-                bn = max(nb) + 1
-                uf = UnionFind(bo + bn)
-                for k in hset:
-                    uf.union(s[k], bo + nb[k])
-                canon = {}
-                fresh = []
-                for k in range(m):
-                    root = uf.find(bo + nb[k])
-                    if root not in canon:
-                        canon[root] = len(canon)
-                    fresh.append(canon[root])
-                alive = {uf.find(bo + b) for b in range(bn)}
-                dead = sum(1 for b in range(bo) if uf.find(b) not in alive)
-                w = u**dead * v ** (len(hset) + len(vset))
-                t = index[tuple(fresh)]
-                row[t] = row[t] + w
-    powed = mat_pow(PolyMatrix(lam), n - 1)
-    vec = mat_mul(PolyMatrix([init]), powed)
-    final = PolyMatrix([[u ** (max(s) + 1)] for s in states])
-    w_poly = mat_mul(vec, final).entry(0, 0)
-    a, b = w_poly.bidegree()
-    up = _powers((X - 1) * (Y - 1), a)
-    vp = _powers(Y - 1, b)
-    acc = BiPoly.zero()
-    for (i, j), cc in w_poly.items():
-        acc = acc + (up[i] * vp[j]).scale(cc)
-    return exact_div(acc, (X - 1) * (Y - 1) ** (n * m))
+    return tutte_frontier(grid_graph(m, n))
 
 
 def transfer_wheel(n, colors):

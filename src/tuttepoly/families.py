@@ -21,8 +21,8 @@ from .bipoly import (
     PolyMatrix,
     X,
     Y,
+    _from_corank_nullity,
     _geom,
-    _powers,
     exact_div,
     subst_rational,
 )
@@ -58,12 +58,9 @@ def uniform(r, n):
     """
     if not 0 <= r <= n:
         raise InvalidRank(f"need 0 <= r <= n, got r={r}, n={n}")
-    xp = _powers(X - 1, r)
-    yp = _powers(Y - 1, n - r)
-    total = BiPoly.zero()
-    for a in range(n + 1):
-        ra = min(a, r)
-        total = total + (xp[r - ra] * yp[a - ra]).scale(comb(n, a))
+    total = _from_corank_nullity(
+        {(r - min(a, r), a - min(a, r)): comb(n, a) for a in range(n + 1)}
+    )
     if 0 < r < n:
         alt = BiPoly.zero()
         for j in range(1, n - r + 1):

@@ -45,6 +45,14 @@ class Multigraph:
         self.nverts = nverts
         self.edges = edges
 
+    @classmethod
+    def _trusted(cls, nverts, edges):
+        """A graph on edges taken from a checked graph: no conversion, no check."""
+        g = cls.__new__(cls)
+        g.nverts = nverts
+        g.edges = tuple(edges)
+        return g
+
     @property
     def nedges(self):
         return len(self.edges)
@@ -83,7 +91,7 @@ class Multigraph:
 
     def delete_edges(self, drop):
         drop = set(drop)
-        return Multigraph(
+        return Multigraph._trusted(
             self.nverts, [e for i, e in enumerate(self.edges) if i not in drop]
         )
 
@@ -98,7 +106,7 @@ class Multigraph:
         edges = [
             (relabel[x], relabel[y]) for k, (x, y) in enumerate(self.edges) if k != i
         ]
-        return Multigraph(self.nverts - 1, edges)
+        return Multigraph._trusted(self.nverts - 1, edges)
 
     def without_isolated(self):
         seen = set()
@@ -107,7 +115,9 @@ class Multigraph:
             seen.add(v)
         keep = sorted(seen)
         relabel = {w: k for k, w in enumerate(keep)}
-        return Multigraph(len(keep), [(relabel[u], relabel[v]) for u, v in self.edges])
+        return Multigraph._trusted(
+            len(keep), [(relabel[u], relabel[v]) for u, v in self.edges]
+        )
 
     # -- structure queries ------------------------------------------------
 

@@ -12,6 +12,7 @@ from tuttepoly.bipoly import (
     UniPoly,
     X,
     Y,
+    _from_corank_nullity,
     exact_div,
     mat_mul,
     mat_pow,
@@ -180,3 +181,12 @@ def test_mat_pow_matches_repeated_mul(k):
     for _ in range(k):
         expect = mat_mul(expect, a)
     assert mat_pow(a, k) == expect
+
+
+@given(st.dictionaries(st.tuples(exps, exps), coeffs, max_size=8))
+def test_corank_nullity_expansion_matches_term_products(counts):
+    # the per-term product the Taylor shift replaced, as the reference
+    expected = BiPoly.zero()
+    for (z, nl), c in counts.items():
+        expected = expected + ((X - 1) ** z * (Y - 1) ** nl).scale(c)
+    assert _from_corank_nullity(counts) == expected

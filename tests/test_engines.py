@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tuttepoly import matroids as mt
@@ -18,6 +18,7 @@ from tuttepoly.engines import (
     transfer_wheel,
     tutte_activities,
     tutte_dc,
+    tutte_frontier,
     tutte_from_coboundary,
     tutte_subset,
     tutte_via_coboundary,
@@ -29,6 +30,7 @@ from tuttepoly.errors import (
     ResourceBudgetExceeded,
     UnsupportedWidth,
 )
+from tuttepoly.families import grid2, uniform, wheel
 from tuttepoly.gf import standard_rep
 from tuttepoly.graphs import (
     Multigraph,
@@ -172,6 +174,13 @@ def test_dc_parallel_class_shortcut():
 def test_dc_budget_exhaustion():
     with pytest.raises(ResourceBudgetExceeded):
         tutte_dc(mt.Graphic(grid_graph(3, 3)), budget_nodes=3)
+
+
+def test_dc_whole_parallel_class_is_a_base_case():
+    # U(1,200): without the base case this recursion takes a node per element
+    # and tens of seconds
+    thick = mt.thicken(mt.Uniform(1, 2), 100)
+    assert tutte_dc(thick, budget_nodes=5) == uniform(1, 200)
 
 
 # -- basis activities ---------------------------------------------------------
@@ -319,16 +328,66 @@ def test_transfer_grid_small_goldens():
     assert transfer_grid(2, 2) == BiPoly({(3, 0): 1, (2, 0): 1, (1, 0): 1, (0, 1): 1})
 
 
-@pytest.mark.parametrize("m,n", [(2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
+@pytest.mark.parametrize(
+    "m,n", [(2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3), (5, 4), (6, 3)]
+)
 def test_transfer_grid_matches_dc(m, n):
     assert transfer_grid(m, n) == tutte_dc(mt.Graphic(grid_graph(m, n)))
 
 
 def test_transfer_grid_guards():
-    with pytest.raises(UnsupportedWidth):
-        transfer_grid(5, 3)
+    for width in (1, 7):
+        with pytest.raises(UnsupportedWidth):
+            transfer_grid(width, 3)
     with pytest.raises(InvalidParameters):
         transfer_grid(2, 1)
+
+
+def test_transfer_grid_ladders_match_closed_form():
+    for n in range(2, 21):
+        assert transfer_grid(2, n) == grid2(n), n
+
+
+def _spanning_trees(g):
+    """Kirchhoff: a Laplacian cofactor of a connected simple graph, by Bareiss."""
+    size = g.nverts - 1
+    lap = [[0] * size for _ in range(size)]
+    for u, v in g.edges:
+        for a, b in ((u, v), (v, u)):
+            if a < size:
+                lap[a][a] += 1
+                if b < size:
+                    lap[a][b] -= 1
+    prev = 1
+    for k in range(size - 1):
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                lap[i][j] = (lap[i][j] * lap[k][k] - lap[i][k] * lap[k][j]) // prev
+        prev = lap[k][k]
+    return lap[-1][-1]
+
+
+@pytest.mark.parametrize("m,n", [(5, 5), (5, 6), (6, 6)])
+def test_wide_grids_count_subsets_and_spanning_trees(m, n):
+    g = grid_graph(m, n)
+    t = transfer_grid(m, n)
+    assert t.eval(2, 2) == 2 ** len(g.edges)
+    assert t.eval(1, 1) == _spanning_trees(g)
+
+
+def test_frontier_follows_the_edge_order():
+    # a wheel listed spoke, rim edge, spoke, ... keeps a frontier of four
+    # vertices; listed spokes first (a star), every rim vertex waits for its
+    # rim edges and the frontier holds all ten vertices
+    rim = 9
+    good = []
+    for i in range(1, rim + 1):
+        good += [(0, i), (i, i % rim + 1)]
+    assert tutte_frontier(Multigraph(rim + 1, good)) == wheel(rim)
+    with pytest.raises(GraphTooLarge):
+        tutte_frontier(wheel_graph(rim))
+    with pytest.raises(GraphTooLarge):  # the cap is checked before any state exists
+        tutte_frontier(wheel_graph(100_000))
 
 
 def test_transfer_wheel_golden():
@@ -460,6 +519,13 @@ def test_dc_matches_subset_on_random_graphs(g):
     expected = tutte_subset(m)
     assert tutte_dc(m) == expected
     assert tutte_activities(m) == expected
+
+
+@given(multigraphs())
+@example(Multigraph(0, []))
+@settings(max_examples=150, deadline=None)
+def test_frontier_matches_dc_on_random_graphs(g):
+    assert tutte_frontier(g) == tutte_dc(mt.Graphic(g))
 
 
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))

@@ -1,10 +1,13 @@
-"""Multigraph canonical form and bridges against independent references."""
+"""Multigraph canonical form, bridges and edge checks against independent references."""
 
 from __future__ import annotations
 
 import random
 from itertools import permutations
 
+import pytest
+
+from tuttepoly.errors import InvalidParameters
 from tuttepoly.graphs import (
     Multigraph,
     canonical_key,
@@ -201,3 +204,13 @@ def test_bridges_parallel_edges_and_loops():
     assert Multigraph(3, [(0, 0), (0, 1), (1, 2), (2, 2)]).bridges() == [1, 2]
     assert Multigraph(4, [(0, 1), (2, 3), (3, 2), (1, 0), (0, 1)]).bridges() == []
     assert Multigraph(4, [(2, 3), (0, 1)]).bridges() == [0, 1]
+
+
+def test_public_constructor_checks_edges_and_minors_stay_equal():
+    for bad in ([(0, 3)], [(-1, 0)]):
+        with pytest.raises(InvalidParameters):
+            Multigraph(3, bad)
+    g = Multigraph(5, [(0, 1), (1, 2), (2, 0), (3, 3), (1, 2)])
+    assert g.delete_edges([1]) == Multigraph(5, [(0, 1), (2, 0), (3, 3), (1, 2)])
+    assert g.contract_edge(1) == Multigraph(4, [(0, 1), (1, 0), (2, 2), (1, 1)])
+    assert g.without_isolated() == Multigraph(4, g.edges)
