@@ -363,7 +363,7 @@ FORMULA_ROUTES = {
 def _engine_routes(m):
     routes = [("engine:subset", lambda: eng.tutte_subset(m)),
               ("engine:dc", lambda: eng.tutte_dc(m))]
-    if m.n <= 20:
+    if m.n <= eng._ACTIVITY_CAP:
         routes.append(("engine:activities", lambda: eng.tutte_activities(m)))
     return routes
 

@@ -5,9 +5,10 @@ others:
 
 - ``tutte_subset``: the corank-nullity expansion
   T(x,y) = sum over A of (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)).
-- ``tutte_dc``: deletion-contraction with loop/coloop stripping, component
-  factoring, parallel- and series-class shortcuts and (for graphs)
-  memoization on a canonical form.
+- ``tutte_dc``: deletion-contraction with loop/coloop stripping and
+  parallel- and series-class shortcuts, on masks of the input's rank oracle;
+  graphs recurse on multigraphs with component factoring and memoization on
+  a canonical form.
 - ``tutte_activities``: sum of x^i y^j over bases with i internally and j
   externally active elements relative to a total order.
 - ``coboundary`` plus the substitution pair ``tutte_from_coboundary`` /
@@ -46,7 +47,6 @@ from .errors import (
 from .graphs import Multigraph, canonical_key, grid_graph
 
 _ONE = BiPoly.one()
-_SUBSET_CAP = 24
 _ACTIVITY_CAP = 20
 _BASES_CAP = 10**6
 _COLOURING_CAP = 12
@@ -71,15 +71,13 @@ def _corank_nullity_counts(m):
 
 def tutte_subset(m):
     """Tutte polynomial by the corank-nullity sum over all 2^n subsets."""
-    if m.n > _SUBSET_CAP:
-        raise GroundSetTooLarge(f"subset expansion needs n <= {_SUBSET_CAP}")
+    mt._guard(m)
     return _from_corank_nullity(_corank_nullity_counts(m))
 
 
 def char_poly(m):
     """Characteristic polynomial: sum over A of (-1)^|A| lambda^(r(E)-r(A))."""
-    if m.n > _SUBSET_CAP:
-        raise GroundSetTooLarge(f"needs n <= {_SUBSET_CAP}")
+    mt._guard(m)
     full = m.full_rank
     coeffs = [0] * (full + 1)
     for (z, nl), c in _corank_nullity_counts(m).items():
@@ -109,19 +107,25 @@ class _Budget:
 def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     """Tutte polynomial by deletion-contraction.
 
-    Loops and coloops are stripped as multiplicative factors, connected
-    components multiply, and a whole parallel class X that is not a cocircuit
-    splits as T = T(M\\X) + (y^(p-1)+...+1) T(M/X); dually a series class
-    that is not a circuit splits as T = (x^(p-1)+...+1) T(M\\X) + T(M/X).
-    Graphic inputs additionally use single-cycle base cases and memoize
-    every connected minor on ``graphs.canonical_key``, a complete isomorphism
-    invariant, so isomorphic minors reached along different branches are
-    expanded once.
+    A generic node is two masks over m's ground set: the live elements L and
+    the contracted ones C, with r(A) = r_m(A | C) - r_m(C), so only m's own
+    rank oracle is called and no minor is built.  Loops and coloops are
+    stripped as factors y and x; a single parallel class is U(1,k), whose
+    polynomial is x + y + ... + y^(k-1).  Otherwise the largest parallel
+    class X (p = |X|, lowest element e) that is not a cocircuit splits as
+    T = T(M\\X) + (y^(p-1)+...+1) T(M/e\\(X-e)), the largest series class
+    X that is not a circuit as T = (x^(p-1)+...+1) T(M\\X) + T(M/X), and
+    failing both the highest live element e as T = T(M\\e) + T(M/e).
+    Graphic inputs instead recurse on multigraphs: bridges and loops are
+    stripped, connected components multiply, cycles are a base case, and
+    every connected minor is memoized on ``graphs.canonical_key``, a complete
+    isomorphism invariant, so isomorphic minors reached along different
+    branches are expanded once.  Every node costs one of budget_nodes.
     """
     budget = _Budget(budget_nodes)
     if isinstance(m, mt.Graphic):
         return _dc_graph(m.graph, budget, {})
-    return _dc_generic(m, budget)
+    return _dc_generic(m._rank, (1 << m.n) - 1, 0, budget)
 
 
 def _cycle_poly(n):
@@ -192,45 +196,64 @@ def _dc_graph_split(g, budget, memo):
     )
 
 
-def _dc_generic(m, budget):
+def _largest_class(live, joined):
+    """Largest class of the live elements (the earliest on ties), or 0 when
+    every class is a single element.  Each element joins the first class
+    whose lowest element it is joined to: joined(mask of the pair)."""
+    classes = []
+    for e in mt._bits(live):
+        b = 1 << e
+        for i, cl in enumerate(classes):
+            if joined((cl & -cl) | b):
+                classes[i] = cl | b
+                break
+        else:
+            classes.append(b)
+    best = max(classes, key=int.bit_count)
+    return best if best.bit_count() >= 2 else 0
+
+
+def _dc_generic(rank, live, con, budget):
+    """T of the root's minor on the mask live with the mask con contracted,
+    ranked by r(A) = rank(A | con) - rank(con); no minor is built."""
     budget.tick()
-    if m.n == 0:
-        return _ONE
-    loops = [e for e in range(m.n) if mt.is_loop(m, e)]
-    loopset = set(loops)
-    coloops = [
-        e for e in range(m.n) if e not in loopset and mt.is_coloop(m, e)
-    ]
+    rc = rank(con)
+    full = rank(live | con)
+    loops = coloops = 0
+    for e in mt._bits(live):
+        b = 1 << e
+        if rank(con | b) == rc:
+            live ^= b
+            loops += 1
+        elif rank(con | (live ^ b)) < full:
+            live ^= b
+            full -= 1
+            coloops += 1
+    if not live:
+        return X**coloops * Y**loops
+    par = _largest_class(live, lambda pair: rank(con | pair) == rc + 1)
+    if par == live:  # U(1,n): x + y + ... + y^(n-1)
+        poly = X + _geom(Y, live.bit_count()) - 1
+    elif par and rank(con | (live ^ par)) == full:  # not a cocircuit
+        rest = live ^ par
+        poly = _dc_generic(rank, rest, con, budget) + _geom(
+            Y, par.bit_count()
+        ) * _dc_generic(rank, rest, con | (par & -par), budget)
+    else:
+        ser = _largest_class(live, lambda pair: rank(con | (live ^ pair)) == full - 1)
+        if ser and rank(con | ser) - rc == ser.bit_count():  # not a circuit
+            rest = live ^ ser
+            poly = _geom(X, ser.bit_count()) * _dc_generic(
+                rank, rest, con, budget
+            ) + _dc_generic(rank, rest, con | ser, budget)
+        else:
+            e = 1 << (live.bit_length() - 1)
+            poly = _dc_generic(rank, live ^ e, con, budget) + _dc_generic(
+                rank, live ^ e, con | e, budget
+            )
     if loops or coloops:
-        acc = BiPoly.monomial(1, 0) ** len(coloops) * BiPoly.monomial(0, 1) ** len(
-            loops
-        )
-        rest = mt.delete_many(m, loops + coloops)
-        if rest.n == 0:
-            return acc
-        return acc * _dc_generic(rest, budget)
-    full = m.full_rank
-    ground = (1 << m.n) - 1
-    classes = [c for c in mt.parallel_classes(m) if len(c) >= 2]
-    if classes and len(classes[0]) == m.n:  # U(1,n): x + y + ... + y^(n-1)
-        return X + _geom(Y, m.n) - 1
-    if classes:
-        cls = sorted(max(classes, key=len))
-        if m._rank(ground ^ mt._mask(m, cls)) == full:  # not a cocircuit
-            return _dc_generic(mt.delete_many(m, cls), budget) + _geom(
-                BiPoly.monomial(0, 1), len(cls)
-            ) * _dc_generic(mt.contract_many(m, cls), budget)
-    sclasses = [c for c in mt.series_classes(m) if len(c) >= 2]
-    if sclasses:
-        cls = sorted(max(sclasses, key=len))
-        if m._rank(mt._mask(m, cls)) == len(cls):  # not a circuit
-            return _geom(BiPoly.monomial(1, 0), len(cls)) * _dc_generic(
-                mt.delete_many(m, cls), budget
-            ) + _dc_generic(mt.contract_many(m, cls), budget)
-    e = m.n - 1
-    return _dc_generic(mt.delete(m, e), budget) + _dc_generic(
-        mt.contract(m, e), budget
-    )
+        return X**coloops * Y**loops * poly
+    return poly
 
 
 # -- basis activities ---------------------------------------------------------
@@ -286,8 +309,7 @@ def coboundary(m):
 
     Returned as a BiPoly whose first variable is lambda and second is t.
     """
-    if m.n > _SUBSET_CAP:
-        raise GroundSetTooLarge(f"needs n <= {_SUBSET_CAP}")
+    mt._guard(m)
     acc = BiPoly.zero()
     for flat in mt.flats(m):
         sub = mt.contract_many(m, flat) if flat else m

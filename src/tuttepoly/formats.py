@@ -98,6 +98,8 @@ def parse_matrix(text):
         p, nrows, ncols = int(p), int(nrows), int(ncols)
     except ValueError:
         raise ParseError(f"bad matrix header {lines[0]!r}") from None
+    if nrows < 0 or ncols < 0:
+        raise ParseError("row and column counts must be nonnegative")
     body = " ".join(lines[1:]).split()
     if len(body) != nrows * ncols:
         raise ParseError(
@@ -108,7 +110,8 @@ def parse_matrix(text):
     except ValueError:
         raise ParseError("matrix entries must be integers") from None
     rows = [flat[r * ncols:(r + 1) * ncols] for r in range(nrows)]
-    return GFMatrix(p, rows)
+    # keep an explicit zero row so the column count survives
+    return GFMatrix(p, rows or [[0] * ncols])
 
 
 # -- matroid JSON ---------------------------------------------------------------

@@ -41,7 +41,7 @@ def prime_power_root(q):
 class GFMatrix:
     """Immutable matrix over GF(p), p prime."""
 
-    __slots__ = ("p", "nrows", "ncols", "rows")
+    __slots__ = ("p", "nrows", "ncols", "rows", "cols")
 
     def __init__(self, p, rows):
         if not is_prime(p):
@@ -57,6 +57,7 @@ class GFMatrix:
         self.nrows = len(rows)
         self.ncols = w
         self.rows = rows
+        self.cols = tuple(zip(*rows))
 
     def __repr__(self):
         return f"GFMatrix(p={self.p}, {self.nrows}x{self.ncols})"
@@ -74,18 +75,16 @@ class GFMatrix:
     def column(self, j):
         if not 0 <= j < self.ncols:
             raise ElementOutOfRange(f"column {j}")
-        return tuple(r[j] for r in self.rows)
+        return self.cols[j]
 
     def rank_of_columns(self, cols):
         """Rank of the submatrix on the given column indices."""
         p = self.p
-        vecs = []
-        for j in cols:
-            vecs.append(list(self.column(j)))
         # eliminate into row-echelon form over the column vectors
         pivots = []  # (row position, reduced vector)
         rank = 0
-        for v in vecs:
+        for j in cols:
+            v = self.column(j)
             for rpos, pv in pivots:
                 c = v[rpos]
                 if c:

@@ -38,6 +38,8 @@ class Multigraph:
     __slots__ = ("nverts", "edges")
 
     def __init__(self, nverts, edges):
+        if nverts < 0:
+            raise InvalidParameters(f"vertex count {nverts} is negative")
         edges = tuple((int(u), int(v)) for u, v in edges)
         for u, v in edges:
             if not (0 <= u < nverts and 0 <= v < nverts):

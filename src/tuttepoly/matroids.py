@@ -60,9 +60,6 @@ class Matroid:
             self._full = r
         return r
 
-    def groundset(self):
-        return frozenset(range(self.n))
-
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, r={self.full_rank})"
 
@@ -410,12 +407,6 @@ def _remap(m, image, contracted):
     return MapView(m, image, contracted)
 
 
-def delete_many(m, elements):
-    for e in sorted(set(elements), reverse=True):
-        m = delete(m, e)
-    return m
-
-
 def contract_many(m, elements):
     for e in sorted(set(elements), reverse=True):
         m = contract(m, e)
@@ -522,26 +513,6 @@ def flats(m):
 def hyperplanes(m):
     r = m.full_rank
     return [f for f in flats(m) if m._rank(_mask(m, f)) == r - 1]
-
-
-def parallel_classes(m):
-    """Maximal classes of pairwise-parallel non-loop elements."""
-    classes = []  # masks; each class is tested through its lowest element
-    for e in range(m.n):
-        b = 1 << e
-        if m._rank(b) != 1:
-            continue
-        for i, cl in enumerate(classes):
-            if m._rank((cl & -cl) | b) == 1:
-                classes[i] = cl | b
-                break
-        else:
-            classes.append(b)
-    return [_set(cl) for cl in classes]
-
-
-def series_classes(m):
-    return parallel_classes(dual(m))
 
 
 # -- constructions -------------------------------------------------------------

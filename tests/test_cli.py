@@ -186,6 +186,27 @@ def test_exit_two_on_bad_inputs(tmp_path, capsys):
         assert err
 
 
+def test_matrix_without_rows_keeps_its_columns(tmp_path, capsys):
+    path = tmp_path / "zero.gf"
+    path.write_text("gf 2 0 3\n")
+    code, out, _ = run(["compute", "--matrix", str(path)], capsys)
+    assert code == 0 and out == "y^3\n"
+
+
+def test_negative_matrix_dimensions_are_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "neg.gf"
+    path.write_text("gf 2 -1 -1\n1\n")
+    code, out, err = run(["compute", "--matrix", str(path)], capsys)
+    assert code == 2 and out == "" and err
+
+
+def test_negative_vertex_count_is_rejected(tmp_path, capsys):
+    path = tmp_path / "neg.json"
+    path.write_text('{"kind": "graphic", "vertices": -2, "edges": []}')
+    code, out, err = run(["compute", "--matroid", str(path)], capsys)
+    assert code == 2 and out == "" and err
+
+
 def test_exit_three_on_budget(tmp_path, capsys):
     path = tmp_path / "u49.json"
     path.write_text('{"kind": "uniform", "r": 4, "n": 9}')

@@ -154,6 +154,37 @@ def test_dc_generic_matches_subset():
         assert tutte_dc(m) == tutte_subset(m)
 
 
+def test_dc_generic_builds_no_minor(monkeypatch):
+    lines = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5}]
+    roots = [
+        mt.relax(mt.SparsePaving(3, 7, lines), {0, 1, 2}),
+        mt.dual(mt.Linear(standard_rep(3, 3, [(1, 1, 0), (0, 1, 1), (1, 2, 1)]))),
+        mt.parallel_extension(whirl3(), 3),
+        mt.direct_sum([fano(), mt.Uniform(0, 1), mt.Uniform(1, 3), mt.Uniform(2, 2)]),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generic deletion-contraction built a minor")
+
+    for name in ("delete", "contract", "is_loop"):
+        monkeypatch.setattr(mt, name, refuse)
+    monkeypatch.setattr(mt.MapView, "__init__", refuse)
+    monkeypatch.setattr(mt.DualView, "__init__", refuse)
+    for m in roots:
+        assert tutte_dc(m) == tutte_subset(m), m
+
+
+def test_dc_generic_splits_whole_classes():
+    # M(K4) as a basis list takes the generic route; thickened or stretched
+    # five times it has 30 elements, which only the class splits keep small
+    g = mt.Graphic(complete_graph(4))
+    k4 = mt.BasisList(3, 6, mt.bases(g))
+    thick = mt.thicken(k4, 5)
+    stretched = mt.dual(mt.thicken(mt.dual(k4), 5))
+    assert tutte_dc(thick, budget_nodes=200) == tutte_dc(mt.thicken(g, 5))
+    assert tutte_dc(stretched, budget_nodes=500) == tutte_dc(mt.stretch(g, 5))
+
+
 def test_dc_whirl_parallel_extension():
     # adding an element parallel to a rim element of the rank-3 whirl
     assert tutte_dc(mt.parallel_extension(whirl3(), 3)) == T_WHIRL3_PLUS

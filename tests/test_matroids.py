@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuttepoly import matroids as mt
+from tuttepoly.engines import tutte_dc, tutte_subset
 from tuttepoly.errors import (
     ElementOutOfRange,
     GroundSetTooLarge,
@@ -175,7 +176,7 @@ def test_dual_structure():
 )
 def test_dual_rank_formula_and_involution(m):
     d = mt.dual(m)
-    full = m.groundset()
+    full = frozenset(range(m.n))
     for s in subsets_upto(m.n, min(m.n, 4)):
         assert d.rank(s) == len(s) - m.full_rank + m.rank(full - s)
         assert mt.DualView(d).rank(s) == m.rank(s)
@@ -371,15 +372,6 @@ def test_enumerate_u24():
 def test_enumeration_guard():
     with pytest.raises(GroundSetTooLarge):
         mt.bases(mt.Uniform(2, 25))
-
-
-def test_parallel_and_series_classes():
-    m = mt.Graphic(bond_graph(3))
-    assert mt.parallel_classes(m) == [frozenset({0, 1, 2})]
-    c4 = mt.Graphic(cycle_graph(4))
-    assert mt.series_classes(c4) == [frozenset({0, 1, 2, 3})]
-    wl = mt.Graphic(Multigraph(2, [(0, 1), (0, 1), (0, 0)]))
-    assert mt.parallel_classes(wl) == [frozenset({0, 1})]
 
 
 def test_closure():
@@ -588,3 +580,4 @@ def test_view_chains_match_frozenset_reference(name):
                 assert not isinstance(m.parent, mt.MapView)
             for s in subsets_upto(m.n, m.n):
                 assert m.rank(s) == ref.rank(s), (name, m, sorted(s))
+        assert tutte_dc(m) == tutte_subset(m), (name, m)
