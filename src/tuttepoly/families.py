@@ -284,7 +284,9 @@ def complete_graph(n):
     flat-indexed polynomial of the graphic matroid, and the standard
     substitution turns that into the Tutte polynomial.
     """
-    if not 1 <= n <= COMPLETE_GRAPH_LIMIT:
+    if n < 1:
+        raise InvalidParameters("need n >= 1")
+    if n > COMPLETE_GRAPH_LIMIT:
         raise SizeBudgetExceeded(f"supported range is 1..{COMPLETE_GRAPH_LIMIT}")
     prev = [[1]] + [[] for _ in range(n)]  # level v=0: B_0 = 1, B_m = 0
     levels = [prev]

@@ -83,6 +83,7 @@ class GFMatrix:
         # eliminate into row-echelon form over the column vectors
         pivots = []  # (row position, reduced vector)
         rank = 0
+        cols = iter(cols)
         for j in cols:
             v = self.column(j)
             for rpos, pv in pivots:
@@ -95,6 +96,9 @@ class GFMatrix:
                 v = [(a * inv) % p for a in v]
                 pivots.append((lead, v))
                 rank += 1
+                if rank == self.nrows:  # full row rank: range-check the rest
+                    for j in cols:
+                        self.column(j)
         return rank
 
     def delete_column(self, j):

@@ -218,6 +218,14 @@ def test_exit_three_on_budget(tmp_path, capsys):
     assert code == 3 and err
 
 
+def test_complete_family_exit_codes(capsys):
+    # no vertex is a bad parameter (2); more than 30 is over the size budget (3)
+    code, out, err = run(["compute", "--family", "complete", "--n", "0"], capsys)
+    assert code == 2 and out == "" and "need n >= 1" in err
+    code, out, err = run(["compute", "--family", "complete", "--n", "31"], capsys)
+    assert code == 3 and out == "" and "1..30" in err
+
+
 def test_gaussian_is_not_a_polynomial_family(capsys):
     # families.gaussian returns an integer, which neither renders nor evaluates
     for argv in (

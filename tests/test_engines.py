@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tuttepoly import matroids as mt
 from tuttepoly.bipoly import BiPoly, UniPoly, X, Y
 from tuttepoly.engines import (
+    _corank_nullity_counts,
     bad_colouring,
     char_poly,
     coboundary,
@@ -31,7 +32,7 @@ from tuttepoly.errors import (
     UnsupportedWidth,
 )
 from tuttepoly.families import grid2, uniform, wheel
-from tuttepoly.gf import standard_rep
+from tuttepoly.gf import GFMatrix, standard_rep
 from tuttepoly.graphs import (
     Multigraph,
     bond_graph,
@@ -127,6 +128,173 @@ def test_subset_loops_and_coloops_multiply():
 def test_subset_size_guard():
     with pytest.raises(GroundSetTooLarge):
         tutte_subset(mt.Uniform(2, 25))
+
+
+# -- the pruned subset sweep against the flat loop ------------------------------
+
+
+def flat_counts(m):
+    """The reference histogram: one rank call on each of the 2^n masks."""
+    full = m.full_rank
+    counts = {}
+    for mask in range(1 << m.n):
+        r = m._rank(mask)
+        key = (full - r, mask.bit_count() - r)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def count_rank_calls(m):
+    """Wrap m's rank oracle; the returned list holds the number of calls."""
+    calls = [0]
+    rank = m._rank
+
+    def counted(mask):
+        calls[0] += 1
+        return rank(mask)
+
+    m._rank = counted
+    return calls
+
+
+def check_sweep(m):
+    calls = count_rank_calls(m)
+    got = _corank_nullity_counts(m)
+    assert calls[0] <= 1 << m.n
+    assert got == flat_counts(m)
+
+
+def heights(steps):
+    """Running north-step counts of an N/E path."""
+    hs = [0]
+    for step in steps:
+        hs.append(hs[-1] + (step == "N"))
+    return hs
+
+
+def path(hs):
+    return "".join("N" if b > a else "E" for a, b in zip(hs, hs[1:]))
+
+
+FANO_LINES = [frozenset({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
+BASE_KINDS = [
+    "Uniform", "SparsePaving", "PavingPartition", "BasisList", "LatticePath",
+    "Graphic", "Linear2", "Linear3", "Linear5",
+]
+
+
+@st.composite
+def base_matroids(draw, kind):
+    """A matroid of the given concrete class on at most 9 elements."""
+    if kind == "Uniform":
+        n = draw(st.integers(0, 9))
+        return mt.Uniform(draw(st.integers(0, n)), n)
+    if kind == "SparsePaving":
+        return mt.SparsePaving(3, 7, draw(st.sets(st.sampled_from(FANO_LINES))))
+    if kind == "PavingPartition":
+        if draw(st.booleans()):
+            return ternary_affine()
+        labels = [0, 1] + draw(st.lists(st.integers(0, 3), max_size=7))
+        blocks = {}
+        for e, lab in enumerate(labels):
+            blocks.setdefault(lab, set()).add(e)
+        return mt.PavingPartition(2, len(labels), blocks.values())
+    if kind == "BasisList":
+        g = mt.Graphic(draw(multigraphs()))
+        return mt.BasisList(g.full_rank, g.n, mt.bases(g))
+    if kind == "LatticePath":
+        # the pointwise lower and upper envelopes of two paths are paths
+        steps = "N" * draw(st.integers(0, 4)) + "E" * draw(st.integers(1, 5))
+        h1 = heights(draw(st.permutations(steps)))
+        h2 = heights(draw(st.permutations(steps)))
+        return mt.LatticePath(
+            path(list(map(min, h1, h2))), path(list(map(max, h1, h2)))
+        )
+    if kind == "Graphic":
+        return mt.Graphic(draw(multigraphs()))
+    p = int(kind[len("Linear"):])
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 8))
+    entries = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return mt.Linear(GFMatrix(p, draw(st.lists(entries, min_size=r, max_size=r))))
+
+
+VIEWS = ["DualView", "MapView", "FreeExtView", "DirectSum", "RelaxView"]
+
+
+def circuit_hyperplane_masks(m):
+    """Masks of the r-sets that are circuits and hyperplanes, by brute force."""
+    r = m.full_rank
+    ground = (1 << m.n) - 1
+    return [
+        x for x in range(1 << m.n)
+        if x.bit_count() == r and m._rank(x) == r - 1
+        and all(m._rank(x ^ 1 << e) == r - 1 for e in mt._bits(x))
+        and all(m._rank(x | 1 << e) == r for e in mt._bits(ground ^ x))
+    ]
+
+
+@st.composite
+def views(draw, view):
+    """A view of the given class over a drawn matroid, on at most 12 elements."""
+    m = draw(base_matroids(draw(st.sampled_from(BASE_KINDS))))
+    if view == "DualView":
+        return mt.DualView(m)
+    if view == "FreeExtView":
+        return mt.FreeExtView(m)
+    if view == "DirectSum":
+        other = draw(base_matroids(draw(st.sampled_from(BASE_KINDS))))
+        assume(m.n + other.n <= 12)
+        return mt.direct_sum([m, other])
+    if view == "MapView":
+        assume(m.n >= 1)
+        m = mt.parallel_extension(m, draw(st.integers(0, m.n - 1)))
+        if draw(st.booleans()):
+            m = mt.contract(m, draw(st.integers(0, m.n - 1)))
+        return m
+    m = draw(st.sampled_from([
+        fano(), ternary_affine(),
+        mt.Graphic(wheel_graph(3)), mt.Graphic(wheel_graph(4)),
+    ]))
+    return mt.relax(m, mt._set(draw(st.sampled_from(circuit_hyperplane_masks(m)))))
+
+
+@pytest.mark.parametrize("kind", BASE_KINDS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_sweep_matches_flat_loop_on_every_class(kind, data):
+    m = data.draw(base_matroids(kind))
+    assert type(m).__name__ == kind.rstrip("235")
+    if kind.startswith("Linear"):
+        assert m.mat.p == int(kind[-1])
+    check_sweep(m)
+
+
+@pytest.mark.parametrize("view", VIEWS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_sweep_matches_flat_loop_on_every_view(view, data):
+    m = data.draw(views(view))
+    assert type(m).__name__ == view
+    check_sweep(m)
+
+
+def test_sweep_counts_whole_subtrees_of_uniform_matroids():
+    m = mt.Uniform(6, 18)
+    calls = count_rank_calls(m)
+    assert _corank_nullity_counts(m) == flat_counts(mt.Uniform(6, 18))
+    assert calls[0] < (1 << 18) // 4
+
+
+def test_sweep_reaches_the_enumeration_limit():
+    # 24 elements, 16.8M subsets, but a few thousand rank calls
+    m = mt.Uniform(3, 24)
+    calls = count_rank_calls(m)
+    assert tutte_subset(m) == uniform(3, 24)
+    assert calls[0] < 5_000
+    # sum over A of (-1)^|A| lambda^(3-|A|) for |A| < 3, the rest at lambda^0
+    assert char_poly(m).int_coeffs() == [-253, 276, -24, 1]
+    assert calls[0] < 10_000
 
 
 # -- deletion-contraction -----------------------------------------------------

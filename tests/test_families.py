@@ -305,6 +305,12 @@ def test_complete_graph_size_guard():
         fam.complete_graph(31)
 
 
+def test_complete_graph_needs_a_vertex():
+    for n in (0, -1):
+        with pytest.raises(InvalidParameters):
+            fam.complete_graph(n)
+
+
 def test_complete_bipartite_goldens():
     assert fam.complete_bipartite(3, 3) == T_K33
     for m in range(1, 6):

@@ -80,6 +80,13 @@ def test_linear_fano_rank():
     assert f.rank([0, 1, 3]) == 2
 
 
+def test_rank_of_columns_checks_columns_past_full_row_rank():
+    mat = GFMatrix(3, [[1, 0, 2], [0, 1, 1]])
+    assert mat.rank_of_columns([0, 1, 2]) == 2
+    with pytest.raises(ElementOutOfRange):
+        mat.rank_of_columns([0, 1, 99])  # columns 0 and 1 already span
+
+
 def test_fano_sparse_matches_linear_on_all_subsets():
     fs = fano_sparse()
     fl = fano_linear()
