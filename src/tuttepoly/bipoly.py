@@ -431,10 +431,6 @@ class UniPoly:
             out.append(int(c))
         return out
 
-    def to_bipoly_x(self):
-        """Reinterpret as a BiPoly in x with integer coefficients."""
-        return BiPoly({(k, 0): c for k, c in enumerate(self.int_coeffs())})
-
 
 def _coerce_uni(v):
     if isinstance(v, UniPoly):

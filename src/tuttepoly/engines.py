@@ -6,13 +6,13 @@ others:
 - ``tutte_subset``: the corank-nullity expansion by a pruned subset sweep,
   T(x,y) = sum over A of (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)).
 - ``tutte_dc``: deletion-contraction with loop/coloop stripping and
-  parallel- and series-class shortcuts, on masks of the input's rank oracle;
-  graphs recurse on multigraphs with component factoring and memoization on
-  a canonical form.
+  parallel- and series-class shortcuts, on masks of the input's rank oracle,
+  each child inheriting the ranks its parent knows; graphs recurse on
+  multigraphs with component factoring and memoization on a canonical form.
 - ``tutte_activities``: sum of x^i y^j over bases with i internally and j
   externally active elements relative to a total order.
 - ``coboundary`` plus the substitution pair ``tutte_from_coboundary`` /
-  ``coboundary_from_tutte``: the flat-indexed route.
+  ``coboundary_from_tutte``: the flat-indexed route, on one table of ranks.
 - ``tutte_frontier``: a sweep along the edge order of a multigraph whose
   frontier stays small, over set partitions of the frontier vertices;
   ``transfer_grid`` runs it on the m x n grid.  ``transfer_wheel`` is the
@@ -58,43 +58,45 @@ DEFAULT_BUDGET = 10_000_000
 # -- subset expansion ---------------------------------------------------------
 
 
-def _corank_nullity_counts(m):
-    """Histogram of (r(E)-r(A), |A|-r(A)) over all subsets A, depth-first over
-    nodes (A, undecided U, r(A), r(A | U)).  When U lies in the closure of A
-    or is independent over A, all 2^|U| sets A | S are counted at once by |S|;
-    else each child inherits one rank and costs one call (at most 2^n)."""
-    mt._guard(m)
-    full = m.full_rank
-    rank = m._rank
+def _corank_nullity_counts(rank, live, con, rc, full):
+    """Histogram of (r - r(A), |A| - r(A)) over the subsets A of live in the
+    root's minor on live with con contracted, r(A) = rank(A | con) - rc; the
+    caller passes rc = rank(con) and full = rank(live | con).  A node is (U
+    undecided, A, rank(A | con), rank(A | U | con)); when U lies in the
+    closure of A or is independent over A, the 2^|U| sets A | S are counted
+    at once by |S|, else each child inherits one rank and costs one call."""
     counts = {}
-    stack = [((1 << m.n) - 1, 0, 0, full)]  # (U, A, r(A), r(A | U))
+    stack = [(live, 0, rc, full)]  # (U, A, rank(A | con), rank(A | U | con))
     while stack:
         rest, a, ra, rau = stack.pop()
         u = rest.bit_count()
-        if rau == ra or rau == ra + u:  # S adds only nullity, or only rank
-            z, nl, spans = full - ra, a.bit_count() - ra, rau == ra
+        if not rest or rau == ra or rau == ra + u:  # S adds only nullity, or only rank
+            z, nl, spans = full - ra, a.bit_count() - ra + rc, rau == ra
             for s in range(u + 1):
                 key = (z, nl + s) if spans else (z - s, nl)
                 counts[key] = counts.get(key, 0) + comb(u, s)
         else:
             b = rest & -rest
-            stack.append((rest ^ b, a | b, rank(a | b), rau))
-            stack.append((rest ^ b, a, ra, rank(a | (rest ^ b))))
+            stack.append((rest ^ b, a | b, rank(con | a | b), rau))
+            stack.append((rest ^ b, a, ra, rank(con | a | rest ^ b)))
     return counts
 
 
 def tutte_subset(m):
     """Tutte polynomial by the corank-nullity sum, from the pruned subset sweep."""
-    return _from_corank_nullity(_corank_nullity_counts(m))
+    mt._guard(m)
+    counts = _corank_nullity_counts(m._rank, (1 << m.n) - 1, 0, 0, m.full_rank)
+    return _from_corank_nullity(counts)
 
 
 def char_poly(m):
     """Characteristic polynomial: sum over A of (-1)^|A| lambda^(r(E)-r(A))."""
+    mt._guard(m)
     full = m.full_rank
     coeffs = [0] * (full + 1)
-    for (z, nl), c in _corank_nullity_counts(m).items():
-        size = (full - z) + nl
-        coeffs[z] += -c if size % 2 else c
+    counts = _corank_nullity_counts(m._rank, (1 << m.n) - 1, 0, 0, full)
+    for (z, nl), c in counts.items():
+        coeffs[z] += -c if (full - z + nl) % 2 else c
     return UniPoly(coeffs)
 
 
@@ -121,13 +123,20 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
 
     A generic node is two masks over m's ground set: the live elements L and
     the contracted ones C, with r(A) = r_m(A | C) - r_m(C), so only m's own
-    rank oracle is called and no minor is built.  Loops and coloops are
-    stripped as factors y and x; a single parallel class is U(1,k), whose
-    polynomial is x + y + ... + y^(k-1).  Otherwise the largest parallel
-    class X (p = |X|, lowest element e) that is not a cocircuit splits as
-    T = T(M\\X) + (y^(p-1)+...+1) T(M/e\\(X-e)), the largest series class
-    X that is not a circuit as T = (x^(p-1)+...+1) T(M\\X) + T(M/X), and
-    failing both the highest live element e as T = T(M\\e) + T(M/e).
+    rank oracle is called and no minor is built.  A child inherits r_m(C) and
+    r_m(L | C): deleting a non-coloop, or contracting a non-loop or a whole
+    class, keeps r_m(L | C), deleting a series class X lowers it by |X| - 1,
+    and contracting raises r_m(C) by a rank the parent has tested.  Loops
+    (factor y) are stripped only after a contraction and coloops (factor x)
+    only after a deletion: a deletion creates no loops and a contraction no
+    coloops (Oxley, Matroid Theory, 3.1).  A single parallel class is
+    U(1,k), whose polynomial is x + y + ... + y^(k-1).  Otherwise the largest
+    parallel class X (p = |X|, lowest element e) that is not a cocircuit
+    splits as T = T(M\\X) + (y^(p-1)+...+1) T(M/e\\(X-e)), the largest
+    series class X that is not a circuit as T = (x^(p-1)+...+1) T(M\\X) +
+    T(M/X), and failing both the highest live element e as T = T(M\\e) +
+    T(M/e).  M/e\\(X-e) and M\\X of a series class X strip nothing: neither
+    has a loop or a coloop.
     Graphic inputs instead recurse on multigraphs: bridges and loops are
     stripped, connected components multiply, cycles are a base case, and
     every connected minor is memoized on ``graphs.canonical_key``, a complete
@@ -137,7 +146,7 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     budget = _Budget(budget_nodes)
     if isinstance(m, mt.Graphic):
         return _dc_graph(m.graph, budget, {})
-    return _dc_generic(m._rank, (1 << m.n) - 1, 0, budget)
+    return _dc_generic(m._rank, (1 << m.n) - 1, 0, 0, m.full_rank, 3, budget)
 
 
 def _cycle_poly(n):
@@ -225,19 +234,18 @@ def _largest_class(live, joined):
     return best if best.bit_count() >= 2 else 0
 
 
-def _dc_generic(rank, live, con, budget):
+def _dc_generic(rank, live, con, rc, full, strip, budget):
     """T of the root's minor on the mask live with the mask con contracted,
-    ranked by r(A) = rank(A | con) - rank(con); no minor is built."""
+    ranked by r(A) = rank(A | con) - rc with rc = rank(con), full =
+    rank(live | con); strip has bit 1 to strip loops and bit 2 coloops."""
     budget.tick()
-    rc = rank(con)
-    full = rank(live | con)
     loops = coloops = 0
     for e in mt._bits(live):
         b = 1 << e
-        if rank(con | b) == rc:
+        if strip & 1 and rank(con | b) == rc:
             live ^= b
             loops += 1
-        elif rank(con | (live ^ b)) < full:
+        elif strip & 2 and rank(con | (live ^ b)) < full:
             live ^= b
             full -= 1
             coloops += 1
@@ -247,21 +255,22 @@ def _dc_generic(rank, live, con, budget):
     if par == live:  # U(1,n): x + y + ... + y^(n-1)
         poly = X + _geom(Y, live.bit_count()) - 1
     elif par and rank(con | (live ^ par)) == full:  # not a cocircuit
-        rest = live ^ par
-        poly = _dc_generic(rank, rest, con, budget) + _geom(
+        rest = live ^ par  # M/e has no coloops, and its loops are par - e
+        poly = _dc_generic(rank, rest, con, rc, full, 2, budget) + _geom(
             Y, par.bit_count()
-        ) * _dc_generic(rank, rest, con | (par & -par), budget)
+        ) * _dc_generic(rank, rest, con | (par & -par), rc + 1, full, 0, budget)
     else:
         ser = _largest_class(live, lambda pair: rank(con | (live ^ pair)) == full - 1)
-        if ser and rank(con | ser) - rc == ser.bit_count():  # not a circuit
-            rest = live ^ ser
-            poly = _geom(X, ser.bit_count()) * _dc_generic(
-                rank, rest, con, budget
-            ) + _dc_generic(rank, rest, con | ser, budget)
+        p = ser.bit_count()
+        if ser and rank(con | ser) - rc == p:  # not a circuit
+            rest = live ^ ser  # dually, M\X has no loops and no coloops
+            poly = _geom(X, p) * _dc_generic(
+                rank, rest, con, rc, full - p + 1, 0, budget
+            ) + _dc_generic(rank, rest, con | ser, rc + p, full, 1, budget)
         else:
             e = 1 << (live.bit_length() - 1)
-            poly = _dc_generic(rank, live ^ e, con, budget) + _dc_generic(
-                rank, live ^ e, con | e, budget
+            poly = _dc_generic(rank, live ^ e, con, rc, full, 2, budget) + _dc_generic(
+                rank, live ^ e, con | e, rc + 1, full, 1, budget
             )
     if loops or coloops:
         return X**coloops * Y**loops * poly
@@ -317,17 +326,27 @@ def tutte_activities(m, order=None):
 
 
 def coboundary(m):
-    """Flat-indexed polynomial: sum over flats F of t^|F| char(M/F)(lambda).
-
-    Returned as a BiPoly whose first variable is lambda and second is t.
-    """
+    """Flat-indexed polynomial: sum over flats F of t^|F| char(M/F)(lambda),
+    as a BiPoly in (lambda, t).  The flats and each char(M/F), a subset sweep
+    with F contracted, read m's ranks from one table of 2^n bytes."""
     mt._guard(m)
-    acc = BiPoly.zero()
-    for flat in mt.flats(m):
-        sub = mt.contract_many(m, flat) if flat else m
-        cp = char_poly(sub).to_bipoly_x()
-        acc = acc + cp * BiPoly.monomial(0, len(flat))
-    return acc
+    table = bytearray(b"\xff") * (1 << m.n)  # 255: not ranked yet
+
+    def rank(mask):
+        r = table[mask]
+        if r == 255:
+            r = table[mask] = m._rank(mask)
+        return r
+
+    ground = (1 << m.n) - 1
+    full = rank(ground)
+    terms = {}  # lambda^z t^|F| from each A, signed (-1)^|A|
+    for flat in mt._flat_masks(m.n, rank):
+        rf, t = rank(flat), flat.bit_count()
+        counts = _corank_nullity_counts(rank, ground ^ flat, flat, rf, full)
+        for (z, nl), c in counts.items():
+            terms[z, t] = terms.get((z, t), 0) + (-c if (full - rf - z + nl) % 2 else c)
+    return BiPoly(terms)
 
 
 def tutte_from_coboundary(cob, r):

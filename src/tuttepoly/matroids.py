@@ -146,6 +146,8 @@ class PavingPartition(Matroid):
                 raise InvalidPartition("blocks need at least r-1 elements")
             if any(not 0 <= e < n for e in b):
                 raise ElementOutOfRange("block element out of range")
+            if len(b) == n:  # the only block: every r-set in it has rank r-1
+                raise InvalidPartition("a block holds the whole ground set")
         seen = {}
         for bi, b in enumerate(blocks):
             for sub in combinations(sorted(b), r - 1):
@@ -407,12 +409,6 @@ def _remap(m, image, contracted):
     return MapView(m, image, contracted)
 
 
-def contract_many(m, elements):
-    for e in sorted(set(elements), reverse=True):
-        m = contract(m, e)
-    return m
-
-
 def _check_element(m, e):
     if not (isinstance(e, int) and 0 <= e < m.n):
         raise ElementOutOfRange(f"element {e} not in 0..{m.n - 1}")
@@ -442,18 +438,18 @@ def _set(mask):
 # -- closure and enumeration ---------------------------------------------------
 
 
-def _closure(m, mask):
-    r = m._rank(mask)
+def _closure(n, rank, mask):
+    r = rank(mask)
     out = mask
-    for e in range(m.n):
+    for e in range(n):
         b = 1 << e
-        if not mask & b and m._rank(mask | b) == r:
+        if not mask & b and rank(mask | b) == r:
             out |= b
     return out
 
 
 def closure(m, subset):
-    return _set(_closure(m, _mask(m, subset)))
+    return _set(_closure(m.n, m._rank, _mask(m, subset)))
 
 
 def _guard(m):
@@ -490,24 +486,27 @@ def circuits(m):
     return [_set(c) for c in found]
 
 
-def flats(m):
-    """Flats by increasing rank; flats of one rank in lexicographic order.
-
-    Level k+1 holds the closures of F + e for the rank-k flats F, so every
-    level is exactly the flats of one rank and no flat repeats.
-    """
-    _guard(m)
-    out = []
-    level = {_closure(m, 0)}
+def _flat_masks(n, rank):
+    """Masks of the flats, rank by rank.  The flats covering a flat F are the
+    closures of F + e and partition the elements outside F, so each is found
+    once per F and every level is exactly the flats of one rank."""
+    level = [_closure(n, rank, 0)]
     while level:
-        out.extend(sorted(map(_set, level), key=sorted))
-        level = {
-            _closure(m, f | 1 << e)
-            for f in level
-            for e in range(m.n)
-            if not f >> e & 1
-        }
-    return out
+        yield from level
+        nxt = set()
+        for f in level:
+            rest = ((1 << n) - 1) ^ f
+            while rest:
+                g = _closure(n, rank, f | rest & -rest)
+                nxt.add(g)
+                rest &= ~g
+        level = sorted(nxt, key=lambda g: sorted(_bits(g)))
+
+
+def flats(m):
+    """Flats by increasing rank; flats of one rank in lexicographic order."""
+    _guard(m)
+    return [_set(f) for f in _flat_masks(m.n, m._rank)]
 
 
 def hyperplanes(m):

@@ -23,6 +23,8 @@ INPUTS = {
     "sparse_paving": ("--matroid", "sparse_paving.json"),
     "relax": ("--matroid", "relax.json"),
     "gf3": ("--matrix", "gf3.gf"),
+    "paving": ("--matroid", "paving.json"),
+    "dual_linear": ("--matroid", "dual_linear.json"),
 }
 ENGINES = ("subset", "dc", "activities", "coboundary")
 FORMATS = ("text", "json", "latex")

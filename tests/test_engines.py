@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tuttepoly import matroids as mt
+from tuttepoly.catalog import build
 from tuttepoly.bipoly import BiPoly, UniPoly, X, Y
 from tuttepoly.engines import (
     _corank_nullity_counts,
@@ -145,12 +146,12 @@ def flat_counts(m):
 
 
 def count_rank_calls(m):
-    """Wrap m's rank oracle; the returned list holds the number of calls."""
-    calls = [0]
+    """Wrap m's rank oracle; the returned list records every mask asked."""
+    calls = []
     rank = m._rank
 
     def counted(mask):
-        calls[0] += 1
+        calls.append(mask)
         return rank(mask)
 
     m._rank = counted
@@ -159,8 +160,8 @@ def count_rank_calls(m):
 
 def check_sweep(m):
     calls = count_rank_calls(m)
-    got = _corank_nullity_counts(m)
-    assert calls[0] <= 1 << m.n
+    got = _corank_nullity_counts(m._rank, (1 << m.n) - 1, 0, 0, m.full_rank)
+    assert len(calls) <= 1 << m.n
     assert got == flat_counts(m)
 
 
@@ -279,11 +280,37 @@ def test_sweep_matches_flat_loop_on_every_view(view, data):
     check_sweep(m)
 
 
+def check_routes(m):
+    """Coboundary and DC agree with the subset sweep; the coboundary route
+    asks m's oracle for each mask at most once."""
+    t = tutte_subset(m)
+    full = m.full_rank
+    calls = count_rank_calls(m)
+    assert tutte_from_coboundary(coboundary(m), full) == t
+    assert len(calls) == len(set(calls)) <= 1 << m.n
+    assert tutte_dc(m) == t
+
+
+@pytest.mark.parametrize("kind", BASE_KINDS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_routes_match_subset_on_every_class(kind, data):
+    check_routes(data.draw(base_matroids(kind)))
+
+
+@pytest.mark.parametrize("view", VIEWS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_routes_match_subset_on_every_view(view, data):
+    check_routes(data.draw(views(view)))
+
+
 def test_sweep_counts_whole_subtrees_of_uniform_matroids():
     m = mt.Uniform(6, 18)
     calls = count_rank_calls(m)
-    assert _corank_nullity_counts(m) == flat_counts(mt.Uniform(6, 18))
-    assert calls[0] < (1 << 18) // 4
+    got = _corank_nullity_counts(m._rank, (1 << 18) - 1, 0, 0, 6)
+    assert got == flat_counts(mt.Uniform(6, 18))
+    assert len(calls) < (1 << 18) // 4
 
 
 def test_sweep_reaches_the_enumeration_limit():
@@ -291,10 +318,10 @@ def test_sweep_reaches_the_enumeration_limit():
     m = mt.Uniform(3, 24)
     calls = count_rank_calls(m)
     assert tutte_subset(m) == uniform(3, 24)
-    assert calls[0] < 5_000
+    assert len(calls) < 5_000
     # sum over A of (-1)^|A| lambda^(3-|A|) for |A| < 3, the rest at lambda^0
     assert char_poly(m).int_coeffs() == [-253, 276, -24, 1]
-    assert calls[0] < 10_000
+    assert len(calls) < 10_000
 
 
 # -- deletion-contraction -----------------------------------------------------
@@ -340,6 +367,32 @@ def test_dc_generic_builds_no_minor(monkeypatch):
     monkeypatch.setattr(mt.DualView, "__init__", refuse)
     for m in roots:
         assert tutte_dc(m) == tutte_subset(m), m
+
+
+GF3_4X13 = [
+    [2, 1, 0, 0, 2, 2, 2, 1, 0, 2, 2, 0, 1],
+    [1, 1, 0, 2, 1, 1, 1, 1, 2, 0, 1, 0, 1],
+    [2, 1, 1, 0, 1, 1, 0, 1, 1, 2, 1, 1, 1],
+    [0, 2, 1, 2, 0, 1, 0, 0, 1, 2, 1, 2, 2],
+]
+
+
+@pytest.mark.parametrize(
+    "make, before",
+    [
+        (lambda: mt.relax(fano(), {0, 1, 3}), 282),
+        (lambda: mt.relax(build("T8"), {1, 2, 3, 4}), 721),
+        (lambda: mt.Linear(GFMatrix(3, GF3_4X13)), 1641),
+    ],
+)
+def test_dc_generic_reuses_ranks_the_parent_knows(make, before):
+    # before: root rank calls when every node re-ranked C, L | C and every
+    # loop and coloop test; the inherited ranks must save a fifth of them
+    m = make()
+    t = tutte_subset(m)
+    calls = count_rank_calls(m)
+    assert tutte_dc(m) == t
+    assert len(calls) <= 0.8 * before
 
 
 def test_dc_generic_splits_whole_classes():

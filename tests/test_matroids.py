@@ -137,6 +137,11 @@ def test_paving_partition_validation_and_rank():
         mt.PavingPartition(3, 9, list(lines)[:11])
     with pytest.raises(InvalidPartition):
         mt.PavingPartition(3, 6, [{0, 1, 2}, {0, 1, 3}] )
+    # one block that is the whole ground set would make a rank-(r-1) matroid
+    with pytest.raises(InvalidPartition):
+        mt.PavingPartition(2, 3, [{0, 1, 2}])
+    with pytest.raises(InvalidPartition):
+        mt.PavingPartition(3, 5, [range(5)])
 
 
 def test_basis_list_exchange_checked():
