@@ -42,6 +42,41 @@ for _name, (_flag, _file) in INPUTS.items():
             ]
 
 
+# Small valid arguments for every --family name the CLI accepts.
+FAMILY_ARGS = {
+    "uniform": ["--r", "2", "--n", "4"],
+    "cycle": ["--n", "4"],
+    "complete": ["--n", "4"],
+    "complete-bipartite": ["--n", "2", "--m", "3"],
+    "wheel": ["--n", "4"],
+    "whirl": ["--n", "3"],
+    "grid2": ["--n", "3"],
+    "grid": ["--m", "2", "--n", "3"],
+    "catalan": ["--n", "3"],
+    "multilink": ["--n", "3"],
+    "sparse-paving": ["--r", "3", "--n", "7", "--ch-count", "7"],
+    "projective": ["--dim", "2", "--q", "2"],
+    "affine": ["--dim", "2", "--q", "3"],
+}
+for _family, _args in FAMILY_ARGS.items():
+    CASES[f"compute-family-{_family}-text"] = [
+        "compute", "--family", _family, *_args,
+    ]
+for _fmt in ("json", "latex"):
+    CASES[f"compute-family-wheel-{_fmt}"] = [
+        "compute", "--family", "wheel", *FAMILY_ARGS["wheel"], "--format", _fmt,
+    ]
+CASES["eval-gf3"] = [
+    "eval", "--matrix", str(DATA / "gf3.gf"), "--x", "2", "--y", "1/3",
+]
+CASES["eval-family-wheel"] = [
+    "eval", "--family", "wheel", "--n", "4", "--x", "1/2", "--y=-2/3",
+]
+CASES["catalog-list"] = ["catalog", "list"]
+for _fmt in ("text", "json"):
+    CASES[f"catalog-show-Q8-{_fmt}"] = ["catalog", "show", "Q8", "--format", _fmt]
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
