@@ -12,7 +12,7 @@ erratum candidates, never silently corrected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from . import engines as eng
@@ -25,14 +25,9 @@ from .formats import poly_from_obj, poly_to_obj
 from .gf import GFMatrix
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    recipe: str
-    ground_truth: BiPoly
-    provenance: str
-    flags: dict
-    erratum: dict | None = None
+CatalogEntry = namedtuple(
+    "CatalogEntry", "name recipe ground_truth provenance flags erratum", defaults=(None,)
+)
 
 
 # -- recipe language -----------------------------------------------------------

@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 2 parse or usage error, 3 resource budget exceeded
 (including Python's recursion limit and memory), 4 verification mismatch.
+
+Each subcommand imports only what it runs.  ``compute`` and ``eval`` on a
+``--graph``, ``--matroid`` or ``--matrix`` file load the engines, the
+parsers and the renderers; ``--family`` also loads ``families``; the
+``catalog`` subcommands also load ``catalog`` (and with it ``families``).
 """
 
 from __future__ import annotations
@@ -11,9 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import catalog as cat
 from . import engines as eng
-from . import families as fam
 from . import matroids as mt
 from .bipoly import evaluate
 from .errors import (
@@ -36,21 +39,23 @@ _BUDGET_ERRORS = (
     UnsupportedWidth,
 )
 
-# Closed-form producers reachable by name, with the integer flags each needs.
+# Closed-form producers reachable by name: the name of the function in
+# ``families`` (``grid`` is ``engines.transfer_grid``), with the integer
+# flags it needs.
 _FAMILIES = {
-    "uniform": (fam.uniform, ("r", "n")),
-    "cycle": (fam.cycle, ("n",)),
-    "complete": (fam.complete_graph, ("n",)),
-    "complete-bipartite": (fam.complete_bipartite, ("n", "m")),
-    "wheel": (fam.wheel, ("n",)),
-    "whirl": (fam.whirl, ("n",)),
-    "grid2": (fam.grid2, ("n",)),
-    "grid": (eng.transfer_grid, ("m", "n")),
-    "catalan": (fam.catalan, ("n",)),
-    "multilink": (fam.multilink, ("n",)),
-    "sparse-paving": (fam.sparse_paving, ("r", "n", "ch_count")),
-    "projective": (fam.projective, ("dim", "q")),
-    "affine": (fam.affine, ("dim", "q")),
+    "uniform": ("uniform", ("r", "n")),
+    "cycle": ("cycle", ("n",)),
+    "complete": ("complete_graph", ("n",)),
+    "complete-bipartite": ("complete_bipartite", ("n", "m")),
+    "wheel": ("wheel", ("n",)),
+    "whirl": ("whirl", ("n",)),
+    "grid2": ("grid2", ("n",)),
+    "grid": ("transfer_grid", ("m", "n")),
+    "catalan": ("catalan", ("n",)),
+    "multilink": ("multilink", ("n",)),
+    "sparse-paving": ("sparse_paving", ("r", "n", "ch_count")),
+    "projective": ("projective", ("dim", "q")),
+    "affine": ("affine", ("dim", "q")),
 }
 
 _RENDERERS = {"text": to_text, "json": to_json, "latex": to_latex}
@@ -90,7 +95,9 @@ def _input_matroid(args, kind):
 
 
 def _family_poly(args):
-    fn, wanted = _FAMILIES[args.family]
+    from . import families as fam
+    name, wanted = _FAMILIES[args.family]
+    fn = getattr(eng if name == "transfer_grid" else fam, name)
     values = []
     for flag in wanted:
         v = getattr(args, flag)
@@ -129,12 +136,14 @@ def cmd_eval(args):
 
 
 def cmd_catalog_list(args):
+    from . import catalog as cat
     for name in cat.names():
         print(name)
     return 0
 
 
 def cmd_catalog_show(args):
+    from . import catalog as cat
     entry = cat.lookup(args.name)
     if args.format == "json":
         print(json.dumps(cat.entry_to_obj(entry), indent=1, sort_keys=True))
@@ -162,6 +171,7 @@ def _verify_line(report):
 
 
 def cmd_catalog_verify(args):
+    from . import catalog as cat
     selected = None if args.name == "all" else [args.name]
     reports = cat.verify_all(selected)
     if args.format == "json":

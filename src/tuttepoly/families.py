@@ -12,7 +12,7 @@ slot carries lambda and the second t until the final conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -117,17 +117,10 @@ def free_ext_poly(t, t_at_x1):
 # -- paving matroids -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PavingSpec:
-    """Rank plus the block profile of the hyperplane (r-1)-partition.
-
-    block_sizes maps a block cardinality k to the number b_k of blocks of
-    that size.
-    """
-
-    r: int
-    n: int
-    block_sizes: dict
+# Rank plus the block profile of the hyperplane (r-1)-partition:
+# block_sizes maps a block cardinality k to the number b_k of blocks of
+# that size.
+PavingSpec = namedtuple("PavingSpec", "r n block_sizes")
 
 
 def _check_paving_spec(spec):
@@ -545,20 +538,11 @@ def stretch_poly(t, r_star, k):
     return subst_rational(t, X**k, _ONE, Y - 1 + s, s, clear_factor=s**r_star)
 
 
-@dataclass(frozen=True)
-class TensorInputs:
-    """Inputs of the tensor-product formula.
-
-    t_m is the Tutte polynomial of the base matroid of the given rank and
-    ground-set size; t_n_delete and t_n_contract are the pointed minors of
-    the matroid substituted at every element.
-    """
-
-    t_m: BiPoly
-    rank: int
-    size: int
-    t_n_delete: BiPoly
-    t_n_contract: BiPoly
+# Inputs of the tensor-product formula: t_m is the Tutte polynomial of the
+# base matroid of the given rank and ground-set size; t_n_delete and
+# t_n_contract are the pointed minors of the matroid substituted at every
+# element.
+TensorInputs = namedtuple("TensorInputs", "t_m rank size t_n_delete t_n_contract")
 
 
 def tensor_poly(inp):

@@ -21,6 +21,13 @@ from .graphs import Multigraph
 # -- polynomial JSON -----------------------------------------------------------
 
 
+def _int(value):
+    """A JSON integer as is; floats, bools and strings are not integers."""
+    if type(value) is not int:
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def poly_to_obj(p):
     return {"terms": render.json_terms(p)}
 
@@ -32,7 +39,8 @@ def poly_from_obj(obj):
     for entry in obj["terms"]:
         try:
             i, j, c = entry
-            i, j, c = int(i), int(j), int(c)
+            i, j = _int(i), _int(j)
+            c = int(c) if isinstance(c, str) else _int(c)
         except (TypeError, ValueError):
             raise ParseError(f"bad polynomial term {entry!r}") from None
         if i < 0 or j < 0:
@@ -119,7 +127,7 @@ def parse_matrix(text):
 
 def _int_sets(value, what):
     try:
-        return [frozenset(int(e) for e in grp) for grp in value]
+        return [frozenset(_int(e) for e in grp) for grp in value]
     except (TypeError, ValueError):
         raise ParseError(f"bad {what}: expected a list of integer lists") from None
 
@@ -130,28 +138,28 @@ def matroid_from_obj(obj):
     kind = obj["kind"]
     try:
         if kind == "uniform":
-            return mt.Uniform(int(obj["r"]), int(obj["n"]))
+            return mt.Uniform(_int(obj["r"]), _int(obj["n"]))
         if kind == "graphic":
-            edges = [(int(u), int(v)) for u, v in obj["edges"]]
-            return mt.Graphic(Multigraph(int(obj["vertices"]), edges))
+            edges = [(_int(u), _int(v)) for u, v in obj["edges"]]
+            return mt.Graphic(Multigraph(_int(obj["vertices"]), edges))
         if kind == "linear":
-            rows = [[int(v) for v in row] for row in obj["rows"]]
-            return mt.Linear(GFMatrix(int(obj["p"]), rows))
+            rows = [[_int(v) for v in row] for row in obj["rows"]]
+            return mt.Linear(GFMatrix(_int(obj["p"]), rows))
         if kind == "sparse_paving":
             chs = _int_sets(obj["circuit_hyperplanes"], "circuit-hyperplane list")
-            return mt.SparsePaving(int(obj["r"]), int(obj["n"]), chs)
+            return mt.SparsePaving(_int(obj["r"]), _int(obj["n"]), chs)
         if kind == "paving":
             blocks = _int_sets(obj["blocks"], "block list")
-            return mt.PavingPartition(int(obj["r"]), int(obj["n"]), blocks)
+            return mt.PavingPartition(_int(obj["r"]), _int(obj["n"]), blocks)
         if kind == "bases":
             bases = _int_sets(obj["bases"], "basis list")
-            return mt.BasisList(int(obj["r"]), int(obj["n"]), bases)
+            return mt.BasisList(_int(obj["r"]), _int(obj["n"]), bases)
         if kind == "lattice_path":
             return mt.LatticePath(str(obj["lower"]), str(obj["upper"]))
         if kind == "dual":
             return mt.dual(matroid_from_obj(obj["of"]))
         if kind == "relax":
-            subset = frozenset(int(e) for e in obj["subset"])
+            subset = frozenset(_int(e) for e in obj["subset"])
             return mt.relax(matroid_from_obj(obj["of"]), subset)
     except KeyError as exc:
         raise ParseError(f"matroid JSON kind {kind!r} is missing {exc}") from None

@@ -207,6 +207,13 @@ def test_negative_vertex_count_is_rejected(tmp_path, capsys):
     assert code == 2 and out == "" and err
 
 
+def test_non_integer_matroid_field_exits_two(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    path.write_text('{"kind": "uniform", "r": 2.7, "n": 4}')
+    code, out, err = run(["compute", "--matroid", str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_paving_block_spanning_the_ground_set_exits_two(tmp_path, capsys):
     path = tmp_path / "paving.json"
     path.write_text('{"kind": "paving", "r": 2, "n": 3, "blocks": [[0, 1, 2]]}')

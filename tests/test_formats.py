@@ -189,3 +189,46 @@ def test_parse_matroid_errors():
         parse_matroid('{"kind": "uniform", "r": "two", "n": 4}')
     with pytest.raises(ParseError):
         parse_matroid('{"kind": "graphic", "vertices": 3, "edges": [[0]]}')
+
+
+# Each field the matroid JSON format types as an integer, holding a value
+# that int() would have coerced: a float, a bool or a string.
+NON_INTEGER_FIELDS = {
+    "r": {"kind": "uniform", "r": 2.7, "n": 4},
+    "r-bool": {"kind": "uniform", "r": True, "n": 4},
+    "r-string": {"kind": "uniform", "r": "2", "n": 4},
+    "n": {"kind": "uniform", "r": 2, "n": 4.0},
+    "p": {"kind": "linear", "p": 3.0, "rows": [[1, 0], [0, 1]]},
+    "vertices": {"kind": "graphic", "vertices": 3.9, "edges": [[0, 1]]},
+    "edge-end": {"kind": "graphic", "vertices": 3, "edges": [[0, 2.5]]},
+    "matrix-entry": {"kind": "linear", "p": 3, "rows": [[1, 2.9]]},
+    "circuit-hyperplane-element": {
+        "kind": "sparse_paving", "r": 2, "n": 4,
+        "circuit_hyperplanes": [[0, "1"]],
+    },
+    "block-element": {"kind": "paving", "r": 2, "n": 3, "blocks": [[0, 1.0]]},
+    "basis-element": {"kind": "bases", "r": 1, "n": 2, "bases": [[False]]},
+    "subset-element": {
+        "kind": "relax", "subset": [0, 1.5],
+        "of": {"kind": "uniform", "r": 2, "n": 4},
+    },
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_INTEGER_FIELDS))
+def test_matroid_integer_fields_reject_non_integers(field):
+    with pytest.raises(ParseError):
+        parse_matroid(json.dumps(NON_INTEGER_FIELDS[field]))
+
+
+@pytest.mark.parametrize("term", [[1.0, 0, "1"], [0, True, "1"], ["1", 0, "1"],
+                                  [1, 0, 2.9], [1, 0, False]])
+def test_poly_terms_reject_non_integers(term):
+    with pytest.raises(ParseError):
+        poly_from_obj({"terms": [term]})
+
+
+def test_poly_coefficients_are_ints_or_decimal_strings():
+    assert poly_from_obj({"terms": [[1, 0, 2], [0, 1, "-3"]]}) == BiPoly(
+        {(1, 0): 2, (0, 1): -3}
+    )
