@@ -84,6 +84,10 @@ def _run(argv):
     return code, out.getvalue()
 
 
+def test_every_family_has_a_golden():
+    assert sorted(FAMILY_ARGS) == sorted(cli._FAMILIES)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_stdout_matches_golden(case):
     code, out = _run(CASES[case])
