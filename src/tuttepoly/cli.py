@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -66,6 +67,19 @@ def _rational(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
+
+
+def _signed_points(argv):
+    """argv with "--x -2/3" joined into "--x=-2/3": argparse takes a token
+    that starts with - for an option unless it reads as an integer or a
+    decimal, and no option here starts with - and a digit."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--x", "--y") and re.match(r"-[0-9]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _read(path):
@@ -223,7 +237,7 @@ def _parser():
     p_eval = sub.add_parser("eval", help="evaluate at an exact rational point")
     _add_input_flags(p_eval)
     p_eval.add_argument("--x", type=_rational, required=True,
-                        metavar="P/Q", help='rational, e.g. "2" or "1/3"')
+                        metavar="P/Q", help='rational, e.g. "2", "1/3" or "-2/3"')
     p_eval.add_argument("--y", type=_rational, required=True, metavar="P/Q")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -247,7 +261,8 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_signed_points(argv))
     try:
         return args.func(args)
     except _BUDGET_ERRORS as exc:

@@ -7,8 +7,9 @@ others:
   T(x,y) = sum over A of (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)).
 - ``tutte_dc``: deletion-contraction with loop/coloop stripping and
   parallel- and series-class shortcuts, on masks of the input's rank oracle,
-  each child inheriting the ranks its parent knows; graphs recurse on
-  multigraphs with component factoring and memoization on a canonical form.
+  each child inheriting the ranks and the classes its parent knows; graphs
+  recurse on multigraphs with component factoring and memoization on a
+  canonical form.
 - ``tutte_activities``: sum of x^i y^j over bases with i internally and j
   externally active elements relative to a total order.
 - ``coboundary`` plus the substitution pair ``tutte_from_coboundary`` /
@@ -136,7 +137,14 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     series class X that is not a circuit as T = (x^(p-1)+...+1) T(M\\X) +
     T(M/X), and failing both the highest live element e as T = T(M\\e) +
     T(M/e).  M/e\\(X-e) and M\\X of a series class X strip nothing: neither
-    has a loop or a coloop.
+    has a loop or a coloop.  The parallel classes of M\\X and the series
+    classes of M/X are M's restricted to what is left, since their circuits,
+    resp. cocircuits, are those of M that avoid X (Oxley, 2.2 and 3.1): a
+    node hands its parallel partition to its deletion children and its
+    series partition to its contraction children, so it builds at most one
+    of the two itself (the root both).  In the split on e, M\\e's coloops
+    are e's series class less e and M/e's loops its parallel class less e,
+    so neither child strips anything.
     Graphic inputs instead recurse on multigraphs: bridges and loops are
     stripped, connected components multiply, cycles are a base case, and
     every connected minor is memoized on ``graphs.canonical_key``, a complete
@@ -146,7 +154,9 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     budget = _Budget(budget_nodes)
     if isinstance(m, mt.Graphic):
         return _dc_graph(m.graph, budget, {})
-    return _dc_generic(m._rank, (1 << m.n) - 1, 0, 0, m.full_rank, 3, budget)
+    return _dc_generic(
+        m._rank, (1 << m.n) - 1, 0, 0, m.full_rank, 3, None, None, budget
+    )
 
 
 def _cycle_poly(n):
@@ -217,10 +227,12 @@ def _dc_graph_split(g, budget, memo):
     )
 
 
-def _largest_class(live, joined):
-    """Largest class of the live elements (the earliest on ties), or 0 when
-    every class is a single element.  Each element joins the first class
-    whose lowest element it is joined to: joined(mask of the pair)."""
+def _classes(live, known, joined):
+    """The classes of the live elements (masks): known, a partition of a
+    superset, restricted to live; or when known is None, each element joins
+    the first class whose lowest element it is joined to: joined(pair)."""
+    if known is not None:
+        return [cl & live for cl in known if cl & live]
     classes = []
     for e in mt._bits(live):
         b = 1 << e
@@ -230,14 +242,28 @@ def _largest_class(live, joined):
                 break
         else:
             classes.append(b)
+    return classes
+
+
+def _largest(classes):
+    """The largest class (the earliest on ties), or 0 when every class is a
+    single element."""
     best = max(classes, key=int.bit_count)
     return best if best.bit_count() >= 2 else 0
 
 
-def _dc_generic(rank, live, con, rc, full, strip, budget):
+def _times(i, j, poly):
+    """x^i y^j poly, with no product when i = j = 0."""
+    return BiPoly.monomial(i, j) * poly if i or j else poly
+
+
+def _dc_generic(rank, live, con, rc, full, strip, par, ser, budget):
     """T of the root's minor on the mask live with the mask con contracted,
     ranked by r(A) = rank(A | con) - rc with rc = rank(con), full =
-    rank(live | con); strip has bit 1 to strip loops and bit 2 coloops."""
+    rank(live | con); strip has bit 1 to strip loops and bit 2 coloops.
+    par and ser are the parent's parallel and series partitions (lists of
+    masks) when a deletion, resp. a contraction, made this minor, else None;
+    restricted to live they are this minor's."""
     budget.tick()
     loops = coloops = 0
     for e in mt._bits(live):
@@ -250,31 +276,36 @@ def _dc_generic(rank, live, con, rc, full, strip, budget):
             full -= 1
             coloops += 1
     if not live:
-        return X**coloops * Y**loops
-    par = _largest_class(live, lambda pair: rank(con | pair) == rc + 1)
-    if par == live:  # U(1,n): x + y + ... + y^(n-1)
+        return BiPoly.monomial(coloops, loops)
+    par = _classes(live, par, lambda pair: rank(con | pair) == rc + 1)
+    big = _largest(par)
+    if big == live:  # U(1,n): x + y + ... + y^(n-1)
         poly = X + _geom(Y, live.bit_count()) - 1
-    elif par and rank(con | (live ^ par)) == full:  # not a cocircuit
-        rest = live ^ par  # M/e has no coloops, and its loops are par - e
-        poly = _dc_generic(rank, rest, con, rc, full, 2, budget) + _geom(
-            Y, par.bit_count()
-        ) * _dc_generic(rank, rest, con | (par & -par), rc + 1, full, 0, budget)
+    elif big and rank(con | (live ^ big)) == full:  # not a cocircuit
+        rest = live ^ big  # M/e has no coloops, and its loops are big - e
+        poly = _dc_generic(rank, rest, con, rc, full, 2, par, None, budget) + _geom(
+            Y, big.bit_count()
+        ) * _dc_generic(rank, rest, con | (big & -big), rc + 1, full, 0, None, ser, budget)
     else:
-        ser = _largest_class(live, lambda pair: rank(con | (live ^ pair)) == full - 1)
-        p = ser.bit_count()
-        if ser and rank(con | ser) - rc == p:  # not a circuit
-            rest = live ^ ser  # dually, M\X has no loops and no coloops
+        ser = _classes(live, ser, lambda pair: rank(con | (live ^ pair)) == full - 1)
+        big = _largest(ser)
+        p = big.bit_count()
+        if big and rank(con | big) - rc == p:  # not a circuit
+            rest = live ^ big  # dually, M\X has no loops and no coloops
             poly = _geom(X, p) * _dc_generic(
-                rank, rest, con, rc, full - p + 1, 0, budget
-            ) + _dc_generic(rank, rest, con | ser, rc + p, full, 1, budget)
-        else:
-            e = 1 << (live.bit_length() - 1)
-            poly = _dc_generic(rank, live ^ e, con, rc, full, 2, budget) + _dc_generic(
-                rank, live ^ e, con | e, rc + 1, full, 1, budget
-            )
-    if loops or coloops:
-        return X**coloops * Y**loops * poly
-    return poly
+                rank, rest, con, rc, full - p + 1, 0, par, None, budget
+            ) + _dc_generic(rank, rest, con | big, rc + p, full, 1, None, ser, budget)
+        else:  # M\e's coloops are e's series class - e, M/e's loops
+            e = 1 << (live.bit_length() - 1)  # are e's parallel class - e
+            se = next(cl for cl in ser if cl & e)
+            pe = next(cl for cl in par if cl & e)
+            k, j = se.bit_count() - 1, pe.bit_count() - 1
+            poly = _times(k, 0, _dc_generic(
+                rank, live ^ se, con, rc, full - k, 0, par, None, budget
+            )) + _times(0, j, _dc_generic(
+                rank, live ^ pe, con | e, rc + 1, full, 0, None, ser, budget
+            ))
+    return _times(coloops, loops, poly)
 
 
 # -- basis activities ---------------------------------------------------------

@@ -9,6 +9,7 @@ the text, JSON and LaTeX renderings live in ``render``.  Graphs arrive as "p V E
 from __future__ import annotations
 
 import json
+import re
 
 from . import matroids as mt
 from . import render
@@ -60,6 +61,14 @@ def parse_poly(text):
 # -- graph and matrix files ----------------------------------------------------
 
 
+def _dec(token):
+    """An ASCII decimal integer token, -?[0-9]+; int() alone would also
+    take "1_0", "+1" and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _content_lines(text):
     for raw in text.splitlines():
         line = raw.strip()
@@ -74,7 +83,7 @@ def parse_graph(text):
         raise ParseError('graph file must start with "p <vertices> <edges>"')
     try:
         _, nv, ne = lines[0].split()
-        nv, ne = int(nv), int(ne)
+        nv, ne = _dec(nv), _dec(ne)
     except ValueError:
         raise ParseError(f"bad graph header {lines[0]!r}") from None
     if nv < 0 or ne < 0:
@@ -85,7 +94,7 @@ def parse_graph(text):
         if fields[0] != "e" or len(fields) != 3:
             raise ParseError(f"bad edge line {line!r}")
         try:
-            u, v = int(fields[1]), int(fields[2])
+            u, v = _dec(fields[1]), _dec(fields[2])
         except ValueError:
             raise ParseError(f"bad edge line {line!r}") from None
         if not (0 <= u < nv and 0 <= v < nv):
@@ -103,7 +112,7 @@ def parse_matrix(text):
         raise ParseError('matrix file must start with "gf <p> <rows> <cols>"')
     try:
         _, p, nrows, ncols = lines[0].split()
-        p, nrows, ncols = int(p), int(nrows), int(ncols)
+        p, nrows, ncols = _dec(p), _dec(nrows), _dec(ncols)
     except ValueError:
         raise ParseError(f"bad matrix header {lines[0]!r}") from None
     if nrows < 0 or ncols < 0:
@@ -114,7 +123,7 @@ def parse_matrix(text):
             f"matrix body has {len(body)} entries, expected {nrows * ncols}"
         )
     try:
-        flat = [int(v) for v in body]
+        flat = [_dec(v) for v in body]
     except ValueError:
         raise ParseError("matrix entries must be integers") from None
     rows = [flat[r * ncols:(r + 1) * ncols] for r in range(nrows)]

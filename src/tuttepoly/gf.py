@@ -1,8 +1,10 @@
 """Matrices over prime fields GF(p), enough for linear matroids.
 
-Column rank by Gaussian elimination is the rank oracle; deletion drops a
-column and contraction pivots one out.  Entries are stored as residues, all
-arithmetic is integer mod p, nothing ever leaves exact arithmetic.
+A matrix row-reduces once, on its first rank query, to the standard form
+[I_r | A] on its greedy basis; every column rank is then read off that form
+(see ``GFMatrix.rank_of_columns``).  Deletion drops a column and contraction
+pivots one out.  Entries are stored as residues, all arithmetic is integer
+mod p, nothing ever leaves exact arithmetic.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def prime_power_root(q):
 class GFMatrix:
     """Immutable matrix over GF(p), p prime."""
 
-    __slots__ = ("p", "nrows", "ncols", "rows", "cols")
+    __slots__ = ("p", "nrows", "ncols", "rows", "_std")
 
     def __init__(self, p, rows):
         if not is_prime(p):
@@ -57,7 +59,7 @@ class GFMatrix:
         self.nrows = len(rows)
         self.ncols = w
         self.rows = rows
-        self.cols = tuple(zip(*rows))
+        self._std = None
 
     def __repr__(self):
         return f"GFMatrix(p={self.p}, {self.nrows}x{self.ncols})"
@@ -72,33 +74,61 @@ class GFMatrix:
     def __hash__(self):
         return hash((self.p, self.rows))
 
-    def column(self, j):
-        if not 0 <= j < self.ncols:
-            raise ElementOutOfRange(f"column {j}")
-        return self.cols[j]
+    def standard_form(self):
+        """(basis, pos, coords), computed once: the greedy basis b_0 < b_1 <
+        ..., the pivot columns of the reduced row echelon form [I_r | A];
+        pos[j] = i when j = b_i, else -1; coords[j], column j of that form."""
+        if self._std is None:
+            p, rows, basis = self.p, [list(r) for r in self.rows], []
+            for j in range(self.ncols):
+                k = len(basis)
+                i = next((i for i in range(k, len(rows)) if rows[i][j]), None)
+                if i is None:
+                    continue
+                rows[k], rows[i] = rows[i], rows[k]
+                inv = pow(rows[k][j], p - 2, p)
+                rows[k] = lead = [a * inv % p for a in rows[k]]
+                for i, row in enumerate(rows):
+                    c = row[j]
+                    if c and i != k:
+                        rows[i] = [(a - c * b) % p for a, b in zip(row, lead)]
+                basis.append(j)
+            pos = [-1] * self.ncols
+            for i, j in enumerate(basis):
+                pos[j] = i
+            top = rows[: len(basis)]
+            self._std = (basis, pos, [tuple(r[j] for r in top) for j in range(self.ncols)])
+        return self._std
 
     def rank_of_columns(self, cols):
-        """Rank of the submatrix on the given column indices."""
-        p = self.p
-        # eliminate into row-echelon form over the column vectors
-        pivots = []  # (row position, reduced vector)
-        rank = 0
-        cols = iter(cols)
+        """Rank of the columns S: on the standard form, |S & B| plus the rank
+        of A on the columns S - B and the rows that S & B leaves uncovered,
+        eliminated until it reaches full rank."""
+        basis, pos, coords = self._std or self.standard_form()
+        n, covered, rest = self.ncols, 0, []  # covered: rows i with b_i in S
         for j in cols:
-            v = self.column(j)
-            for rpos, pv in pivots:
-                c = v[rpos]
+            if not 0 <= j < n:
+                raise ElementOutOfRange(f"column {j}")
+            i = pos[j]
+            if i < 0:
+                rest.append(j)
+            else:
+                covered |= 1 << i
+        p, rank, pivots = self.p, covered.bit_count(), []
+        for j in rest:
+            if rank == len(basis):
+                break
+            v = coords[j]
+            for lead, pv in pivots:
+                c = v[lead]
                 if c:
                     v = [(a - c * b) % p for a, b in zip(v, pv)]
-            lead = next((i for i, a in enumerate(v) if a), None)
-            if lead is not None:
-                inv = pow(v[lead], p - 2, p)
-                v = [(a * inv) % p for a in v]
-                pivots.append((lead, v))
-                rank += 1
-                if rank == self.nrows:  # full row rank: range-check the rest
-                    for j in cols:
-                        self.column(j)
+            for i, a in enumerate(v):  # an uncovered lead, scaled to 1
+                if a and not covered >> i & 1:
+                    inv = pow(a, p - 2, p)
+                    pivots.append((i, [b * inv % p for b in v]))
+                    rank += 1
+                    break
         return rank
 
     def delete_column(self, j):
@@ -110,12 +140,13 @@ class GFMatrix:
 
     def contract_column(self, j):
         """Pivot column j out (projecting the others); a zero column is just dropped."""
-        col = self.column(j)
-        lead = next((i for i, a in enumerate(col) if a), None)
+        if not 0 <= j < self.ncols:
+            raise ElementOutOfRange(f"column {j}")
+        lead = next((i for i, row in enumerate(self.rows) if row[j]), None)
         if lead is None:
             return self.delete_column(j)
         p = self.p
-        inv = pow(col[lead], p - 2, p)
+        inv = pow(self.rows[lead][j], p - 2, p)
         lead_row = [(a * inv) % p for a in self.rows[lead]]
         rows = []
         for i, row in enumerate(self.rows):

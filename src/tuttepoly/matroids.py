@@ -663,32 +663,19 @@ def _delta_sum_graphic(m1, t1, m2, t2):
 
 
 def _cycle_space_basis(mat):
-    """Basis of the GF(2) kernel of the representation matrix."""
-    n = mat.ncols
-    rows = [list(r) for r in mat.rows]
-    pivots = {}
-    rix = 0
-    for j in range(n):
-        sel = next(
-            (i for i in range(rix, len(rows)) if rows[i][j]), None
-        )
-        if sel is None:
-            continue
-        rows[rix], rows[sel] = rows[sel], rows[rix]
-        for i in range(len(rows)):
-            if i != rix and rows[i][j]:
-                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[rix])]
-        pivots[j] = rix
-        rix += 1
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [0] * n
-        v[j] = 1
-        for pj, pi in pivots.items():
-            v[pj] = rows[pi][j] % 2
-        basis.append(v)
-    return basis
+    """Basis of the kernel of the representation matrix, read off its
+    standard form [I_r | A]: for each column j off the greedy basis
+    b_0 < b_1 < ..., the vector e_j - sum_i A[i][j] e_{b_i}."""
+    basis, pos, coords = mat.standard_form()
+    out = []
+    for j in range(mat.ncols):
+        if pos[j] < 0:
+            v = [0] * mat.ncols
+            v[j] = 1
+            for b, a in zip(basis, coords[j]):
+                v[b] = -a % mat.p
+            out.append(v)
+    return out
 
 
 def _delta_sum_binary(m1, t1, m2, t2):

@@ -107,6 +107,13 @@ def test_eval_rational_point(capsys):
     assert code == 0 and out == "5/6\n"
 
 
+def test_eval_takes_a_negative_fraction_as_the_next_token(capsys):
+    joined = ["eval", "--family", "wheel", "--n", "3", "--x=-1/2", "--y=-2/3"]
+    split = ["eval", "--family", "wheel", "--n", "3", "--x", "-1/2", "--y", "-2/3"]
+    code, out, _ = run(split, capsys)
+    assert code == 0 and (code, out) == run(joined, capsys)[:2]
+
+
 def test_eval_two_two_power(tmp_path, capsys):
     path = tmp_path / "f7.json"
     path.write_text(FANO_JSON)
@@ -198,6 +205,13 @@ def test_negative_matrix_dimensions_are_a_parse_error(tmp_path, capsys):
     path.write_text("gf 2 -1 -1\n1\n")
     code, out, err = run(["compute", "--matrix", str(path)], capsys)
     assert code == 2 and out == "" and err
+
+
+def test_non_ascii_decimal_graph_token_exits_two(tmp_path, capsys):
+    path = tmp_path / "ten.edges"
+    path.write_text("p 1_0 1\ne 0 \u0663\n")
+    code, out, err = run(["compute", "--graph", str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_negative_vertex_count_is_rejected(tmp_path, capsys):

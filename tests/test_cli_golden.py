@@ -72,6 +72,9 @@ CASES["eval-gf3"] = [
 CASES["eval-family-wheel"] = [
     "eval", "--family", "wheel", "--n", "4", "--x", "1/2", "--y=-2/3",
 ]
+CASES["eval-family-wheel-negative"] = [
+    "eval", "--family", "wheel", "--n", "3", "--x", "1", "--y", "-2/3",
+]
 CASES["catalog-list"] = ["catalog", "list"]
 for _fmt in ("text", "json"):
     CASES[f"catalog-show-Q8-{_fmt}"] = ["catalog", "show", "Q8", "--format", _fmt]

@@ -140,6 +140,18 @@ def test_parse_graph_errors():
         parse_graph("p 2 1\nx 0 1\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p 1_0 1\ne 0 1\n",  # header: int() reads 10
+        "p 4 1\ne 0 \u0663\n",  # edge end: int() reads the Arabic-Indic 3
+    ],
+)
+def test_parse_graph_takes_only_ascii_decimal_tokens(text):
+    with pytest.raises(ParseError):
+        parse_graph(text)
+
+
 def test_parse_matrix_fano():
     mat = parse_matrix(
         "gf 2 3 7\n1 0 0 1 1 0 1\n0 1 0 1 0 1 1\n0 0 1 0 1 1 1\n"
@@ -154,6 +166,8 @@ def test_parse_matrix_errors():
         parse_matrix("gf 2 2 2\n1 0 0\n")
     with pytest.raises(ParseError):
         parse_matrix("gf 2 2 2\n1 0 0 q\n")
+    with pytest.raises(ParseError):  # a matrix entry int() would read as 1
+        parse_matrix("gf 2 2 2\n1 0 0 +1\n")
 
 
 # -- matroid json -----------------------------------------------------------------

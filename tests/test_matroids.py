@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tuttepoly import matroids as mt
@@ -85,6 +85,77 @@ def test_rank_of_columns_checks_columns_past_full_row_rank():
     assert mat.rank_of_columns([0, 1, 2]) == 2
     with pytest.raises(ElementOutOfRange):
         mat.rank_of_columns([0, 1, 99])  # columns 0 and 1 already span
+
+
+def eliminated_rank(mat, cols):
+    """The reference column rank: each column in turn is eliminated over the
+    pivots of the columns before it."""
+    p = mat.p
+    pivots = []  # (lead row, vector scaled to 1 there)
+    for j in cols:
+        v = [row[j] for row in mat.rows]
+        for lead, pv in pivots:
+            c = v[lead]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, pv)]
+        lead = next((i for i, a in enumerate(v) if a), None)
+        if lead is not None:
+            inv = pow(v[lead], p - 2, p)
+            pivots.append((lead, [a * inv % p for a in v]))
+    return len(pivots)
+
+
+@st.composite
+def gf_matrices(draw):
+    """GF(p) matrices, p in {2, 3, 5, 7, 101}, with 0 to 6 rows (some zeroed)
+    and up to 16 columns, some zero and some repeated."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    nrows = draw(st.integers(0, 6))
+    cols = []
+    for _ in range(draw(st.integers(0, 16)) if nrows else 0):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat"]))
+        if kind == "repeat" and cols:
+            cols.append(draw(st.sampled_from(cols)))
+        elif kind == "zero":
+            cols.append([0] * nrows)
+        else:
+            cols.append(draw(st.lists(st.integers(0, p - 1), min_size=nrows, max_size=nrows)))
+    zeroed = draw(st.sets(st.integers(0, nrows - 1))) if nrows else set()
+    return GFMatrix(p, [[0 if i in zeroed else c[i] for c in cols] for i in range(nrows)])
+
+
+@given(gf_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+@example(GFMatrix(2, [[0] * 5] * 3), None)
+@example(GFMatrix(7, []), None)
+def test_rank_of_columns_matches_elimination(mat, data):
+    # every mask for n <= 8; above, drawn masks and index lists in any
+    # order, with repeats
+    n = mat.ncols
+    if n <= 8:
+        picks = [list(mt._bits(mask)) for mask in range(1 << n)]
+    else:
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+        picks = [list(mt._bits(mask)) for mask in masks]
+        picks += data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=20), max_size=10))
+    for cols in picks:
+        assert mat.rank_of_columns(cols) == eliminated_rank(mat, cols)
+    # the kernel read off the standard form: n - r independent null vectors
+    kernel = mt._cycle_space_basis(mat)
+    assert len(kernel) == n - eliminated_rank(mat, range(n))
+    for v in kernel:
+        assert all(sum(a * b for a, b in zip(row, v)) % mat.p == 0 for row in mat.rows)
+
+
+@given(gf_matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_rank_of_columns_checks_every_index(mat, data):
+    n = mat.ncols
+    cols = data.draw(st.lists(st.integers(0, n - 1), max_size=10)) if n else []
+    bad = data.draw(st.sampled_from([-1, n, n + 7]))
+    at = data.draw(st.integers(0, len(cols)))
+    with pytest.raises(ElementOutOfRange):
+        mat.rank_of_columns(cols[:at] + [bad] + cols[at:])
 
 
 def test_fano_sparse_matches_linear_on_all_subsets():
