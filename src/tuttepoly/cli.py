@@ -216,7 +216,7 @@ def _add_input_flags(p):
     p.add_argument("--matrix", metavar="FILE", help="GF(p) matrix file")
     p.add_argument("--engine", default="dc",
                    choices=["subset", "dc", "activities", "coboundary"])
-    for flag in ("--n", "--m", "--r", "--q", "--k", "--dim", "--ch-count"):
+    for flag in ("--n", "--m", "--r", "--q", "--dim", "--ch-count"):
         p.add_argument(flag, type=int)
     p.add_argument("--budget-nodes", type=int, default=eng.DEFAULT_BUDGET)
 

@@ -41,7 +41,7 @@ def poly_from_obj(obj):
         try:
             i, j, c = entry
             i, j = _int(i), _int(j)
-            c = int(c) if isinstance(c, str) else _int(c)
+            c = _dec(c) if isinstance(c, str) else _int(c)
         except (TypeError, ValueError):
             raise ParseError(f"bad polynomial term {entry!r}") from None
         if i < 0 or j < 0:

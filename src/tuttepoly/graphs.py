@@ -3,7 +3,9 @@
 Edges are indexed 0..m-1 in insertion order and may repeat endpoint pairs
 (parallel edges) or join a vertex to itself (loops).  Deletion and
 contraction return new graphs whose edges keep their relative order, so
-element labels stay aligned with matroid minors.
+element labels stay aligned with matroid minors.  ``blocks`` splits the
+edges into biconnected components, the factors of deletion-contraction on
+graphs, and ``restrict`` builds the graph of one of them.
 """
 
 from __future__ import annotations
@@ -110,76 +112,69 @@ class Multigraph:
         ]
         return Multigraph._trusted(self.nverts - 1, edges)
 
-    def without_isolated(self):
-        seen = set()
-        for u, v in self.edges:
-            seen.add(u)
-            seen.add(v)
-        keep = sorted(seen)
-        relabel = {w: k for k, w in enumerate(keep)}
-        return Multigraph._trusted(
-            len(keep), [(relabel[u], relabel[v]) for u, v in self.edges]
-        )
+    def restrict(self, edge_indices):
+        """The graph on those edges and their ends: the edges keep their
+        relative order and the ends are renumbered in increasing order."""
+        picked = [self.edges[i] for i in sorted(edge_indices)]
+        verts = sorted({w for e in picked for w in e})
+        idx = {w: k for k, w in enumerate(verts)}
+        return Multigraph._trusted(len(verts), [(idx[u], idx[v]) for u, v in picked])
 
     # -- structure queries ------------------------------------------------
 
-    def loops(self):
-        return [i for i, (u, v) in enumerate(self.edges) if u == v]
+    def blocks(self):
+        """Edge indices of every block (biconnected component), each sorted.
 
-    def components(self):
-        """Vertex components as a list of vertex sets (isolated ones included)."""
-        uf = UnionFind(self.nverts)
-        for u, v in self.edges:
-            uf.union(u, v)
-        comp = {}
-        for w in range(self.nverts):
-            comp.setdefault(uf.find(w), []).append(w)
-        return list(comp.values())
-
-    def bridges(self):
-        """Indices of edges whose removal would raise the component count.
-
-        One iterative Tarjan low-link search.  The edge a vertex was reached
-        by is skipped by index, not by endpoint, so a parallel edge gives its
-        twin a back edge and neither is a bridge.
+        One iterative Tarjan low-link search with a stack of edges (Hopcroft
+        & Tarjan, CACM 16, 1973): the tree edge into w closes a block, made
+        of the edges stacked since, when nothing below w reaches above w's
+        parent.  The edge a vertex was reached by is skipped by index, not by
+        endpoint, so parallel edges share a block.  A loop and a bridge are
+        each a block of one edge; an isolated vertex is in none.
         """
         n = self.nverts
         incident = [[] for _ in range(n)]
+        out = []
         for i, (u, v) in enumerate(self.edges):
-            if u != v:
+            if u == v:
+                out.append([i])
+            else:
                 incident[u].append((v, i))
                 incident[v].append((u, i))
         disc = [0] * n  # discovery time from 1; 0 means unvisited
         low = [0] * n
-        out = []
+        pending = []  # edges met but not yet in a block
         clock = 0
         for start in range(n):
             if disc[start]:
                 continue
             clock += 1
             disc[start] = low[start] = clock
-            stack = [(start, -1, iter(incident[start]))]
+            stack = [(start, -1, 0, iter(incident[start]))]
             while stack:
-                w, via, edges = stack[-1]
+                w, via, mark, edges = stack[-1]
                 for z, i in edges:
                     if i == via:
                         continue
-                    if disc[z]:
-                        if disc[z] < low[w]:
-                            low[w] = disc[z]
-                    else:
+                    if not disc[z]:
                         clock += 1
                         disc[z] = low[z] = clock
-                        stack.append((z, i, iter(incident[z])))
+                        stack.append((z, i, len(pending), iter(incident[z])))
+                        pending.append(i)
                         break
+                    if disc[z] < disc[w]:  # a back edge, met first from below
+                        pending.append(i)
+                        if disc[z] < low[w]:
+                            low[w] = disc[z]
                 else:
                     stack.pop()
                     if stack:
                         p = stack[-1][0]
-                        if low[w] < low[p]:
+                        if low[w] >= disc[p]:
+                            out.append(sorted(pending[mark:]))
+                            del pending[mark:]
+                        elif low[w] < low[p]:
                             low[p] = low[w]
-                        if low[w] > disc[p]:
-                            out.append(via)
         out.sort()
         return out
 
@@ -227,24 +222,6 @@ class Multigraph:
                 if len(chain) >= 2:
                     return sorted(chain)
         return None
-
-    def is_cycle(self):
-        """True when the graph is a single cycle (length >= 1)."""
-        if not self.edges:
-            return False
-        if self.nverts == 1:
-            return len(self.edges) == 1  # one loop
-        if len(self.edges) != self.nverts:
-            return False
-        deg = [0] * self.nverts
-        for u, v in self.edges:
-            if u == v:
-                return False
-            deg[u] += 1
-            deg[v] += 1
-        if any(d != 2 for d in deg):
-            return False
-        return len(self.components()) == 1
 
 
 # -- canonical form ---------------------------------------------------------

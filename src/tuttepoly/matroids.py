@@ -112,18 +112,20 @@ class SparsePaving(Matroid):
                 raise InvalidParameters("circuit-hyperplanes must have size r")
             if any(not 0 <= e < n for e in c):
                 raise ElementOutOfRange("circuit-hyperplane element out of range")
-        pool = sorted(chs, key=sorted)
-        for i, c1 in enumerate(pool):
-            for c2 in pool[i + 1 :]:
-                # |C1 ^ C2| > 2, i.e. no two differ by a single exchange
-                if len(c1 & c2) > r - 2:
-                    raise InvalidParameters(
-                        "circuit-hyperplanes too close: symmetric difference must exceed 2"
-                    )
         self.r = r
         self.n = n
         self.chs = chs
         self._ch_masks = frozenset(_mask(self, c) for c in chs)
+        # two r-sets meet in more than r - 2 elements when they share an (r-1)-set
+        faces = set()
+        for c in self._ch_masks:
+            for e in _bits(c):
+                face = c ^ 1 << e
+                if face in faces:
+                    raise InvalidParameters(
+                        "circuit-hyperplanes too close: symmetric difference must exceed 2"
+                    )
+                faces.add(face)
 
     def _rank(self, mask):
         s = mask.bit_count()

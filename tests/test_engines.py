@@ -424,6 +424,15 @@ def test_dc_disconnected_graph_multiplies():
     assert tutte_dc(mt.Graphic(g)) == t3 * t3
 
 
+@pytest.mark.parametrize("g, nodes", [(grid_graph(3, 12), 2365), (complete_graph(8), 763)])
+def test_dc_graph_node_counts(g, nodes):
+    # one node per product over blocks: the exact count passes, one less does not
+    m = mt.Graphic(g)
+    assert tutte_dc(m, budget_nodes=nodes) == tutte_frontier(g)
+    with pytest.raises(ResourceBudgetExceeded):
+        tutte_dc(m, budget_nodes=nodes - 1)
+
+
 def test_dc_parallel_class_shortcut():
     # triangle with one edge tripled
     g = Multigraph(3, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 0)])
@@ -778,6 +787,27 @@ def test_dc_matches_subset_on_random_graphs(g):
     expected = tutte_subset(m)
     assert tutte_dc(m) == expected
     assert tutte_activities(m) == expected
+
+
+@st.composite
+def one_point_joins(draw):
+    """Two multigraphs glued at one vertex, as (joined, first, second)."""
+    a, b = draw(multigraphs()), draw(multigraphs())
+    u, v = draw(st.integers(0, a.nverts - 1)), draw(st.integers(0, b.nverts - 1))
+    # b's vertex v becomes a's vertex u, the others follow a's
+    relabel = [u if w == v else a.nverts + w - (w > v) for w in range(b.nverts)]
+    edges = a.edges + tuple((relabel[x], relabel[y]) for x, y in b.edges)
+    return Multigraph(a.nverts + b.nverts - 1, edges), a, b
+
+
+@given(one_point_joins())
+@settings(max_examples=40, deadline=None)
+def test_dc_one_point_join_multiplies(parts):
+    joined, a, b = parts
+    assume(joined.nedges <= 14)  # keeps the subset sweep under 2^14 ranks
+    t = tutte_dc(mt.Graphic(joined))
+    assert t == tutte_dc(mt.Graphic(a)) * tutte_dc(mt.Graphic(b))
+    assert t == tutte_subset(mt.Graphic(joined))
 
 
 @given(multigraphs())

@@ -110,6 +110,13 @@ def test_poly_parse_errors():
         parse_poly('{"terms": [[0, 0, "x"]]}')
 
 
+@pytest.mark.parametrize("coeff", ["1_0", " +\u0663 ", "+3", " 3", "3 ", ""])
+def test_poly_coefficient_strings_are_ascii_decimal(coeff):
+    # int() alone reads all but the empty one, as 10, 3, 3, 3 and 3
+    with pytest.raises(ParseError):
+        parse_poly(json.dumps({"terms": [[0, 0, "1"], [1, 0, coeff]]}))
+
+
 def test_big_coefficients_survive_json():
     p = BiPoly({(1, 1): 10 ** 40})
     assert parse_poly(to_json(p)) == p

@@ -1,4 +1,4 @@
-"""Multigraph canonical form, bridges and edge checks against independent references."""
+"""Multigraph canonical form, blocks and edge checks against independent references."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+from tuttepoly import matroids as mt
 from tuttepoly.errors import InvalidParameters
 from tuttepoly.graphs import (
     Multigraph,
@@ -186,6 +187,10 @@ def test_key_is_complete_on_symmetric_graphs():
     assert canonical_key(Multigraph(0, [])) == (0, (), ())
 
 
+def bridges(g):
+    return [b[0] for b in g.blocks() if len(b) == 1 and len(set(g.edges[b[0]])) == 2]
+
+
 def test_bridges_match_rank_definition():
     rng = random.Random(5)
     for _ in range(3000):
@@ -196,14 +201,58 @@ def test_bridges_match_rank_definition():
             i for i, (u, v) in enumerate(g.edges)
             if u != v and g.rank_of(k for k in range(g.nedges) if k != i) < full
         ]
-        assert g.bridges() == expected, g
+        assert bridges(g) == expected, g
 
 
 def test_bridges_parallel_edges_and_loops():
-    assert Multigraph(2, [(0, 1), (1, 0)]).bridges() == []
-    assert Multigraph(3, [(0, 0), (0, 1), (1, 2), (2, 2)]).bridges() == [1, 2]
-    assert Multigraph(4, [(0, 1), (2, 3), (3, 2), (1, 0), (0, 1)]).bridges() == []
-    assert Multigraph(4, [(2, 3), (0, 1)]).bridges() == [0, 1]
+    # loops and bridges are blocks of one edge; parallel edges share a block
+    assert Multigraph(2, [(0, 1), (1, 0)]).blocks() == [[0, 1]]
+    assert Multigraph(3, [(0, 0), (0, 1), (1, 2), (2, 2)]).blocks() == [[0], [1], [2], [3]]
+    assert Multigraph(4, [(0, 1), (2, 3), (3, 2), (1, 0), (0, 1)]).blocks() == [
+        [0, 3, 4], [1, 2]]
+    assert Multigraph(4, [(2, 3), (0, 1)]).blocks() == [[0], [1]]
+    # triangles joined at vertex 2, a parallel pair at 4 with a loop at its
+    # other end, and an isolated vertex
+    bowtie = Multigraph(7, [(0, 1), (2, 3), (1, 2), (2, 4), (4, 5), (2, 0), (3, 4),
+                            (5, 5), (4, 5)])
+    assert bowtie.blocks() == [[0, 2, 5], [1, 3, 6], [4, 8], [7]]
+    assert Multigraph(3, []).blocks() == []
+
+
+def reference_blocks(g):
+    """Blocks from the circuits of M(g): two non-loop edges share a block
+    exactly when some circuit holds both; loops and bridges stand alone."""
+    shared = [{i} for i in range(g.nedges)]
+    for c in mt.circuits(mt.Graphic(g)):
+        if len(c) > 1:
+            for i in c:
+                shared[i] |= c
+    return sorted({tuple(sorted(s)) for s in shared})
+
+
+def test_blocks_match_circuit_reference():
+    rng = random.Random(11)
+    seen = {"loop": 0, "parallel": 0, "cut vertex": 0, "isolated": 0, "components": 0}
+    for _ in range(1500):
+        g = random_multigraph(rng, 9, rng.randint(0, 13))
+        blocks = g.blocks()
+        assert [tuple(b) for b in blocks] == reference_blocks(g), g
+        ends = [{w for i in b for w in g.edges[i]} for b in blocks]
+        touched = set().union(*ends)
+        seen["loop"] += any(u == v for u, v in g.edges)
+        seen["parallel"] += len(set(g.edges)) < g.nedges
+        seen["cut vertex"] += any(
+            sum(w in e for e in ends if len(e) > 1) > 1 for w in touched)
+        seen["isolated"] += len(touched) < g.nverts
+        seen["components"] += g.nverts - g.full_rank() - (g.nverts - len(touched)) > 1
+    assert min(seen.values()) >= 150, seen
+
+
+def test_restrict_keeps_edge_order_and_vertex_order():
+    g = Multigraph(6, [(5, 3), (0, 1), (3, 5), (1, 1), (4, 2), (5, 1)])
+    assert g.restrict([5, 2, 0]) == Multigraph(3, [(2, 1), (1, 2), (2, 0)])
+    assert g.restrict([3]) == Multigraph(1, [(0, 0)])
+    assert g.restrict([]) == Multigraph(0, [])
 
 
 def test_public_constructor_checks_edges_and_minors_stay_equal():
@@ -213,4 +262,3 @@ def test_public_constructor_checks_edges_and_minors_stay_equal():
     g = Multigraph(5, [(0, 1), (1, 2), (2, 0), (3, 3), (1, 2)])
     assert g.delete_edges([1]) == Multigraph(5, [(0, 1), (2, 0), (3, 3), (1, 2)])
     assert g.contract_edge(1) == Multigraph(4, [(0, 1), (1, 0), (2, 2), (1, 1)])
-    assert g.without_isolated() == Multigraph(4, g.edges)

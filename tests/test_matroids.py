@@ -187,6 +187,34 @@ def test_sparse_paving_rejects_close_pair():
         mt.SparsePaving(3, 6, [{0, 1, 2}, {0, 1, 3}])
 
 
+def too_close(r, chs):
+    """The pairwise closeness test: two r-sets meeting in more than r - 2."""
+    pool = sorted(chs, key=sorted)
+    return any(len(c1 & c2) > r - 2
+               for i, c1 in enumerate(pool) for c2 in pool[i + 1:])
+
+
+def test_sparse_paving_closeness_matches_pairwise_reference():
+    rng = random.Random(17)
+    close = 0
+    for _ in range(400):
+        n = rng.randint(3, 10)
+        r = rng.randint(1, n - 1)
+        chs = {frozenset(rng.sample(range(n), r)) for _ in range(rng.randint(0, 12))}
+        if chs and rng.random() < 0.5:  # a neighbour of one: one element swapped
+            c = rng.choice(sorted(chs, key=sorted))
+            out = [e for e in range(n) if e not in c]
+            if out:
+                chs.add(c - {rng.choice(sorted(c))} | {rng.choice(out)})
+        if too_close(r, chs):
+            close += 1
+            with pytest.raises(InvalidParameters, match="too close"):
+                mt.SparsePaving(r, n, chs)
+        else:
+            assert mt.SparsePaving(r, n, chs).chs == chs
+    assert min(close, 400 - close) >= 40, close
+
+
 def test_paving_partition_validation_and_rank():
     # AG(2,3): 12 lines of the ternary affine plane partition the 36 pairs
     pts = [(a, b) for a in range(3) for b in range(3)]
