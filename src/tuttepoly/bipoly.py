@@ -14,6 +14,7 @@ every object is immutable once built.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DimensionMismatch, NonExactDivision
 
@@ -234,6 +235,31 @@ def _taylor_shift(a):
         for k in range(len(a) - 2, i - 1, -1):
             a[k] -= a[k + 1]
     return a
+
+
+def _shift_add(acc, src, shift, mult):
+    """acc += mult * z^shift * src on dense coefficient lists, extending acc."""
+    need = shift + len(src)
+    if len(acc) < need:
+        acc.extend([0] * (need - len(acc)))
+    for i, c in enumerate(src):
+        if c:
+            acc[shift + i] += mult * c
+
+
+def _times_linear(p, c):
+    """Dense coefficients of p(z) (z - c), low degree first."""
+    return [a - c * b for a, b in zip([0] + p, p + [0])]
+
+
+def _div_linear(p, c):
+    """Dense coefficients of p(z) / (z - c) by synthetic division, low degree
+    first; NonExactDivision unless z - c divides p."""
+    q = list(accumulate(reversed(p), lambda acc, a: a + c * acc))
+    if q and q.pop():  # the last partial sum is p(c), the remainder
+        raise NonExactDivision("remainder is nonzero")
+    q.reverse()
+    return q
 
 
 def _from_corank_nullity(counts):

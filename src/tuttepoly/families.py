@@ -23,6 +23,8 @@ from .bipoly import (
     Y,
     _from_corank_nullity,
     _geom,
+    _shift_add,
+    _times_linear,
     exact_div,
     subst_rational,
 )
@@ -44,6 +46,7 @@ _DET = X * Y - X - Y  # (x-1)(y-1) - 1, the recurring 2-sum denominator
 
 COMPLETE_GRAPH_LIMIT = 30
 COMPLETE_BIPARTITE_LIMIT = 64
+GEOMETRY_POINT_LIMIT = 2**16
 
 
 # -- uniform matroids and relatives -------------------------------------------
@@ -217,124 +220,82 @@ def grid2(n):
 # -- complete and complete bipartite graphs ------------------------------------
 
 
-def _diffs_to_bipoly(values):
-    """Bivariate reconstruction from per-level coefficient columns.
+def _add_block(row, src, edges, weight):
+    """row[k+1] += weight t^edges src[k]: one more block, with edges inside
+    it, on each set partition counted by src (t-coefficient lists by the
+    number k of blocks)."""
+    for k, p in enumerate(src):
+        if p:
+            _shift_add(row[k + 1], p, edges, weight)
 
-    values[v] is the integer t-coefficient list of a polynomial sampled at
-    the first-slot value v, for v = 0 .. len(values)-1; Newton forward
-    differences rebuild the unique polynomial of matching degree.
+
+def _tutte_from_partitions(parts, r):
+    """T from parts[k], the t-coefficient list of the set partitions of a
+    connected graph's vertices into k blocks by edges inside blocks.
+
+    lambda cob = sum_k parts[k](t) lambda(lambda-1)...(lambda-k+1), as each
+    partition into k blocks is the colour classes of (lambda)_k colourings;
+    Horner's rule in lambda evaluates cob on t-rows of lambda-coefficients.
     """
-    npts = len(values)
-    width = max(len(v) for v in values)
-    # shared Newton basis: binom(v, k) = v(v-1)...(v-k+1) / k!
-    basis = []
-    ff = [Fraction(1)]
-    fact = 1
-    for k in range(npts):
-        if k:
-            shifted = [Fraction(0)] + ff
-            for e in range(len(ff)):
-                shifted[e] -= (k - 1) * ff[e]
-            ff = shifted
-            fact *= k
-        basis.append((list(ff), fact))
-    terms = {}
-    for d in range(width):
-        diffs = [v[d] if d < len(v) else 0 for v in values]
-        out = [Fraction(0)] * npts
-        for k in range(npts):
-            dk = diffs[0]
-            if dk:
-                ffk, fk = basis[k]
-                c = Fraction(dk, fk)
-                for e, fc in enumerate(ffk):
-                    if fc:
-                        out[e] += c * fc
-            diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        for e, c in enumerate(out):
-            if c:
-                if c.denominator != 1:
-                    raise NonExactDivision(f"non-integer coefficient {c}")
-                terms[(e, d)] = int(c)
-    return BiPoly(terms)
-
-
-def _shift_add(acc, src, shift, mult):
-    need = shift + len(src)
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    for i, c in enumerate(src):
-        if c:
-            acc[shift + i] += mult * c
+    acc = []
+    for k in range(len(parts) - 1, 0, -1):
+        acc = [_times_linear(row, k) for row in acc]
+        acc.extend([0] for _ in range(len(parts[k]) - len(acc)))
+        for j, c in enumerate(parts[k]):
+            acc[j][0] += c
+    cob = BiPoly({(a, j): c for j, row in enumerate(acc) for a, c in enumerate(row) if c})
+    return tutte_from_coboundary(cob, r)
 
 
 def complete_graph(n):
-    """Tutte polynomial of K_n through its colouring generating function.
+    """Tutte polynomial of K_n by the set-partition expansion.
 
-    The count of colourings in v colours weighted by t per monochromatic
-    edge obeys B_m(v) = sum_s C(m,s) t^(s choose 2) B_{m-s}(v-1); sampling
-    v = 0..n determines the bivariate polynomial, division by v gives the
-    flat-indexed polynomial of the graphic matroid, and the standard
-    substitution turns that into the Tutte polynomial.
+    lambda cob = sum over set partitions pi of the vertices of
+    t^(edges inside blocks) (lambda)_|pi|.  Counted by the block of the last
+    vertex, P_{m,k}(t) = sum_s C(m-1,s-1) t^C(s,2) P_{m-s,k-1} for
+    partitions of m vertices into k blocks; the standard substitution turns
+    cob into the Tutte polynomial.
     """
     if n < 1:
         raise InvalidParameters("need n >= 1")
     if n > COMPLETE_GRAPH_LIMIT:
         raise SizeBudgetExceeded(f"supported range is 1..{COMPLETE_GRAPH_LIMIT}")
-    prev = [[1]] + [[] for _ in range(n)]  # level v=0: B_0 = 1, B_m = 0
-    levels = [prev]
-    for _ in range(n):
-        cur = []
-        for m in range(n + 1):
-            acc = []
-            for s in range(m + 1):
-                src = prev[m - s]
-                if src:
-                    _shift_add(acc, src, comb(s, 2), comb(m, s))
-            cur.append(acc)
-        levels.append(cur)
-        prev = cur
-    values = [levels[v][n] if levels[v][n] else [0] for v in range(n + 1)]
-    b = _diffs_to_bipoly(values)
-    cob = exact_div(b, X)  # one connected component
-    return tutte_from_coboundary(cob, n - 1)
+    table = [[[1]]]  # table[m][k] = P_{m,k}; P_{0,0} = 1
+    for m in range(1, n + 1):
+        row = [[] for _ in range(m + 1)]
+        for s in range(1, m + 1):
+            _add_block(row, table[m - s], comb(s, 2), comb(m - 1, s - 1))
+        table.append(row)
+    return _tutte_from_partitions(table[n], n - 1)
 
 
 def complete_bipartite(n, m):
-    """Tutte polynomial of K_{n,m} through its colouring generating function.
+    """Tutte polynomial of K_{n,m} by the set-partition expansion.
 
-    B_{k,l}(v) = sum C(k,k') C(l,l') t^((k-k')(l-l')) B_{k',l'}(v-1) with the
-    last colour class removed; sampled at v = 0..n+m and rebuilt as above.
+    As for K_n, with a block of a left and b right vertices holding a*b
+    edges.  For i >= 1 left vertices the block of the last one, a >= 1 left
+    and b right vertices, weighs C(i-1,a-1) C(j,b) t^(ab); with no left
+    vertex, a block of b right vertices weighs C(j-1,b-1).
     """
     if n < 1 or m < 1:
         raise InvalidParameters("need n, m >= 1")
     if n * m > COMPLETE_BIPARTITE_LIMIT:
         raise SizeBudgetExceeded(f"supported range is n*m <= {COMPLETE_BIPARTITE_LIMIT}")
-    npts = n + m + 1
-    prev = {(0, 0): [1]}
-    values = [[0]]
-    for _ in range(npts - 1):
-        cur = {}
-        for k in range(n + 1):
-            for l in range(m + 1):
-                acc = []
-                for kk in range(k + 1):
-                    for ll in range(l + 1):
-                        src = prev.get((kk, ll))
-                        if src:
-                            _shift_add(
-                                acc,
-                                src,
-                                (k - kk) * (l - ll),
-                                comb(k, kk) * comb(l, ll),
-                            )
-                if acc:
-                    cur[(k, l)] = acc
-        values.append(cur.get((n, m), [0]))
-        prev = cur
-    b = _diffs_to_bipoly(values)
-    cob = exact_div(b, X)
-    return tutte_from_coboundary(cob, n + m - 1)
+    n, m = sorted((n, m))  # K_{n,m} = K_{m,n}; fewer left vertices is cheaper
+    table = {(0, 0): [[1]]}  # table[i, j][k]: partitions of K_{i,j} into k blocks
+    for i in range(n + 1):
+        for j in range(m + 1):
+            if i or j:
+                row = table[i, j] = [[] for _ in range(i + j + 1)]
+                if i:
+                    for a in range(1, i + 1):
+                        for b in range(j + 1):
+                            _add_block(row, table[i - a, j - b], a * b,
+                                       comb(i - 1, a - 1) * comb(j, b))
+                else:
+                    for b in range(1, j + 1):
+                        _add_block(row, table[0, j - b], 0, comb(j - 1, b - 1))
+    return _tutte_from_partitions(table[n, m], n + m - 1)
 
 
 # -- projective and affine geometries ------------------------------------------
@@ -360,6 +321,20 @@ def _check_prime_power(q):
     prime_power_root(q)
 
 
+def _check_geometry(dim, q, points):
+    """dim >= 1, q a prime power and points(), the point count, at most
+    GEOMETRY_POINT_LIMIT.  A geometry has at least 2^dim and at least q
+    points, so a large dim or q is rejected before q is factored or points()
+    is formed."""
+    if dim < 1:
+        raise InvalidParameters("need dimension >= 1")
+    if dim < GEOMETRY_POINT_LIMIT.bit_length() and q <= GEOMETRY_POINT_LIMIT:
+        _check_prime_power(q)
+        if points() <= GEOMETRY_POINT_LIMIT:
+            return
+    raise SizeBudgetExceeded(f"supported range is at most {GEOMETRY_POINT_LIMIT} points")
+
+
 def projective(dim, q):
     """Tutte polynomial of the rank-(dim+1) projective geometry over GF(q).
 
@@ -367,9 +342,7 @@ def projective(dim, q):
     [r k]_q, have (q^k-1)/(q-1) points, and contract to smaller projective
     geometries with characteristic polynomial prod (lambda - q^i).
     """
-    if dim < 1:
-        raise InvalidParameters("need dimension >= 1")
-    _check_prime_power(q)
+    _check_geometry(dim, q, lambda: gaussian(dim + 1, 1, q))
     r = dim + 1
     cob = BiPoly.zero()
     for k in range(r + 1):
@@ -388,9 +361,7 @@ def affine(dim, q):
     points each, q^(dim-k) [dim k]_q many, contracting to projective
     geometries.
     """
-    if dim < 1:
-        raise InvalidParameters("need dimension >= 1")
-    _check_prime_power(q)
+    _check_geometry(dim, q, lambda: q**dim)
     chi = BiPoly.zero()
     for k in range(dim + 1):
         prod = 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import combinations
+from math import factorial, prod
 
 from tuttepoly import catalog as cat
 from tuttepoly import engines as eng
@@ -178,7 +179,17 @@ def test_06_complete_graphs():
     big = fam.complete_graph(30)
     elapsed = time.time() - t0
     assert elapsed < 120
-    assert evaluate(big, 1, 1) == 30 ** 28
+    # over the whole supported range, identities independent of both routes:
+    # Cayley's spanning trees, all edge subsets, acyclic orientations, and
+    # the chromatic polynomial q(q-1)...(q-n+1) = (-1)^(n-1) q T(1-q, 0)
+    for n in range(1, 31):
+        t = big if n == 30 else fam.complete_graph(n)
+        assert evaluate(t, 1, 1) == n ** (n - 2) if n > 1 else 1, n
+        assert evaluate(t, 2, 2) == 2 ** (n * (n - 1) // 2), n
+        assert evaluate(t, 2, 0) == factorial(n), n
+        for q in (2, n, n + 3):
+            falling = prod(range(q - 1, q - n, -1))
+            assert evaluate(t, 1 - q, 0) == (-1) ** (n - 1) * falling, (n, q)
     print(f"[gate 06] complete graphs: PASS (n=30 in {elapsed:.2f}s)")
 
 
@@ -193,6 +204,14 @@ def test_07_complete_bipartite():
                 mt.Graphic(graphs.complete_bipartite_graph(n, m_))
             )
             assert fam.complete_bipartite(n, m_) == direct, (n, m_)
+            pairs += 1
+    # the whole supported range, each K_{a,b} = K_{b,a} once: spanning trees
+    # a^(b-1) b^(a-1) and 2^|E| edge subsets
+    for a in range(1, 9):
+        for b in range(a, 64 // a + 1):
+            t = fam.complete_bipartite(a, b)
+            assert evaluate(t, 1, 1) == a ** (b - 1) * b ** (a - 1), (a, b)
+            assert evaluate(t, 2, 2) == 2 ** (a * b), (a, b)
             pairs += 1
     print(f"[gate 07] complete bipartite graphs: PASS ({pairs} size pairs)")
 

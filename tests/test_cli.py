@@ -254,6 +254,16 @@ def test_complete_family_exit_codes(capsys):
     assert code == 3 and out == "" and "1..30" in err
 
 
+def test_geometry_family_size_guard(capsys):
+    # more than 2^16 points is over the size budget (3), refused before any work
+    for argv in (
+        ["compute", "--family", "projective", "--dim", "9", "--q", "7"],
+        ["eval", "--family", "affine", "--dim", "17", "--q", "2", "--x", "1", "--y", "1"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 3 and out == "" and "65536 points" in err
+
+
 def test_gaussian_is_not_a_polynomial_family(capsys):
     # families.gaussian returns an integer, which neither renders nor evaluates
     for argv in (

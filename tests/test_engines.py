@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tuttepoly import matroids as mt
 from tuttepoly.catalog import build
-from tuttepoly.bipoly import BiPoly, UniPoly, X, Y
+from tuttepoly.bipoly import BiPoly, UniPoly, X, Y, exact_div, subst_rational
 from tuttepoly.engines import (
     _corank_nullity_counts,
     bad_colouring,
@@ -29,6 +29,7 @@ from tuttepoly.errors import (
     GraphTooLarge,
     GroundSetTooLarge,
     InvalidParameters,
+    NonExactDivision,
     ResourceBudgetExceeded,
     UnsupportedWidth,
 )
@@ -549,6 +550,66 @@ def test_conversion_roundtrip_any_polynomial(p):
     if r < 0:
         return
     assert tutte_from_coboundary(coboundary_from_tutte(p, r), r) == p
+
+
+def _reference_tutte_from_coboundary(cob, r):
+    """sum_a (x-1)^a g_a(y) (y-1)^(a-r) by BiPoly products, each g_a divided
+    by (y-1)^(r-a) at once with exact_div."""
+    groups = {}
+    for (a, b), c in cob.items():
+        groups.setdefault(a, {})[(0, b)] = c
+    acc = BiPoly.zero()
+    for a, terms in groups.items():
+        g = BiPoly(terms)
+        if r >= a:
+            part = exact_div(g, (Y - 1) ** (r - a))
+        else:
+            part = g * (Y - 1) ** (a - r)
+        acc = acc + (X - 1) ** a * part
+    return acc
+
+
+def _reference_coboundary_from_tutte(tutte, r):
+    """(t-1)^r T((lambda+t-1)/(t-1), t) by subst_rational."""
+    return subst_rational(tutte, X + Y - 1, Y - 1, Y, BiPoly.one(), clear_factor=(Y - 1) ** r)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NonExactDivision:
+        return NonExactDivision
+
+
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.integers(-30, 30),
+    max_size=8,
+).map(BiPoly)
+
+
+@given(_polys, st.integers(0, 3), st.integers(0, 99))
+@example(BiPoly.zero(), 0, 0)
+@example(BiPoly.zero(), 0, 1)
+@settings(max_examples=150, deadline=None)
+def test_conversions_match_reference_formulas(p, k, seed):
+    # p (y-1)^k makes every g_a divisible by (y-1)^k, so both outcomes occur;
+    # r runs from 0 to the bidegree + 2
+    cob = p * (Y - 1) ** k
+    r = seed % (max(cob.bidegree()) + 3)
+    assert _outcome(tutte_from_coboundary, cob, r) == _outcome(
+        _reference_tutte_from_coboundary, cob, r)
+    assert _outcome(coboundary_from_tutte, p, r) == _outcome(
+        _reference_coboundary_from_tutte, p, r)
+
+
+def test_conversions_reject_inexact_inputs():
+    with pytest.raises(NonExactDivision):
+        tutte_from_coboundary(BiPoly.one(), 1)  # 1 / (y - 1)
+    with pytest.raises(NonExactDivision):
+        coboundary_from_tutte(X * X, 0)  # 2 lambda / (t - 1) + ...
+    assert tutte_from_coboundary(BiPoly.zero(), 3) == BiPoly.zero()
+    assert coboundary_from_tutte(BiPoly.zero(), 3) == BiPoly.zero()
 
 
 # -- colouring enumeration ----------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -202,7 +203,6 @@ def test_paving_r9_golden():
 
 def test_paving_uniform_block_case():
     # every (r-1)-set its own block: no dependencies, the uniform matroid
-    from math import comb
     spec = fam.PavingSpec(3, 6, {2: comb(6, 2)})
     assert fam.paving(spec) == fam.uniform(3, 6)
 
@@ -372,6 +372,23 @@ def test_affine_matches_subset_expansion():
                 p3 = ((-p1[0] - p2[0]) % 3, (-p1[1] - p2[1]) % 3)
                 lines.add(frozenset({idx[p1], idx[p2], idx[p3]}))
     assert fam.affine(2, 3) == eng.tutte_subset(mt.PavingPartition(3, 9, lines))
+
+
+def test_geometry_point_guard():
+    # more than GEOMETRY_POINT_LIMIT = 2^16 points is over the size budget
+    assert fam.GEOMETRY_POINT_LIMIT == 2**16
+    for dim, q in ((16, 2), (9, 7), (10**9, 2)):
+        with pytest.raises(SizeBudgetExceeded):
+            fam.projective(dim, q)
+    # a q past the limit is refused before it is factored: 2^61 - 1 is prime
+    for dim, q in ((17, 2), (6, 7), (1, 65537), (1, 2**61 - 1)):
+        with pytest.raises(SizeBudgetExceeded):
+            fam.affine(dim, q)
+    # exactly 2^16 points: bases are the non-collinear triples of AG(2, 256)
+    q = 256
+    assert fam.affine(2, q).eval(1, 1) == comb(q * q, 3) - (q * q + q) * comb(q, 3)
+    # 65,522 points: U(2, 65522)
+    assert fam.projective(1, 65521).eval(1, 1) == comb(65522, 2)
 
 
 def test_geometry_prime_power_guard():
