@@ -252,14 +252,36 @@ def _times_linear(p, c):
     return [a - c * b for a, b in zip([0] + p, p + [0])]
 
 
-def _div_linear(p, c):
-    """Dense coefficients of p(z) / (z - c) by synthetic division, low degree
-    first; NonExactDivision unless z - c divides p."""
-    q = list(accumulate(reversed(p), lambda acc, a: a + c * acc))
-    if q and q.pop():  # the last partial sum is p(c), the remainder
+def _div_linear(p):
+    """Dense coefficients of p(z) / (z - 1), low degree first, by synthetic
+    division: running sums from the top; NonExactDivision unless it is exact."""
+    q = list(accumulate(reversed(p)))
+    if q and q.pop():  # the last partial sum is p(1), the remainder
         raise NonExactDivision("remainder is nonzero")
     q.reverse()
     return q
+
+
+class _Packing:
+    """Polynomials with coefficients in 0..bound and y-degree at most ydeg as
+    ints (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009): x^i y^j
+    is a whole-byte slot at bit i * x + j * y, so a sum is +, a product *."""
+
+    def __init__(self, ydeg, bound):
+        self.y = 8 * ((bound.bit_length() + 7) // 8)
+        self.x = self.y * (ydeg + 1)
+
+    @staticmethod
+    def geom(s, k):
+        """1 + z + ... + z^(k-1) with z = 1 << s."""
+        return ((1 << s * k) - 1) // ((1 << s) - 1)
+
+    def unpack(self, v):
+        """{(i, j): c} of the packed v, one slice of bytes per slot."""
+        b, d = self.y // 8, self.x // self.y
+        data = v.to_bytes(-(-v.bit_length() // self.y) * b, "little")
+        slots = (int.from_bytes(data[k : k + b], "little") for k in range(0, len(data), b))
+        return {divmod(k, d): c for k, c in enumerate(slots) if c}
 
 
 def _from_corank_nullity(counts):

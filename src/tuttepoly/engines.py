@@ -9,7 +9,7 @@ others:
   parallel- and series-class shortcuts, on masks of the input's rank oracle,
   each child inheriting the ranks and the classes its parent knows; graphs
   recurse on multigraphs as a product over their blocks, memoized on a
-  canonical form.
+  canonical form; every value is one packed int (``bipoly._Packing``).
 - ``tutte_activities``: sum of x^i y^j over bases with i internally and j
   externally active elements relative to a total order.
 - ``coboundary`` plus the substitution pair ``tutte_from_coboundary`` /
@@ -18,7 +18,8 @@ others:
   division and multiplication by t - 1 and binomial weights, with no
   BiPoly product.
 - ``tutte_frontier``: a sweep along the edge order of a multigraph whose
-  frontier stays small, over set partitions of the frontier vertices;
+  frontier stays small, over set partitions of the frontier vertices, each
+  carrying its packed corank-nullity histogram;
   ``transfer_grid`` runs it on the m x n grid.  ``transfer_wheel`` is the
   transfer matrix of the wheel bad-colouring polynomials.
 """
@@ -34,11 +35,9 @@ from .bipoly import (
     BiPoly,
     PolyMatrix,
     UniPoly,
-    X,
-    Y,
     _div_linear,
     _from_corank_nullity,
-    _geom,
+    _Packing,
     _shift_add,
     _times_linear,
     _wrap,
@@ -53,7 +52,6 @@ from .errors import (
 )
 from .graphs import canonical_key, grid_graph
 
-_ONE = BiPoly.one()
 _ACTIVITY_CAP = 20
 _COLOURING_CAP = 12
 _FRONTIER_CAP = 8
@@ -160,41 +158,45 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     parallel class, else a degree-2 chain, else its last edge; in a
     2-connected graph on at least 3 vertices no parallel class is a bond
     and no such chain is a circuit.  Every product over blocks costs one of
-    budget_nodes.
+    budget_nodes.  Values are ints packed by ``bipoly._Packing``: y-degree at
+    most n - r, coefficients at most T(1,1) <= C(n, r) (each, times its path
+    weight, is part of T).
     """
     budget = _Budget(budget_nodes)
+    r = m.full_rank
+    pk = _Packing(m.n - r, comb(m.n, r))
     if isinstance(m, mt.Graphic):
-        return _dc_graph(m.graph, budget, {})
-    return _dc_generic(
-        m._rank, (1 << m.n) - 1, 0, 0, m.full_rank, 3, None, None, budget
-    )
+        v = _dc_graph(m.graph, pk, budget, {})
+    else:
+        v = _dc_generic(m._rank, (1 << m.n) - 1, 0, 0, r, 3, None, None, pk, budget)
+    return _wrap(pk.unpack(v))
 
 
-def _dc_graph(g, budget, memo):
-    """T(g) as the product of T over its blocks."""
+def _dc_graph(g, pk, budget, memo):
+    """T(g), packed by pk, as the product of T over its blocks."""
     budget.tick()
-    acc = _ONE
+    acc = 1
     for edges in g.blocks():
         k = len(edges)
         if k == 1:
             u, v = g.edges[edges[0]]
-            acc = acc * (Y if u == v else X)  # a loop or a bridge
+            acc <<= pk.y if u == v else pk.x  # a loop or a bridge
             continue
         block = g.restrict(edges)
         if block.nverts == 2:  # a bond
-            poly = X + _geom(Y, k) - 1
+            poly = (1 << pk.x) + pk.geom(pk.y, k) - 1
         elif block.nverts == k:  # a cycle
-            poly = _geom(X, k) - 1 + Y
+            poly = pk.geom(pk.x, k) - 1 + (1 << pk.y)
         else:
             key = canonical_key(block)
             poly = memo.get(key)
             if poly is None:
-                poly = memo[key] = _dc_block(block, budget, memo)
-        acc = acc * poly
+                poly = memo[key] = _dc_block(block, pk, budget, memo)
+        acc *= poly
     return acc
 
 
-def _dc_block(g, budget, memo):
+def _dc_block(g, pk, budget, memo):
     """T of a 2-connected g with at least 3 vertices, which is not a cycle:
     no parallel class is a bond and no degree-2 chain is a circuit."""
     classes = [c for c in g.parallel_classes() if len(c) >= 2]
@@ -202,8 +204,8 @@ def _dc_block(g, budget, memo):
         cls = max(classes, key=len)
         gd = g.delete_edges(cls)
         gc = g.delete_edges(cls[1:]).contract_edge(cls[0])
-        return _dc_graph(gd, budget, memo) + _geom(Y, len(cls)) * _dc_graph(
-            gc, budget, memo
+        return _dc_graph(gd, pk, budget, memo) + pk.geom(pk.y, len(cls)) * _dc_graph(
+            gc, pk, budget, memo
         )
     chain = g.degree_two_chain()
     if chain:
@@ -211,12 +213,12 @@ def _dc_block(g, budget, memo):
         gc = g
         for i in sorted(chain, reverse=True):
             gc = gc.contract_edge(i)
-        return _geom(X, len(chain)) * _dc_graph(gd, budget, memo) + _dc_graph(
-            gc, budget, memo
+        return pk.geom(pk.x, len(chain)) * _dc_graph(gd, pk, budget, memo) + _dc_graph(
+            gc, pk, budget, memo
         )
     e = len(g.edges) - 1
-    return _dc_graph(g.delete_edges([e]), budget, memo) + _dc_graph(
-        g.contract_edge(e), budget, memo
+    return _dc_graph(g.delete_edges([e]), pk, budget, memo) + _dc_graph(
+        g.contract_edge(e), pk, budget, memo
     )
 
 
@@ -245,15 +247,10 @@ def _largest(classes):
     return best if best.bit_count() >= 2 else 0
 
 
-def _times(i, j, poly):
-    """x^i y^j poly, with no product when i = j = 0."""
-    return BiPoly.monomial(i, j) * poly if i or j else poly
-
-
-def _dc_generic(rank, live, con, rc, full, strip, par, ser, budget):
-    """T of the root's minor on the mask live with the mask con contracted,
-    ranked by r(A) = rank(A | con) - rc with rc = rank(con), full =
-    rank(live | con); strip has bit 1 to strip loops and bit 2 coloops.
+def _dc_generic(rank, live, con, rc, full, strip, par, ser, pk, budget):
+    """T, packed by pk, of the root's minor on the mask live with the mask con
+    contracted, ranked by r(A) = rank(A | con) - rc with rc = rank(con), full
+    = rank(live | con); strip has bit 1 to strip loops and bit 2 coloops.
     par and ser are the parent's parallel and series partitions (lists of
     masks) when a deletion, resp. a contraction, made this minor, else None;
     restricted to live they are this minor's."""
@@ -269,36 +266,36 @@ def _dc_generic(rank, live, con, rc, full, strip, par, ser, budget):
             full -= 1
             coloops += 1
     if not live:
-        return BiPoly.monomial(coloops, loops)
+        return 1 << coloops * pk.x + loops * pk.y
     par = _classes(live, par, lambda pair: rank(con | pair) == rc + 1)
     big = _largest(par)
     if big == live:  # U(1,n): x + y + ... + y^(n-1)
-        poly = X + _geom(Y, live.bit_count()) - 1
+        poly = (1 << pk.x) + pk.geom(pk.y, live.bit_count()) - 1
     elif big and rank(con | (live ^ big)) == full:  # not a cocircuit
         rest = live ^ big  # M/e has no coloops, and its loops are big - e
-        poly = _dc_generic(rank, rest, con, rc, full, 2, par, None, budget) + _geom(
-            Y, big.bit_count()
-        ) * _dc_generic(rank, rest, con | (big & -big), rc + 1, full, 0, None, ser, budget)
+        poly = _dc_generic(rank, rest, con, rc, full, 2, par, None, pk, budget) + pk.geom(
+            pk.y, big.bit_count()
+        ) * _dc_generic(rank, rest, con | (big & -big), rc + 1, full, 0, None, ser, pk, budget)
     else:
         ser = _classes(live, ser, lambda pair: rank(con | (live ^ pair)) == full - 1)
         big = _largest(ser)
         p = big.bit_count()
         if big and rank(con | big) - rc == p:  # not a circuit
             rest = live ^ big  # dually, M\X has no loops and no coloops
-            poly = _geom(X, p) * _dc_generic(
-                rank, rest, con, rc, full - p + 1, 0, par, None, budget
-            ) + _dc_generic(rank, rest, con | big, rc + p, full, 1, None, ser, budget)
+            poly = pk.geom(pk.x, p) * _dc_generic(
+                rank, rest, con, rc, full - p + 1, 0, par, None, pk, budget
+            ) + _dc_generic(rank, rest, con | big, rc + p, full, 1, None, ser, pk, budget)
         else:  # M\e's coloops are e's series class - e, M/e's loops
             e = 1 << (live.bit_length() - 1)  # are e's parallel class - e
             se = next(cl for cl in ser if cl & e)
             pe = next(cl for cl in par if cl & e)
             k, j = se.bit_count() - 1, pe.bit_count() - 1
-            poly = _times(k, 0, _dc_generic(
-                rank, live ^ se, con, rc, full - k, 0, par, None, budget
-            )) + _times(0, j, _dc_generic(
-                rank, live ^ pe, con | e, rc + 1, full, 0, None, ser, budget
-            ))
-    return _times(coloops, loops, poly)
+            poly = (_dc_generic(
+                rank, live ^ se, con, rc, full - k, 0, par, None, pk, budget
+            ) << k * pk.x) + (_dc_generic(
+                rank, live ^ pe, con | e, rc + 1, full, 0, None, ser, pk, budget
+            ) << j * pk.y)
+    return poly << coloops * pk.x + loops * pk.y
 
 
 # -- basis activities ---------------------------------------------------------
@@ -395,7 +392,7 @@ def tutte_from_coboundary(cob, r):
     rows = {}
     for a, g in _rows(cob).items():
         for _ in range(r - a):
-            g = _div_linear(g, 1)
+            g = _div_linear(g)
         for _ in range(a - r):
             g = _times_linear(g, 1)
         for i in range(a + 1):
@@ -418,7 +415,7 @@ def coboundary_from_tutte(tutte, r):
             if i >= z:
                 _shift_add(s, hi, 0, comb(i, z))
         for _ in range(z - r):
-            s = _div_linear(s, 1)
+            s = _div_linear(s)
         for _ in range(r - z):
             s = _times_linear(s, 1)
         rows[z] = s
@@ -464,28 +461,21 @@ def _relabel(blocks):
     return tuple(seen.setdefault(b, len(seen)) for b in blocks)
 
 
-def _add_shifted(states, s, hist, dr, dn):
-    """Add hist, with every (rank, nullity) moved by (dr, dn), into states[s]."""
-    acc = states.setdefault(s, {})
-    for (r, nl), c in hist.items():
-        key = (r + dr, nl + dn)
-        acc[key] = acc.get(key, 0) + c
-
-
 def tutte_frontier(g):
     """Tutte polynomial of a multigraph by a frontier sweep over g.edges.
 
     A vertex joins the frontier at its first edge and leaves after its last.
     A state is the partition of the frontier into the blocks that the edges
-    taken so far connect, and it carries the histogram {(rank, nullity):
-    count} of those edge sets.  Skipping an edge keeps the state; taking it
-    merges two blocks (rank + 1) or stays inside one (nullity + 1).  The one
-    final histogram is the corank-nullity expansion of T, so no polynomial is
-    multiplied.  Orders whose frontier exceeds _FRONTIER_CAP vertices raise
-    GraphTooLarge before the sweep (Sekine, Imai & Tani, ISAAC 1995).
+    taken so far connect, and it carries the histogram {(corank, nullity):
+    count} of those edge sets, packed by ``bipoly._Packing`` with counts up
+    to 2^|E|.  Skipping an edge keeps the state; taking it merges two blocks
+    (corank - 1, a right shift: no set in the state spans) or stays inside
+    one (nullity + 1).  The one final histogram is the corank-nullity
+    expansion of T, so no polynomial is multiplied.  Orders whose frontier
+    exceeds _FRONTIER_CAP vertices raise GraphTooLarge before the sweep
+    (Sekine, Imai & Tani, ISAAC 1995).
     """
-    first = {}
-    last = {}
+    first, last = {}, {}
     for k, (u, v) in enumerate(g.edges):
         for w in (u, v):
             first.setdefault(w, k)
@@ -496,8 +486,9 @@ def tutte_frontier(g):
         change[last[w] + 1] -= 1
     if max(itertools.accumulate(change)) > _FRONTIER_CAP:
         raise GraphTooLarge(f"edge order has a frontier above {_FRONTIER_CAP} vertices")
-    front = []
-    states = {(): {(0, 0): 1}}
+    full = g.full_rank()
+    pk = _Packing(len(g.edges) - full, 1 << len(g.edges))
+    front, states = [], {(): 1 << full * pk.x}
     for k, (u, v) in enumerate(g.edges):
         ends = dict.fromkeys((u, v))
         for w in ends:
@@ -505,28 +496,25 @@ def tutte_frontier(g):
                 front.append(w)
                 states = {s + (max(s, default=-1) + 1,): h for s, h in states.items()}
         i, j = front.index(u), front.index(v)
-        nxt = {s: dict(hist) for s, hist in states.items()}  # the edge skipped
-        for s, hist in states.items():
+        nxt = dict(states)  # the edge skipped
+        for s, h in states.items():
             a, b = s[i], s[j]
             if a == b:
-                _add_shifted(nxt, s, hist, 0, 1)
+                nxt[s] += h << pk.y
             else:
-                _add_shifted(nxt, _relabel(a if t == b else t for t in s), hist, 1, 0)
+                merged = _relabel(a if t == b else t for t in s)
+                nxt[merged] = nxt.get(merged, 0) + (h >> pk.x)
         states = nxt
         for w in ends:
             if last[w] == k:
                 p = front.index(w)
                 del front[p]
                 nxt = {}
-                for s, hist in states.items():
+                for s, h in states.items():
                     t = _relabel(s[:p] + s[p + 1 :])
-                    if nxt.setdefault(t, hist) is not hist:  # reuse a new state's dict
-                        _add_shifted(nxt, t, hist, 0, 0)
+                    nxt[t] = nxt.get(t, 0) + h
                 states = nxt
-    full = g.full_rank()
-    return _from_corank_nullity(
-        {(full - r, nl): c for (r, nl), c in states[()].items()}
-    )
+    return _from_corank_nullity(pk.unpack(states[()]))
 
 
 def transfer_grid(m, n):

@@ -9,34 +9,39 @@ mod p, nothing ever leaves exact arithmetic.
 
 from __future__ import annotations
 
-from .errors import ElementOutOfRange, InvalidParameters, NotPrimePower
+from .errors import ElementOutOfRange, InvalidParameters, NotPrimePower, SizeBudgetExceeded
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981  # the least strong pseudoprime to them all
 
 
 def is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Miller-Rabin to the prime bases up to 41, exact below _MR_LIMIT (Sorenson
+    & Webster, Math. Comp. 86, 2017); a larger p that no base proves composite
+    raises SizeBudgetExceeded."""
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    for a in _MR_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(s)):
             return False
-        d += 1
+    if p >= _MR_LIMIT:
+        raise SizeBudgetExceeded(f"primality is decided only below {_MR_LIMIT}")
     return True
 
 
 def prime_power_root(q):
-    """(p, k) with q = p**k, or raise NotPrimePower."""
-    if q < 2:
-        raise NotPrimePower(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m == 1:
-                return (p, k)
-            raise NotPrimePower(f"{q} is not a prime power")
+    """(p, k) with q = p**k, or raise NotPrimePower: only the largest k with an
+    integer k-th root b of q (Newton's method from above) can give a prime."""
+    for k in range(q.bit_length() if q > 1 else 0, 0, -1):
+        b = 1 << -(-q.bit_length() // k)
+        while (c := ((k - 1) * b + q // b ** (k - 1)) // k) < b:
+            b = c
+        if b**k == q:
+            if is_prime(b):
+                return (b, k)
+            break
     raise NotPrimePower(f"{q} is not a prime power")
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from tuttepoly.bipoly import (
     X,
     Y,
     _from_corank_nullity,
+    _Packing,
     exact_div,
     mat_mul,
     mat_pow,
@@ -190,3 +192,15 @@ def test_corank_nullity_expansion_matches_term_products(counts):
     for (z, nl), c in counts.items():
         expected = expected + ((X - 1) ** z * (Y - 1) ** nl).scale(c)
     assert _from_corank_nullity(counts) == expected
+
+
+@pytest.mark.parametrize("bound", [1, 255, 256, 2**64, comb(60, 30)])
+def test_packed_slots_hold_their_bound(bound):
+    # every slot at the bound, beside neighbours at the bound, unpacks intact
+    pk = _Packing(3, bound)
+    full = {(i, j): bound for i in range(3) for j in range(4)}
+    v = sum(c << i * pk.x + j * pk.y for (i, j), c in full.items())
+    assert pk.unpack(v) == full
+    ones = pk.geom(pk.x, 3) * pk.geom(pk.y, 4)  # (1 + x + x^2)(1 + y + y^2 + y^3)
+    assert pk.unpack(ones) == dict.fromkeys(full, 1)
+    assert pk.unpack(ones * bound) == full

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -69,6 +70,16 @@ def test_compute_matrix_input(tmp_path, capsys):
     path.write_text("gf 3 2 4\n1 0 1 1\n0 1 1 2\n")
     code, out, _ = run(["compute", "--matrix", str(path)], capsys)
     assert code == 0 and out == "x^2 + 2*x + 2*y + y^2\n"
+
+
+def test_compute_matrix_over_a_large_prime(tmp_path, capsys):
+    # GF(2^61 - 1): the modulus is checked by Miller-Rabin, not trial division
+    path = tmp_path / "u12.gf"
+    path.write_text("gf 2305843009213693951 1 2\n1 1\n")
+    start = time.perf_counter()
+    code, out, _ = run(["compute", "--matrix", str(path)], capsys)
+    assert code == 0 and out == "x + y\n"
+    assert time.perf_counter() - start < 5
 
 
 def test_engines_agree_on_cli(tmp_path, capsys):

@@ -452,6 +452,45 @@ def test_dc_whole_parallel_class_is_a_base_case():
     assert tutte_dc(thick, budget_nodes=5) == uniform(1, 200)
 
 
+def test_packed_routes_do_no_polynomial_arithmetic(monkeypatch):
+    # DC and the frontier sweep add and multiply packed ints; only the root
+    # builds a BiPoly
+    roots = [
+        mt.Graphic(grid_graph(3, 4)),
+        mt.relax(fano(), {0, 1, 3}),
+        mt.Linear(GFMatrix(3, GF3_4X13)),
+    ]
+    expected = [tutte_subset(m) for m in roots]
+    grid = tutte_dc(mt.Graphic(grid_graph(4, 5)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a packed route did BiPoly arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(BiPoly, name, refuse)
+    assert isinstance(roots[1], mt.RelaxView)
+    for m, t in zip(roots, expected):
+        assert tutte_dc(m) == t, m
+    assert transfer_grid(4, 5) == grid
+
+
+@pytest.mark.parametrize("m, t", [
+    # a coefficient at the bound C(n, r) = 1 and a degree at r = n, resp. n - r = n
+    (mt.Uniform(5, 5), BiPoly.monomial(5, 0)),
+    (mt.Uniform(0, 5), BiPoly.monomial(0, 5)),
+    (mt.Graphic(bond_graph(9)), uniform(1, 9)),  # y-degree n - r
+    (mt.direct_sum([mt.Uniform(0, 3), mt.Uniform(2, 2), mt.Uniform(0, 1)]),
+     BiPoly.monomial(2, 4)),
+    (mt.Graphic(Multigraph(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])),
+     BiPoly.monomial(2, 3)),
+    (mt.thicken(mt.Uniform(1, 2), 60), uniform(1, 120)),
+])
+def test_packed_layout_at_its_bounds(m, t):
+    assert tutte_dc(m) == t
+    if isinstance(m, mt.Graphic):
+        assert tutte_frontier(m.graph) == t
+
+
 # -- basis activities ---------------------------------------------------------
 
 

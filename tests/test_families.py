@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -396,6 +397,13 @@ def test_geometry_prime_power_guard():
         fam.projective(2, 6)
     with pytest.raises(NotPrimePower):
         fam.affine(2, 1)
+
+
+def test_q_cone_rejects_a_huge_non_prime_power_at_once():
+    start = time.perf_counter()
+    with pytest.raises(NotPrimePower):
+        fam.q_cone(fam.uniform(2, 3), 2, (2**61 - 1) * (2**89 - 1))
+    assert time.perf_counter() - start < 1
 
 
 def test_q_cone_of_three_point_line():
