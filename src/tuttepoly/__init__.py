@@ -6,8 +6,8 @@ closed-form families, all cross-checked against a verified catalog of named
 matroids.
 """
 
-from .bipoly import BiPoly, PolyMatrix, UniPoly, X, Y
+from .bipoly import BiPoly, X, Y
 
-__all__ = ["BiPoly", "UniPoly", "PolyMatrix", "X", "Y"]
+__all__ = ["BiPoly", "X", "Y"]
 
 __version__ = "0.1.0"

@@ -2,10 +2,10 @@
 
 BiPoly is the workhorse: a polynomial in x and y with int coefficients,
 stored sparsely as {(i, j): c}.  All Tutte computations stay in this ring;
-nothing here ever goes through floats.  UniPoly (dense, Fraction
-coefficients) exists for one-variable work such as characteristic
-polynomials and colouring counts.  PolyMatrix gives the small exact
-matrix algebra the transfer-matrix engines and the sum formulas need.
+nothing here ever goes through floats.  One-variable work (characteristic
+polynomials, colouring counts, the rows of the coboundary conversion) stays
+in dense int lists, low degree first, through the helpers ``_shift_add``,
+``_times_linear`` and ``_div_linear``.
 
 Conventions: 0**0 := 1 throughout, zero coefficients are never stored, and
 every object is immutable once built.
@@ -13,10 +13,9 @@ every object is immutable once built.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 
-from .errors import DimensionMismatch, NonExactDivision
+from .errors import NonExactDivision
 
 
 class BiPoly:
@@ -367,211 +366,3 @@ def subst_rational(p, x_num, x_den, y_num, y_den, clear_factor=None):
     if clear_factor is not None:
         total = total * _coerce(clear_factor)
     return exact_div(total, xd[a] * yd[b])
-
-
-# -- univariate layer -----------------------------------------------------
-
-
-class UniPoly:
-    """Dense univariate polynomial with Fraction coefficients."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @staticmethod
-    def zero():
-        return UniPoly()
-
-    @staticmethod
-    def one():
-        return UniPoly((1,))
-
-    @staticmethod
-    def var():
-        return UniPoly((0, 1))
-
-    @staticmethod
-    def const(c):
-        return UniPoly((c,))
-
-    def coeffs(self):
-        return self._coeffs
-
-    def degree(self):
-        return len(self._coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self):
-        return not self._coeffs
-
-    def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __repr__(self):
-        return f"UniPoly({list(self._coeffs)})"
-
-    def __add__(self, other):
-        other = _coerce_uni(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly([-c for c in self._coeffs])
-
-    def __sub__(self, other):
-        other = _coerce_uni(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce_uni(other) - self
-
-    def __mul__(self, other):
-        other = _coerce_uni(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def eval(self, v):
-        total = Fraction(0)
-        for c in reversed(self._coeffs):
-            total = total * v + c
-        if total.denominator == 1:
-            return int(total)
-        return total
-
-    def int_coeffs(self):
-        """Coefficient list as ints, low degree first; all must be integral."""
-        out = []
-        for c in self._coeffs:
-            if c.denominator != 1:
-                raise NonExactDivision(f"non-integer coefficient {c}")
-            out.append(int(c))
-        return out
-
-
-def _coerce_uni(v):
-    if isinstance(v, UniPoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return UniPoly.const(v)
-    return NotImplemented
-
-
-# -- matrix layer ----------------------------------------------------------
-
-
-class PolyMatrix:
-    """Rectangular matrix of BiPoly entries, immutable."""
-
-    __slots__ = ("_rows", "nrows", "ncols")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(_as_bipoly(e) for e in row) for row in rows)
-        if not rows or not rows[0]:
-            raise DimensionMismatch("matrix must be nonempty")
-        w = len(rows[0])
-        if any(len(r) != w for r in rows):
-            raise DimensionMismatch("ragged rows")
-        self._rows = rows
-        self.nrows = len(rows)
-        self.ncols = w
-
-    @staticmethod
-    def identity(n):
-        return PolyMatrix(
-            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        )
-
-    def rows(self):
-        return self._rows
-
-    def entry(self, i, j):
-        return self._rows[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, PolyMatrix) and self._rows == other._rows
-
-    def __hash__(self):
-        return hash(self._rows)
-
-    def __matmul__(self, other):
-        return mat_mul(self, other)
-
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        t = _ZERO
-        for i in range(self.nrows):
-            t = t + self._rows[i][i]
-        return t
-
-
-def _as_bipoly(e):
-    p = _coerce(e)
-    if p is NotImplemented:
-        raise TypeError("matrix entries must be BiPoly or int")
-    return p
-
-
-def mat_mul(a, b):
-    if a.ncols != b.nrows:
-        raise DimensionMismatch(f"{a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}")
-    bt = list(zip(*b.rows()))
-    out = []
-    for row in a.rows():
-        out_row = []
-        for col in bt:
-            s = _ZERO
-            for p, q in zip(row, col):
-                if p._terms and q._terms:
-                    s = s + p * q
-            out_row.append(s)
-        out.append(out_row)
-    return PolyMatrix(out)
-
-
-def mat_pow(a, n):
-    if a.nrows != a.ncols:
-        raise DimensionMismatch("power of a non-square matrix")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("exponent must be a nonnegative int")
-    result = PolyMatrix.identity(a.nrows)  # A**0 == I
-    base = a
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        n >>= 1
-        if n:
-            base = mat_mul(base, base)
-    return result

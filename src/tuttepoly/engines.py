@@ -21,7 +21,12 @@ others:
   frontier stays small, over set partitions of the frontier vertices, each
   carrying its packed corank-nullity histogram;
   ``transfer_grid`` runs it on the m x n grid.  ``transfer_wheel`` is the
-  transfer matrix of the wheel bad-colouring polynomials.
+  transfer matrix of the wheel bad-colouring polynomials, stepped on dense
+  coefficient lists.
+
+The one-variable results (``char_poly``, ``bad_colouring``,
+``transfer_wheel``) are dense int lists, low degree first, with no trailing
+zeros, so [] is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -33,15 +38,12 @@ from math import comb
 from . import matroids as mt
 from .bipoly import (
     BiPoly,
-    PolyMatrix,
-    UniPoly,
     _div_linear,
     _from_corank_nullity,
     _Packing,
     _shift_add,
     _times_linear,
     _wrap,
-    mat_pow,
 )
 from .errors import (
     GraphTooLarge,
@@ -93,14 +95,17 @@ def tutte_subset(m):
 
 
 def char_poly(m):
-    """Characteristic polynomial: sum over A of (-1)^|A| lambda^(r(E)-r(A))."""
+    """Characteristic polynomial: sum over A of (-1)^|A| lambda^(r(E)-r(A)),
+    as a dense int list in lambda; [] when m has a loop."""
     mt._guard(m)
     full = m.full_rank
     coeffs = [0] * (full + 1)
     counts = _corank_nullity_counts(m._rank, (1 << m.n) - 1, 0, 0, full)
     for (z, nl), c in counts.items():
         coeffs[z] += -c if (full - z + nl) % 2 else c
-    return UniPoly(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 # -- deletion-contraction -----------------------------------------------------
@@ -433,9 +438,9 @@ def tutte_via_coboundary(m):
 def bad_colouring(g, colors):
     """Count colourings by their number of monochromatic edges.
 
-    Returns sum_j b_j t^j where b_j is the number of colourings of the
-    vertices of g in the given number of colours having exactly j
-    monochromatic ("bad") edges.
+    Returns [b_0, b_1, ..., b_|E|], where b_j is the number of colourings of
+    the vertices of g in the given number of colours having exactly j
+    monochromatic ("bad") edges; b_|E| > 0, as one colour makes all bad.
     """
     if g.nverts > _COLOURING_CAP:
         raise GraphTooLarge(f"direct enumeration needs |V| <= {_COLOURING_CAP}")
@@ -449,7 +454,7 @@ def bad_colouring(g, colors):
             if sigma[u] == sigma[v]:
                 bad += 1
         counts[bad] += 1
-    return UniPoly(counts)
+    return counts
 
 
 # -- frontier sweep and transfer matrices ------------------------------------
@@ -532,23 +537,30 @@ def transfer_grid(m, n):
 
 
 def transfer_wheel(n, colors):
-    """Bad-colouring polynomial of the wheel with n rim vertices.
+    """Bad-colouring polynomial of the wheel with n rim vertices, as a dense
+    int list in t (as ``bad_colouring``).
 
     Computes colours * trace(D^n) where D is the colours x colours matrix
     with entry t^([i=j] + [j=first colour]); the trace imposes the periodic
-    boundary condition that closes the rim.
+    boundary condition that closes the rim.  D = (J + (t-1) I) diag(t^[j=0]),
+    so a row vector steps as v_j <- t^[j=0] ((t-1) v_j + sum v), and (row a
+    of D^n)[a] is n such steps from the unit vector e_a.  Each step raises
+    the degree by at most 2, and t^(2n) has coefficient colours.
     """
     if n < 3:
         raise InvalidParameters("wheel needs n >= 3 rim vertices")
     if colors < 1:
         raise InvalidParameters("need at least one colour")
-    t = BiPoly.monomial(1, 0)
-    rows = [
-        [t ** ((1 if i == j else 0) + (1 if j == 0 else 0)) for j in range(colors)]
-        for i in range(colors)
-    ]
-    tr = mat_pow(PolyMatrix(rows), n).trace()
-    coeffs = [0] * (tr.bidegree()[0] + 1)
-    for (a, _), cc in tr.items():
-        coeffs[a] = cc * colors
-    return UniPoly(coeffs)
+    total = []
+    for a in range(colors):
+        v = [[int(j == a)] for j in range(colors)]
+        for _ in range(n):
+            s = []
+            for p in v:
+                _shift_add(s, p, 0, 1)
+            v = [_times_linear(p, 1) for p in v]
+            for p in v:
+                _shift_add(p, s, 0, 1)
+            v[0].insert(0, 0)
+        _shift_add(total, v[a], 0, colors)
+    return total

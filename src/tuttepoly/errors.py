@@ -17,10 +17,6 @@ class NonExactDivision(TuttepolyError):
     """Polynomial division left a remainder where exactness was required."""
 
 
-class DimensionMismatch(TuttepolyError):
-    """Matrix shapes incompatible with the requested operation."""
-
-
 class ElementOutOfRange(TuttepolyError):
     """A referenced element is not in the ground set 0..n-1."""
 

@@ -18,7 +18,6 @@ from math import comb
 
 from .bipoly import (
     BiPoly,
-    PolyMatrix,
     X,
     Y,
     _from_corank_nullity,
@@ -444,43 +443,39 @@ def two_sum_poly(t_m1_contract, t_m1_delete, t_m2_contract, t_m2_delete):
     [T_{M1/p}, T_{M1\\p}] . [[x-1, -1], [-1, y-1]] . [T_{M2/p}, T_{M2\\p}]^t
     divided exactly by xy - x - y.
     """
-    row = PolyMatrix([[t_m1_contract, t_m1_delete]])
-    mid = PolyMatrix([[X - 1, BiPoly.const(-1)], [BiPoly.const(-1), Y - 1]])
-    col = PolyMatrix([[t_m2_contract], [t_m2_delete]])
-    return exact_div((row @ mid @ col).entry(0, 0), _DET)
+    num = t_m1_contract * ((X - 1) * t_m2_contract - t_m2_delete) + t_m1_delete * (
+        (Y - 1) * t_m2_delete - t_m2_contract
+    )
+    return exact_div(num, _DET)
 
 
 # connector matrix for the triangle sum, with the per-entry denominator
 # (xy - x - y) cleared; diagonal entries 1 become xy - x - y
 def _delta_matrix():
     d = _DET
-    one = _ONE
-    two = BiPoly.const(2)
     uy = 1 - Y
     ux = 1 - X
-    return PolyMatrix(
-        [
-            [uy * uy, uy, uy, two, uy],
-            [uy, d, one, ux, one],
-            [uy, one, d, ux, one],
-            [two, ux, ux, ux * ux, ux],
-            [uy, one, one, ux, d],
-        ]
-    )
+    return [
+        [uy * uy, uy, uy, 2, uy],
+        [uy, d, 1, ux, 1],
+        [uy, 1, d, ux, 1],
+        [2, ux, ux, ux * ux, ux],
+        [uy, 1, 1, ux, d],
+    ]
 
 
 def delta_sum_poly(q_vec, p_vec):
     """Tutte polynomial of a triangle (3-)sum from five minors per side.
 
     The minors, in order, are M\\p\\s\\q, M\\p/s\\q, M/p\\s\\q, M/p/s/q and
-    M\\p\\s/q for the shared 3-circuit {p, s, q}.  The assembled quadratic
-    form is divided exactly by (xy-x-y)(xy-x-y-1).
+    M\\p\\s/q for the shared 3-circuit {p, s, q}.  The quadratic form
+    sum q_i M_ij p_j is divided exactly by (xy-x-y)(xy-x-y-1).
     """
     if len(q_vec) != 5 or len(p_vec) != 5:
         raise InvalidParameters("need five minor polynomials per side")
-    row = PolyMatrix([list(q_vec)])
-    col = PolyMatrix([[p] for p in p_vec])
-    num = (row @ _delta_matrix() @ col).entry(0, 0)
+    num = BiPoly.zero()
+    for q, row in zip(q_vec, _delta_matrix()):
+        num = num + q * sum((m * p for m, p in zip(row, p_vec)), BiPoly.zero())
     return exact_div(num, _DET * (_DET - 1))
 
 

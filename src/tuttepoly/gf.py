@@ -66,6 +66,15 @@ class GFMatrix:
         self.rows = rows
         self._std = None
 
+    @classmethod
+    def _trusted(cls, p, rows):
+        """A minor of a checked matrix: p is prime and the rows are
+        rectangular and reduced mod p, so nothing is converted or checked."""
+        m = cls.__new__(cls)
+        m.p, m.rows, m._std = p, tuple(map(tuple, rows)), None
+        m.nrows, m.ncols = len(m.rows), len(m.rows[0]) if m.rows else 0
+        return m
+
     def __repr__(self):
         return f"GFMatrix(p={self.p}, {self.nrows}x{self.ncols})"
 
@@ -139,9 +148,7 @@ class GFMatrix:
     def delete_column(self, j):
         if not 0 <= j < self.ncols:
             raise ElementOutOfRange(f"column {j}")
-        return GFMatrix(
-            self.p, [r[:j] + r[j + 1 :] for r in self.rows]
-        )
+        return GFMatrix._trusted(self.p, [r[:j] + r[j + 1 :] for r in self.rows])
 
     def contract_column(self, j):
         """Pivot column j out (projecting the others); a zero column is just dropped."""
@@ -164,7 +171,7 @@ class GFMatrix:
         if not rows:
             # keep an explicit zero row so the column count survives
             rows = [[0] * (self.ncols - 1)]
-        return GFMatrix(p, rows)
+        return GFMatrix._trusted(p, rows)
 
 
 def standard_rep(p, r, appended_columns):

@@ -7,20 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tuttepoly
 from tuttepoly.bipoly import (
     BiPoly,
-    PolyMatrix,
-    UniPoly,
     X,
     Y,
     _from_corank_nullity,
     _Packing,
     exact_div,
-    mat_mul,
-    mat_pow,
     subst_rational,
 )
-from tuttepoly.errors import DimensionMismatch, NonExactDivision
+from tuttepoly.errors import NonExactDivision
 from tuttepoly.render import json_terms, to_latex, to_text
 
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -141,50 +138,6 @@ def test_latex_rendering():
     assert to_latex(p) == "x^{2}y + 2x - y^{3}"
 
 
-def test_unipoly_algebra_and_eval():
-    f = UniPoly((1, 2, 1))  # (v+1)^2
-    g = UniPoly((0, 1)) + UniPoly.one()
-    assert g * g == f
-    assert f.eval(3) == 16
-    assert f.degree() == 2
-    assert UniPoly.zero().degree() == -1
-
-
-def test_unipoly_int_coeffs_guard():
-    h = UniPoly((Fraction(1, 2),))
-    with pytest.raises(NonExactDivision):
-        h.int_coeffs()
-
-
-def test_matrix_mul_pow_trace():
-    a = PolyMatrix([[X, 1], [0, Y]])
-    sq = mat_mul(a, a)
-    assert sq.entry(0, 0) == X**2
-    assert sq.entry(0, 1) == X + Y
-    assert mat_pow(a, 0) == PolyMatrix.identity(2)
-    assert mat_pow(a, 3).entry(0, 0) == X**3
-    assert a.trace() == X + Y
-
-
-def test_matrix_dimension_errors():
-    a = PolyMatrix([[X, 1]])
-    with pytest.raises(DimensionMismatch):
-        mat_mul(a, a)
-    with pytest.raises(DimensionMismatch):
-        a.trace()
-    with pytest.raises(DimensionMismatch):
-        PolyMatrix([[X], [X, Y]])
-
-
-@given(st.integers(min_value=0, max_value=6))
-def test_mat_pow_matches_repeated_mul(k):
-    a = PolyMatrix([[X + 1, Y], [1, X * Y]])
-    expect = PolyMatrix.identity(2)
-    for _ in range(k):
-        expect = mat_mul(expect, a)
-    assert mat_pow(a, k) == expect
-
-
 @given(st.dictionaries(st.tuples(exps, exps), coeffs, max_size=8))
 def test_corank_nullity_expansion_matches_term_products(counts):
     # the per-term product the Taylor shift replaced, as the reference
@@ -204,3 +157,7 @@ def test_packed_slots_hold_their_bound(bound):
     ones = pk.geom(pk.x, 3) * pk.geom(pk.y, 4)  # (1 + x + x^2)(1 + y + y^2 + y^3)
     assert pk.unpack(ones) == dict.fromkeys(full, 1)
     assert pk.unpack(ones * bound) == full
+
+
+def test_every_exported_name_resolves():
+    assert all(hasattr(tuttepoly, name) for name in tuttepoly.__all__)

@@ -6,8 +6,11 @@ import time
 
 import pytest
 
+from tuttepoly import gf
+from tuttepoly import matroids as mt
+from tuttepoly.engines import tutte_subset
 from tuttepoly.errors import NotPrimePower, SizeBudgetExceeded
-from tuttepoly.gf import is_prime, prime_power_root
+from tuttepoly.gf import GFMatrix, is_prime, prime_power_root
 
 M61 = 2**61 - 1
 M89 = 2**89 - 1
@@ -55,3 +58,22 @@ def test_prime_power_root_rejects_at_once(q):
     with pytest.raises(NotPrimePower):
         prime_power_root(q)
     assert time.perf_counter() - start < 1
+
+
+def test_minors_do_not_test_the_modulus_again(monkeypatch):
+    rows = [[1, 0, 0, 5, 17, 1], [0, 1, 0, 42, 3, 100], [0, 0, 1, 1, 73, 9]]
+    m = mt.Linear(GFMatrix(101, rows))
+    whole = tutte_subset(m)
+
+    def refuse(p):
+        raise AssertionError(f"is_prime({p}) called on a minor")
+
+    monkeypatch.setattr(gf, "is_prime", refuse)
+    for e in range(m.n):  # no element is a loop or a coloop
+        deleted, contracted = mt.delete(m, e), mt.contract(m, e)
+        assert deleted.mat.rows == tuple(tuple(r[:e] + r[e + 1 :]) for r in rows)
+        assert (deleted.n, contracted.mat.nrows, contracted.n) == (5, 2, 5)
+        assert tutte_subset(deleted) + tutte_subset(contracted) == whole, e
+    monkeypatch.undo()
+    with pytest.raises(NotPrimePower):
+        GFMatrix(4, rows)
