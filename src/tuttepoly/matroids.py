@@ -5,11 +5,12 @@ subset is an int bitmask (bit e stands for element e), and every class
 implements ``_rank(mask)`` on it: the one rank-oracle protocol between the
 variants, the views and the engines.  Concrete variants (uniform, graphic,
 linear, paving encodings, explicit basis lists, lattice-path) rank masks
-directly; views (dual, relaxation, free extension, direct sum and the one
-element-map view behind minors, parallel extensions and thickenings)
-derive the rank from a wrapped matroid, so every construction in the
-package stays exact and checkable against brute-force enumeration.  Public
-functions take and return element sets.
+directly; views (dual, relaxation, free extension, direct sum, 2-sum and
+tensor product, and the one element-map view behind minors, parallel
+extensions and thickenings) derive the rank from a wrapped matroid, so every
+construction stays exact and checkable against brute-force enumeration.  It
+stays structural only where that measurably pays: on a Graphic, and for
+minors of a Uniform or Linear.  Public functions take and return element sets.
 
 Minors relabel the surviving elements to 0..n'-1 preserving order, which
 keeps recipes reproducible.
@@ -354,6 +355,44 @@ class DirectSum(Matroid):
         return total
 
 
+class TwoSumView(Matroid):
+    """parent with each element p of at replaced by a copy of N - d, where
+    pointed is the PointedMatroid (N, d): the 2-sum along p, once per p.
+
+    Ground set: parent's other elements in order, then one block of N - d
+    per p, by increasing p, each in N's order.  A block X_p that spans d in
+    N acts in parent as p does (parallel connection, Oxley, Matroid Theory,
+    7.1); with S the set of such p,
+    r(X) = r_parent(X_parent | S) - |S| + sum_p r_N(X_p).
+    """
+
+    def __init__(self, parent, at, pointed):
+        self.parent = parent
+        self.at = sorted(at)
+        self.pointed = pointed
+        self._k = pointed.matroid.n - 1
+        self._head = parent.n - len(self.at)
+        self.n = self._head + self._k * len(self.at)
+
+    def _rank(self, mask):
+        net, d, k = self.pointed.matroid, 1 << self.pointed.point, self._k
+        pmask = mask & (1 << self._head) - 1
+        mask >>= self._head
+        total = 0
+        for p in self.at:
+            pmask = pmask & (1 << p) - 1 | pmask >> p << p + 1  # make room for p
+            x = mask & (1 << k) - 1
+            mask >>= k
+            if x:
+                x = x & d - 1 | (x & -d) << 1  # make room for d
+                r = net._rank(x)
+                if net._rank(x | d) == r:
+                    pmask |= 1 << p
+                    r -= 1
+                total += r
+        return self.parent._rank(pmask) + total
+
+
 # -- basic operations ---------------------------------------------------------
 
 
@@ -531,11 +570,6 @@ def relax(m, subset):
     for e in range(m.n):
         if e not in x and m._rank(xm | 1 << e) != r:
             raise NotCircuitHyperplane(f"{sorted(x)} is not a hyperplane")
-    if isinstance(m, SparsePaving):
-        remaining = m.chs - {x}
-        if remaining:
-            return SparsePaving(m.r, m.n, remaining)
-        return Uniform(m.r, m.n)
     return RelaxView(m, x)
 
 
@@ -569,27 +603,9 @@ class PointedMatroid:
 
 
 def two_sum(pm1, pm2):
-    """2-sum along the basepoints; ground set (E1 - p1) then (E2 - p2)."""
-    m1, p1 = pm1.matroid, pm1.point
-    m2, p2 = pm2.matroid, pm2.point
-    n = m1.n + m2.n - 2
-    if n > 16:
-        raise GroundSetTooLarge(
-            "structural 2-sum materializes a basis list only for combined n <= 16"
-        )
-    map1 = {e: (e if e < p1 else e - 1) for e in range(m1.n) if e != p1}
-    off = m1.n - 1
-    map2 = {e: off + (e if e < p2 else e - 1) for e in range(m2.n) if e != p2}
-    out = set()
-    for b1 in bases(m1):
-        for b2 in bases(m2):
-            if (p1 in b1) == (p2 in b2):
-                continue
-            out.add(
-                frozenset(map1[e] for e in b1 - {p1})
-                | frozenset(map2[e] for e in b2 - {p2})
-            )
-    return BasisList(m1.full_rank + m2.full_rank - 1, n, out)
+    """2-sum along the basepoints, as a TwoSumView (no size cap): ground set
+    E1 - p1 then E2 - p2, each in order."""
+    return TwoSumView(pm1.matroid, [pm1.point], pm2)
 
 
 def _triangle_check(m, t):
@@ -620,7 +636,7 @@ def delta_sum(m1, t1, m2, t2):
 
     Graphic inputs use the graph operation (identify the two triangles,
     delete the connector edges); binary inputs merge GF(2) cycle spaces and
-    hand back an explicit basis list.
+    return the Linear matroid of its orthogonal complement.
     """
     t1 = _triangle_check(m1, t1)
     t2 = _triangle_check(m2, t2)
@@ -687,13 +703,12 @@ def _delta_sum_binary(m1, t1, m2, t2):
     keep2 = [e for e in range(m2.n) if e not in set(t2)]
     n = len(keep1) + len(keep2)
     # joint vectors (a, b) with a in K1, b in K2 agreeing on the triangle
-    cols = []
+    vecs = []
     for v in k1:
-        cols.append([v[e] for e in keep1] + [0] * len(keep2) + [v[e] for e in t1])
+        vecs.append([v[e] for e in keep1] + [0] * len(keep2) + [v[e] for e in t1])
     for v in k2:
-        cols.append([0] * len(keep1) + [v[e] for e in keep2] + [v[e] for e in t2])
+        vecs.append([0] * len(keep1) + [v[e] for e in keep2] + [v[e] for e in t2])
     # eliminate the 3 triangle coordinates to get the merged cycle space
-    vecs = [list(c) for c in cols]
     for tpos in range(3):
         j = n + tpos
         pivot = next((v for v in vecs if v[j]), None)
@@ -705,11 +720,7 @@ def _delta_sum_binary(m1, t1, m2, t2):
         ]
     cycle = [v[:n] for v in vecs]
     # result representation = orthogonal complement of the merged cycle space
-    comp = _kernel_of_span(cycle, n)
-    result = Linear(GFMatrix(2, comp))
-    if n <= 16:
-        return BasisList(result.full_rank, n, bases(result))
-    return result
+    return Linear(GFMatrix(2, _kernel_of_span(cycle, n)))
 
 
 def _kernel_of_span(vectors, n):
@@ -729,12 +740,6 @@ def thicken(m, k):
         for e in m.graph.edges:
             edges.extend([e] * k)
         return Graphic(Multigraph(m.graph.nverts, edges))
-    if isinstance(m, Linear):
-        rows = [
-            tuple(row[j] for j in range(m.mat.ncols) for _ in range(k))
-            for row in m.mat.rows
-        ]
-        return Linear(GFMatrix(m.mat.p, rows))
     return _remap(m, [e for e in range(m.n) for _ in range(k)], 0)
 
 
@@ -760,14 +765,9 @@ def stretch(m, k):
 
 
 def tensor(m, pointed):
-    """Replace every element of m by a 2-sum copy of the pointed matroid."""
-    current = m
-    positions = list(range(m.n))
-    for idx in range(m.n):
-        p = positions[idx]
-        pm1 = PointedMatroid(current, p)
-        current = two_sum(pm1, pointed)
-        for j in range(idx + 1, m.n):
-            if positions[j] > p:
-                positions[j] -= 1
-    return current
+    """Replace every element e of m, none a loop or coloop, by a 2-sum copy
+    of the pointed matroid (N, d): a TwoSumView whose block e, the copy of
+    N - d, holds elements e(|N| - 1) onward in N's order.  No size cap."""
+    for e in range(m.n):
+        PointedMatroid(m, e)
+    return TwoSumView(m, range(m.n), pointed)

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tuttepoly import families as fam
+from tuttepoly import gf
 from tuttepoly import matroids as mt
+from tuttepoly.catalog import build
 from tuttepoly.engines import tutte_dc, tutte_subset
 from tuttepoly.errors import (
     ElementOutOfRange,
@@ -329,9 +332,8 @@ def test_relax_fano():
     f7 = fano_sparse()
     some_line = next(iter(f7.chs))
     f7m = mt.relax(f7, some_line)
-    assert isinstance(f7m, mt.SparsePaving)
-    assert len(f7m.chs) == 6
     assert f7m.rank(some_line) == 3
+    assert len(mt.bases(f7m)) == 29
     with pytest.raises(NotCircuitHyperplane):
         mt.relax(f7, [0, 1, 2] if frozenset([0, 1, 2]) not in f7.chs else [0, 1, 4])
     with pytest.raises(NotCircuitHyperplane):
@@ -374,7 +376,7 @@ def test_two_sum_r6_basis_count():
     r6 = mt.two_sum(pm(), pm())
     assert r6.n == 6
     assert r6.full_rank == 3
-    assert len(r6.bases) == 18
+    assert len(mt.bases(r6)) == 18
 
 
 def test_two_sum_with_two_circuit_is_identity():
@@ -431,6 +433,7 @@ def test_delta_sum_binary_matches_graphic():
     out_gr = mt.delta_sum(
         mt.Graphic(complete_graph(4)), tri, mt.Graphic(complete_graph(4)), tri
     )
+    assert isinstance(out_bin, mt.Linear)
     assert out_bin.n == out_gr.n == 6
     assert sorted(map(sorted, mt.bases(out_bin))) == sorted(
         map(sorted, mt.bases(out_gr))
@@ -468,6 +471,48 @@ def test_tensor_identity():
         assert out.n == m.n
         for s in subsets_upto(m.n, m.n):
             assert out.rank(s) == m.rank(s)
+
+
+def test_tensor_rejects_loops_and_coloops():
+    pointed = mt.PointedMatroid(mt.Uniform(2, 4), 0)
+    looped = mt.Graphic(Multigraph(3, [(0, 1), (1, 2), (2, 0), (1, 1)]))
+    for m in (mt.Uniform(3, 3), mt.Uniform(0, 2), looped):
+        with pytest.raises(PreconditionViolated):
+            mt.tensor(m, pointed)
+
+
+def test_two_sum_past_sixteen_elements():
+    u = mt.Uniform(5, 10)
+    pm = mt.PointedMatroid(u, 0)
+    joined = mt.two_sum(pm, pm)
+    assert joined.n == 18
+    c, d = tutte_dc(mt.contract(u, 0)), tutte_dc(mt.delete(u, 0))
+    assert tutte_dc(joined) == fam.two_sum_poly(c, d, c, d)
+
+
+def test_tensor_past_sixteen_elements():
+    w3, u24 = mt.Graphic(wheel_graph(3)), mt.Uniform(2, 4)
+    out = mt.tensor(w3, mt.PointedMatroid(u24, 0))
+    assert out.n == 18
+    inp = fam.TensorInputs(
+        tutte_dc(w3), 3, 6, tutte_dc(mt.delete(u24, 0)), tutte_dc(mt.contract(u24, 0))
+    )
+    assert tutte_dc(out) == fam.tensor_poly(inp)
+
+
+@pytest.mark.parametrize("p", [3, 65537])
+def test_thicken_linear_is_a_view(monkeypatch, p):
+    rng = random.Random(p)
+    m = mt.Linear(GFMatrix(p, [[rng.randrange(p) for _ in range(6)] for _ in range(3)]))
+    t = tutte_dc(m)
+
+    def no_prime_test(q):
+        raise AssertionError(f"is_prime({q}) called")
+
+    monkeypatch.setattr(gf, "is_prime", no_prime_test)
+    thick = mt.thicken(m, 2)
+    assert isinstance(thick, mt.MapView)
+    assert tutte_dc(thick) == fam.thicken_poly(t, m.full_rank, 2)
 
 
 def test_enumerate_u24():
@@ -516,12 +561,6 @@ def test_rank_axioms(data):
     if a <= b:
         assert ra <= rb
     assert m.rank(a | b) + m.rank(a & b) <= ra + rb
-
-
-def test_two_sum_size_guard():
-    big = mt.Uniform(5, 10)
-    with pytest.raises(GroundSetTooLarge):
-        mt.two_sum(mt.PointedMatroid(big, 0), mt.PointedMatroid(big, 0))
 
 
 @pytest.mark.parametrize(
@@ -692,3 +731,116 @@ def test_view_chains_match_frozenset_reference(name):
             for s in subsets_upto(m.n, m.n):
                 assert m.rank(s) == ref.rank(s), (name, m, sorted(s))
         assert tutte_dc(m) == tutte_subset(m), (name, m)
+
+
+# -- 2-sums and tensor products against the basis-pairing construction --------
+
+
+def ref_two_sum(m1, p1, m2, p2):
+    """The 2-sum as the bases B1 - p1 | B2 - p2 of the pairs with p1 in
+    exactly one of B1 and p2 in the other; ground set (E1 - p1) then
+    (E2 - p2)."""
+    map1 = {e: (e if e < p1 else e - 1) for e in range(m1.n) if e != p1}
+    off = m1.n - 1
+    map2 = {e: off + (e if e < p2 else e - 1) for e in range(m2.n) if e != p2}
+    out = set()
+    for b1 in mt.bases(m1):
+        for b2 in mt.bases(m2):
+            if (p1 in b1) != (p2 in b2):
+                out.add(
+                    frozenset(map1[e] for e in b1 - {p1})
+                    | frozenset(map2[e] for e in b2 - {p2})
+                )
+    return mt.BasisList(m1.full_rank + m2.full_rank - 1, m1.n + m2.n - 2, out, check=False)
+
+
+def ref_tensor(m, net, d):
+    """2-sum at the first element of m, then at the first original element
+    left, and so on; each block is appended after the elements before it."""
+    for _ in range(m.n):
+        m = ref_two_sum(m, 0, net, d)
+    return m
+
+
+SMALL_CATALOG = ["F7", "F7minus", "H", "K4minuse", "L22", "P6", "P7", "Q6",
+                 "R6", "U24", "U35", "W3", "W3plus", "catalanM3", "whirl3"]
+
+
+def random_pointed(rng, cap):
+    """A matroid on 2..cap elements and a point of it that is neither loop
+    nor coloop: uniform, catalog, GF(3) linear, multigraph, a relaxation (a
+    RelaxView) or a minor or thickening of a catalog entry (a MapView)."""
+    while True:
+        kind = rng.choice(["uniform", "catalog", "gf3", "graph", "relax", "map"])
+        n = rng.randint(2, cap)
+        if kind == "uniform":
+            m = mt.Uniform(rng.randint(0, n), n)
+        elif kind == "catalog":
+            m = build(rng.choice(SMALL_CATALOG))
+        elif kind == "gf3":
+            rows = rng.randint(1, 4)
+            m = mt.Linear(GFMatrix(3, [[rng.randrange(3) for _ in range(n)]
+                                       for _ in range(rows)]))
+        elif kind == "graph":
+            nv = rng.randint(2, 5)
+            m = mt.Graphic(Multigraph(nv, [(rng.randrange(nv), rng.randrange(nv))
+                                           for _ in range(n)]))
+        elif kind == "relax":
+            m = build(rng.choice(SMALL_CATALOG))
+            chs = circuit_hyperplanes(RefMatroid(m.n, m.rank))
+            if not chs:
+                continue
+            m = mt.relax(m, rng.choice(chs))
+        else:
+            m = build(rng.choice(SMALL_CATALOG))
+            step = rng.choice([mt.delete, mt.contract, lambda m, e: mt.thicken(m, 2)])
+            m = step(m, rng.randrange(m.n))
+        points = [e for e in range(m.n) if not (mt.is_loop(m, e) or mt.is_coloop(m, e))]
+        if 2 <= m.n <= cap and points:
+            return m, rng.choice(points)
+
+
+def test_two_sum_view_matches_basis_pairing():
+    rng = random.Random("two-sum")
+    kinds = set()
+    for _ in range(220):
+        m1, p1 = random_pointed(rng, 8)
+        m2, p2 = random_pointed(rng, 12 - m1.n)
+        view = mt.two_sum(mt.PointedMatroid(m1, p1), mt.PointedMatroid(m2, p2))
+        ref = ref_two_sum(m1, p1, m2, p2)
+        assert view.n == ref.n <= 10
+        for s in range(1 << view.n):
+            assert view._rank(s) == ref._rank(s), (m1, p1, m2, p2, sorted(mt._bits(s)))
+        kinds.update(type(m).__name__ for m in (m1, m2))
+    assert {"RelaxView", "MapView", "Linear", "Graphic", "Uniform"} <= kinds
+
+
+@pytest.mark.parametrize(
+    "base, pointed",
+    [("K4minuse", (mt.Uniform(2, 3), 0)), ("P6", (mt.Uniform(1, 3), 2)),
+     ("U24", (mt.Uniform(2, 4), 1)), ("W3", (mt.Uniform(2, 3), 1))],
+    ids=["K4minuse-U23", "P6-U13", "U24-U24", "W3-U23"],
+)
+def test_tensor_view_matches_basis_pairing(base, pointed):
+    m = build(base)
+    view = mt.tensor(m, mt.PointedMatroid(*pointed))
+    ref = ref_tensor(m, *pointed)
+    assert view.n == ref.n
+    for s in range(1 << view.n):
+        assert view._rank(s) == ref._rank(s), (base, sorted(mt._bits(s)))
+
+
+def test_tensor_matches_brylawski_formula():
+    rng = random.Random("tensor")
+    cases = 0
+    while cases < 30:
+        m, _ = random_pointed(rng, 6)
+        if any(mt.is_loop(m, e) or mt.is_coloop(m, e) for e in range(m.n)):
+            continue
+        cases += 1
+        net, d = random_pointed(rng, 14 // m.n + 1)
+        out = mt.tensor(m, mt.PointedMatroid(net, d))
+        assert out.n == m.n * (net.n - 1)
+        inp = fam.TensorInputs(tutte_dc(m), m.full_rank, m.n,
+                               tutte_dc(mt.delete(net, d)), tutte_dc(mt.contract(net, d)))
+        assert tutte_dc(out) == fam.tensor_poly(inp), (m, net, d)
