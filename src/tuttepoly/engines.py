@@ -9,7 +9,8 @@ others:
   parallel- and series-class shortcuts, on masks of the input's rank oracle,
   each child inheriting the ranks and the classes its parent knows; graphs
   recurse on multigraphs as a product over their blocks, memoized on a
-  canonical form; every value is one packed int (``bipoly._Packing``).
+  canonical form computed only for blocks that share a cheap invariant;
+  every value is one packed int (``bipoly._Packing``).
 - ``tutte_activities``: sum of x^i y^j over bases with i internally and j
   externally active elements relative to a total order.
 - ``coboundary`` plus the substitution pair ``tutte_from_coboundary`` /
@@ -156,22 +157,27 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     one-point joins and disjoint unions, so a graph's T is the product over
     its blocks (``Multigraph.blocks``): a bond on k edges gives x + y + ... +
     y^(k-1), a bridge x, a k-cycle x + ... + x^(k-1) + y, a loop y, and every
-    other block is memoized on ``graphs.canonical_key``, a complete
-    isomorphism invariant, so isomorphic blocks reached along different
+    other block is memoized, so isomorphic blocks reached along different
     branches are expanded once (Haggard, Pearce & Royle, "Computing Tutte
-    polynomials", ACM TOMS 37, 2010).  Such a block splits on its largest
-    parallel class, else a degree-2 chain, else its last edge; in a
-    2-connected graph on at least 3 vertices no parallel class is a bond
-    and no such chain is a circuit.  Every product over blocks costs one of
-    budget_nodes.  Values are ints packed by ``bipoly._Packing``: y-degree at
-    most n - r, coefficients at most T(1,1) <= C(n, r) (each, times its path
-    weight, is part of T).
+    polynomials", ACM TOMS 37, 2010).  The lookup takes a labelled repeat
+    of a block as it stands; else the block joins its class under a cheap
+    invariant (vertex count, sorted end-degree pairs of the edges), and
+    ``graphs.canonical_key``, a complete isomorphism invariant, is computed
+    only when a second block joins a class, for both: a key no other block
+    could match is never computed, and the hits are those of a memo keyed
+    on every block.  Such a block splits on its largest parallel class,
+    else a degree-2 chain, else its last edge; in a 2-connected graph on at
+    least 3 vertices no parallel class is a bond and no such chain is a
+    circuit.  Every product over blocks costs one of budget_nodes.  Values
+    are ints packed by ``bipoly._Packing``: y-degree at most n - r,
+    coefficients at most T(1,1) <= C(n, r) (each, times its path weight, is
+    part of T).
     """
     budget = _Budget(budget_nodes)
     r = m.full_rank
     pk = _Packing(m.n - r, comb(m.n, r))
     if isinstance(m, mt.Graphic):
-        v = _dc_graph(m.graph, pk, budget, {})
+        v = _dc_graph(m.graph, pk, budget, ({}, {}))
     else:
         v = _dc_generic(m._rank, (1 << m.n) - 1, 0, 0, r, 3, None, None, pk, budget)
     return _wrap(pk.unpack(v))
@@ -193,12 +199,42 @@ def _dc_graph(g, pk, budget, memo):
         elif block.nverts == k:  # a cycle
             poly = pk.geom(pk.x, k) - 1 + (1 << pk.y)
         else:
-            key = canonical_key(block)
-            poly = memo.get(key)
-            if poly is None:
-                poly = memo[key] = _dc_block(block, pk, budget, memo)
+            poly = _memo_block(block, pk, budget, memo)
         acc *= poly
     return acc
+
+
+def _memo_block(block, pk, budget, memo):
+    """T of a block that is neither a bond nor a cycle, through the memo
+    (labelled, classes); a class is (first block, T) until it becomes
+    {canonical_key: T}.  A block's descendants have fewer edges, so they
+    never reach its class while it is expanded."""
+    labelled, classes = memo
+    poly = labelled.get(block)
+    if poly is not None:
+        return poly
+    deg = [0] * block.nverts
+    for u, v in block.edges:
+        deg[u] += 1
+        deg[v] += 1
+    inv = (block.nverts, tuple(sorted(
+        (deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u])
+        for u, v in block.edges
+    )))
+    cls = classes.get(inv)
+    if cls is None:
+        poly = _dc_block(block, pk, budget, memo)
+        classes[inv] = (block, poly)
+    else:
+        if isinstance(cls, tuple):
+            first, first_poly = cls
+            cls = classes[inv] = {canonical_key(first): first_poly}
+        key = canonical_key(block)
+        poly = cls.get(key)
+        if poly is None:
+            poly = cls[key] = _dc_block(block, pk, budget, memo)
+    labelled[block] = poly
+    return poly
 
 
 def _dc_block(g, pk, budget, memo):

@@ -195,20 +195,27 @@ class BasisList(Matroid):
                 raise InvalidParameters("all bases must have size r")
             if any(not 0 <= e < n for e in b):
                 raise ElementOutOfRange("basis element out of range")
+        self.r = r
+        self.n = n
+        self.bases = bases
+        self._masks = masks = tuple(_mask(self, b) for b in bases)
         if check and n <= 16:
-            pool = list(bases)
-            for b1 in pool:
-                for b2 in pool:
+            # each e in b1 - b2 needs an f in b2 - b1 with b1 - e + f a basis;
+            # ex[e] masks the f outside b1 that work, so some b2 fails at e
+            # iff it avoids ex[e] and e, and only then are b1's pairs walked
+            mask_set = set(masks)
+            for b1, m1 in zip(bases, masks):
+                ex = {e: sum(1 << f for f in range(n) if not m1 >> f & 1
+                             and (m1 ^ 1 << e) | 1 << f in mask_set) for e in b1}
+                if all(m2 & (x | 1 << e) for e, x in ex.items() for m2 in masks):
+                    continue
+                for b2, m2 in zip(bases, masks):
                     for e in b1 - b2:
-                        if not any((b1 - {e}) | {f} in bases for f in b2 - b1):
+                        if not ex[e] & m2:
                             raise InvalidParameters(
                                 "basis-exchange axiom fails "
                                 f"on {sorted(b1)}, {sorted(b2)} at {e}"
                             )
-        self.r = r
-        self.n = n
-        self.bases = bases
-        self._masks = tuple(_mask(self, b) for b in bases)
 
     def _rank(self, mask):
         return max((mask & b).bit_count() for b in self._masks)
@@ -306,14 +313,17 @@ class MapView(Matroid):
 
 
 class RelaxView(Matroid):
-    def __init__(self, parent, ch):
+    """parent with the circuit-hyperplanes in masks relaxed to bases; a
+    hyperplane is closed, so only those sets change rank.  relax of a
+    RelaxView adds a mask over the same parent, so views never stack."""
+
+    def __init__(self, parent, masks):
         self.parent = parent
-        self.ch = frozenset(ch)
+        self.masks = frozenset(masks)
         self.n = parent.n
-        self._ch = _mask(parent, self.ch)
 
     def _rank(self, mask):
-        if mask & self._ch == self._ch:
+        if mask in self.masks:
             return self.parent.full_rank
         return self.parent._rank(mask)
 
@@ -570,7 +580,9 @@ def relax(m, subset):
     for e in range(m.n):
         if e not in x and m._rank(xm | 1 << e) != r:
             raise NotCircuitHyperplane(f"{sorted(x)} is not a hyperplane")
-    return RelaxView(m, x)
+    if isinstance(m, RelaxView):
+        return RelaxView(m.parent, m.masks | {xm})
+    return RelaxView(m, {xm})
 
 
 def free_extension(m):

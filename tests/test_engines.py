@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tuttepoly import engines
 from tuttepoly import matroids as mt
 from tuttepoly.catalog import build
 from tuttepoly.bipoly import BiPoly, X, Y, exact_div, subst_rational
@@ -431,6 +432,73 @@ def test_dc_graph_node_counts(g, nodes):
     assert tutte_dc(m, budget_nodes=nodes) == tutte_frontier(g)
     with pytest.raises(ResourceBudgetExceeded):
         tutte_dc(m, budget_nodes=nodes - 1)
+
+
+def count_key_calls(monkeypatch):
+    """Count the canonical forms deletion-contraction computes: the returned
+    list records every graph it keys."""
+    calls = []
+    key = engines.canonical_key
+
+    def counted(g):
+        calls.append(g)
+        return key(g)
+
+    monkeypatch.setattr(engines, "canonical_key", counted)
+    return calls
+
+
+def shifted(g, offset):
+    return [(u + offset, v + offset) for u, v in g.edges]
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Multigraph(10, outer + spokes + inner)
+
+
+def test_dc_memo_keeps_invariant_collisions_apart(monkeypatch):
+    # Q3 and the Wagner graph V8 are cubic on 8 vertices and 12 edges, so
+    # their blocks share the invariant class; Q3 is bipartite, V8 is not
+    cube = Multigraph(8, [(w, w | 1 << b) for w in range(8) for b in range(3)
+                          if not w >> b & 1])
+    wagner = Multigraph(8, [(i, (i + 1) % 8) for i in range(8)]
+                        + [(i, i + 4) for i in range(4)])
+    joined = Multigraph(15, list(cube.edges) + shifted(wagner, 7))
+    t_cube, t_wagner = tutte_dc(mt.Graphic(cube)), tutte_dc(mt.Graphic(wagner))
+    assert t_cube != t_wagner
+    calls = count_key_calls(monkeypatch)
+    assert tutte_dc(mt.Graphic(joined)) == t_cube * t_wagner == tutte_frontier(joined)
+    assert cube in calls and wagner in calls  # the second member keyed both
+
+
+def test_dc_memo_promotes_a_class(monkeypatch):
+    # Petersen, a relabelled copy (same class, another labelled graph) and an
+    # exact copy (a labelled repeat): two keys more than Petersen alone
+    p = petersen()
+    rng = random.Random(3)
+    perm = list(range(10))
+    rng.shuffle(perm)
+    moved = Multigraph(10, [(perm[u], perm[v]) for u, v in p.edges])
+    union = Multigraph(30, list(p.edges) + shifted(moved, 10) + shifted(p, 20))
+    assert union.restrict(range(15, 30)) != p
+    calls = count_key_calls(monkeypatch)
+    t = tutte_dc(mt.Graphic(p))
+    alone = len(calls)
+    assert tutte_dc(mt.Graphic(union)) == t**3
+    assert len(calls) == 2 * alone + 2
+    assert t == tutte_frontier(p)
+
+
+# canonical forms per tutte_dc call; when every memoized block was keyed
+# they were 2,401 and 677
+@pytest.mark.parametrize("g, keys", [(grid_graph(3, 12), 1261), (complete_graph(8), 280)])
+def test_dc_graph_key_counts(monkeypatch, g, keys):
+    calls = count_key_calls(monkeypatch)
+    tutte_dc(mt.Graphic(g))
+    assert len(calls) == keys
 
 
 def test_dc_parallel_class_shortcut():

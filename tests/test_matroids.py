@@ -250,6 +250,40 @@ def test_basis_list_exchange_checked():
     mt.BasisList(2, 4, [{0, 1}, {0, 2}, {1, 2}])
     with pytest.raises(InvalidParameters):
         mt.BasisList(2, 4, [{0, 1}, {2, 3}])
+    # the only failing exchange: {1, 2} - 1 + f is no basis for f in {0, 3}
+    with pytest.raises(InvalidParameters) as exc:
+        mt.BasisList(2, 4, [{0, 1}, {0, 3}, {1, 2}, {1, 3}])
+    assert str(exc.value) == "basis-exchange axiom fails on [1, 2], [0, 3] at 1"
+
+
+def pairwise_exchange_failure(bases):
+    """The first failing (b1, b2, e) of the ordered pairwise check."""
+    for b1 in bases:
+        for b2 in bases:
+            for e in b1 - b2:
+                if not any((b1 - {e}) | {f} in bases for f in b2 - b1):
+                    return ("basis-exchange axiom fails "
+                            f"on {sorted(b1)}, {sorted(b2)} at {e}")
+    return None
+
+
+def test_basis_list_exchange_check_matches_pairwise():
+    rng = random.Random(5)
+    failures = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        r = rng.randint(1, n - 1)
+        sets = list(combinations(range(n), r))
+        family = rng.sample(sets, rng.randint(1, min(12, len(sets))))
+        expected = pairwise_exchange_failure(frozenset(frozenset(b) for b in family))
+        try:
+            mt.BasisList(r, n, family)
+            message = None
+        except InvalidParameters as exc:
+            message = str(exc)
+        assert message == expected, family
+        failures += message is not None
+    assert 50 < failures < 250  # both verdicts are exercised
 
 
 def test_lattice_path_catalan():
@@ -349,6 +383,20 @@ def test_relax_generic_view():
     assert w.full_rank == 3
     assert w.rank([0, 1]) == 2
     assert w.rank([0, 1, 2, 3, 4, 5]) == 3
+
+
+def test_relax_of_relax_is_one_view():
+    f7 = fano_sparse()
+    lines = sorted(sorted(c) for c in f7.chs)
+    relaxed = f7
+    stacked = f7
+    for line in lines[:3]:
+        relaxed = mt.relax(relaxed, line)
+        stacked = mt.RelaxView(stacked, [mt._mask(f7, line)])
+    assert isinstance(relaxed, mt.RelaxView) and relaxed.parent is f7
+    assert len(relaxed.masks) == 3
+    rest = mt.SparsePaving(3, 7, lines[3:])
+    assert rank_profile(relaxed) == rank_profile(stacked) == rank_profile(rest)
 
 
 def test_free_extension():
