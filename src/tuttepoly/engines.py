@@ -9,8 +9,9 @@ others:
   parallel- and series-class shortcuts, on masks of the input's rank oracle,
   each child inheriting the ranks and the classes its parent knows; graphs
   recurse on multigraphs as a product over their blocks, memoized on a
-  canonical form computed only for blocks that share a cheap invariant;
-  every value is one packed int (``bipoly._Packing``).
+  canonical form computed only for blocks that share a cheap invariant; on
+  both, a fat cycle (a circuit whose elements are bundles of parallel ones)
+  is a closed form; every value is one packed int (``bipoly._Packing``).
 - ``tutte_activities``: sum of x^i y^j over bases with i internally and j
   externally active elements relative to a total order.
 - ``coboundary`` plus the substitution pair ``tutte_from_coboundary`` /
@@ -139,8 +140,11 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     (factor y) are stripped only after a contraction and coloops (factor x)
     only after a deletion: a deletion creates no loops and a contraction no
     coloops (Oxley, Matroid Theory, 3.1).  A single parallel class is
-    U(1,k), whose polynomial is x + y + ... + y^(k-1).  Otherwise the largest
-    parallel class X (p = |X|, lowest element e) that is not a cocircuit
+    U(1,k), with T = B(k) = x + y + ... + y^(k-1).  k parallel classes of
+    rank k - 1 are a fat cycle (``_fat_cycle``) when their lowest elements
+    form a circuit: k rank calls, paid only at that rank, find no coloop
+    among them.  Otherwise the largest parallel class X (p = |X|, lowest
+    element e) that is not a cocircuit
     splits as T = T(M\\X) + (y^(p-1)+...+1) T(M/e\\(X-e)), the largest
     series class X that is not a circuit as T = (x^(p-1)+...+1) T(M\\X) +
     T(M/X), and failing both the highest live element e as T = T(M\\e) +
@@ -155,13 +159,15 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     so neither child strips anything.
     Graphic inputs instead recurse on multigraphs.  T is multiplicative over
     one-point joins and disjoint unions, so a graph's T is the product over
-    its blocks (``Multigraph.blocks``): a bond on k edges gives x + y + ... +
-    y^(k-1), a bridge x, a k-cycle x + ... + x^(k-1) + y, a loop y, and every
-    other block is memoized, so isomorphic blocks reached along different
-    branches are expanded once (Haggard, Pearce & Royle, "Computing Tutte
-    polynomials", ACM TOMS 37, 2010).  The lookup takes a labelled repeat
+    its blocks (``Multigraph.blocks``): a bond on k edges gives B(k), a
+    bridge x, a loop y, a block on n >= 3 vertices with n distinct end pairs
+    is a fat cycle (a 2-connected simple graph with n edges is a cycle), and
+    every other block is memoized, so isomorphic blocks reached along
+    different branches are expanded once (Haggard, Pearce & Royle,
+    "Computing Tutte polynomials", ACM TOMS 37, 2010).  The lookup takes a labelled repeat
     of a block as it stands; else the block joins its class under a cheap
-    invariant (vertex count, sorted end-degree pairs of the edges), and
+    invariant (vertex count, sorted end degrees and multiplicity of each end
+    pair, counted by the pass that tests for a fat cycle), and
     ``graphs.canonical_key``, a complete isomorphism invariant, is computed
     only when a second block joins a class, for both: a key no other block
     could match is never computed, and the hits are those of a memo keyed
@@ -173,6 +179,8 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     coefficients at most T(1,1) <= C(n, r) (each, times its path weight, is
     part of T).
     """
+    if budget_nodes < 1:
+        raise InvalidParameters(f"node budget must be at least 1, not {budget_nodes}")
     budget = _Budget(budget_nodes)
     r = m.full_rank
     pk = _Packing(m.n - r, comb(m.n, r))
@@ -181,6 +189,23 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     else:
         v = _dc_generic(m._rank, (1 << m.n) - 1, 0, 0, r, 3, None, None, pk, budget)
     return _wrap(pk.unpack(v))
+
+
+def _bond(pk, m):
+    """B(m) = x + y + ... + y^(m-1), packed by pk: m parallel elements, U(1,m)."""
+    return (1 << pk.x) + pk.geom(pk.y, m) - 1
+
+
+def _fat_cycle(pk, sizes):
+    """T, packed by pk, of a cycle whose sides are bundles of m_i = sizes[i]
+    parallel elements, in any order: splitting on the last bundle, T_k =
+    B(m_1)...B(m_(k-1)) + [m_k]_y T_(k-1), [m]_y = 1 + ... + y^(m-1), from
+    T_1 = y^(m_1), so T_2 = B(m_1 + m_2); every term is non-negative."""
+    t, path = 1 << sizes[0] * pk.y, _bond(pk, sizes[0])
+    for m in sizes[1:]:
+        t = path + pk.geom(pk.y, m) * t
+        path *= _bond(pk, m)
+    return t
 
 
 def _dc_graph(g, pk, budget, memo):
@@ -194,32 +219,37 @@ def _dc_graph(g, pk, budget, memo):
             acc <<= pk.y if u == v else pk.x  # a loop or a bridge
             continue
         block = g.restrict(edges)
-        if block.nverts == 2:  # a bond
-            poly = (1 << pk.x) + pk.geom(pk.y, k) - 1
-        elif block.nverts == k:  # a cycle
-            poly = pk.geom(pk.x, k) - 1 + (1 << pk.y)
+        mult = {}  # edges per vertex pair
+        for u, v in block.edges:
+            pair = (u, v) if u < v else (v, u)
+            mult[pair] = mult.get(pair, 0) + 1
+        if block.nverts == 2:
+            poly = _bond(pk, k)
+        elif len(mult) == block.nverts:  # n end pairs on n vertices
+            poly = _fat_cycle(pk, list(mult.values()))
         else:
-            poly = _memo_block(block, pk, budget, memo)
+            poly = _memo_block(block, mult, pk, budget, memo)
         acc *= poly
     return acc
 
 
-def _memo_block(block, pk, budget, memo):
-    """T of a block that is neither a bond nor a cycle, through the memo
-    (labelled, classes); a class is (first block, T) until it becomes
-    {canonical_key: T}.  A block's descendants have fewer edges, so they
-    never reach its class while it is expanded."""
+def _memo_block(block, mult, pk, budget, memo):
+    """T of a block, neither a bond nor a fat cycle, through the memo
+    (labelled, classes); mult counts its edges per vertex pair.  A class is
+    (first block, T) until it becomes {canonical_key: T}.  A block's
+    descendants have fewer edges, so they never reach its class while it is
+    expanded."""
     labelled, classes = memo
     poly = labelled.get(block)
     if poly is not None:
         return poly
     deg = [0] * block.nverts
-    for u, v in block.edges:
-        deg[u] += 1
-        deg[v] += 1
+    for (u, v), c in mult.items():
+        deg[u] += c
+        deg[v] += c
     inv = (block.nverts, tuple(sorted(
-        (deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u])
-        for u, v in block.edges
+        (deg[u], deg[v], c) if deg[u] <= deg[v] else (deg[v], deg[u], c)
+        for (u, v), c in mult.items()
     )))
     cls = classes.get(inv)
     if cls is None:
@@ -238,7 +268,7 @@ def _memo_block(block, pk, budget, memo):
 
 
 def _dc_block(g, pk, budget, memo):
-    """T of a 2-connected g with at least 3 vertices, which is not a cycle:
+    """T of a 2-connected g with at least 3 vertices, not a fat cycle:
     no parallel class is a bond and no degree-2 chain is a circuit."""
     classes = [c for c in g.parallel_classes() if len(c) >= 2]
     if classes:
@@ -288,6 +318,13 @@ def _largest(classes):
     return best if best.bit_count() >= 2 else 0
 
 
+def _is_circuit(rank, con, par, full):
+    """Whether the lowest elements of the classes par, of rank len(par) - 1
+    over con, form a circuit: none of them is a coloop."""
+    reps = sum(cl & -cl for cl in par)
+    return all(rank(con | reps ^ (cl & -cl)) == full for cl in par)
+
+
 def _dc_generic(rank, live, con, rc, full, strip, par, ser, pk, budget):
     """T, packed by pk, of the root's minor on the mask live with the mask con
     contracted, ranked by r(A) = rank(A | con) - rc with rc = rank(con), full
@@ -310,8 +347,10 @@ def _dc_generic(rank, live, con, rc, full, strip, par, ser, pk, budget):
         return 1 << coloops * pk.x + loops * pk.y
     par = _classes(live, par, lambda pair: rank(con | pair) == rc + 1)
     big = _largest(par)
-    if big == live:  # U(1,n): x + y + ... + y^(n-1)
-        poly = (1 << pk.x) + pk.geom(pk.y, live.bit_count()) - 1
+    if big == live:  # U(1,n)
+        poly = _bond(pk, live.bit_count())
+    elif full - rc == len(par) - 1 and _is_circuit(rank, con, par, full):  # fat cycle
+        poly = _fat_cycle(pk, [cl.bit_count() for cl in par])
     elif big and rank(con | (live ^ big)) == full:  # not a cocircuit
         rest = live ^ big  # M/e has no coloops, and its loops are big - e
         poly = _dc_generic(rank, rest, con, rc, full, 2, par, None, pk, budget) + pk.geom(

@@ -172,13 +172,3 @@ class GFMatrix:
             # keep an explicit zero row so the column count survives
             rows = [[0] * (self.ncols - 1)]
         return GFMatrix._trusted(p, rows)
-
-
-def standard_rep(p, r, appended_columns):
-    """[I_r | A] over GF(p); appended_columns are the columns of A."""
-    rows = []
-    for i in range(r):
-        row = [1 if j == i else 0 for j in range(r)]
-        row += [col[i] for col in appended_columns]
-        rows.append(row)
-    return GFMatrix(p, rows)

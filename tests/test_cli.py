@@ -257,6 +257,18 @@ def test_exit_three_on_budget(tmp_path, capsys):
     assert code == 3 and err
 
 
+def test_budget_below_one_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "u49.json"
+    path.write_text('{"kind": "uniform", "r": 4, "n": 9}')
+    for cap in ("0", "-5"):
+        code, out, err = run(
+            ["compute", "--matroid", str(path), "--engine", "dc",
+             "--budget-nodes", cap],
+            capsys,
+        )
+        assert code == 2 and out == "" and "at least 1" in err, cap
+
+
 def test_complete_family_exit_codes(capsys):
     # no vertex is a bad parameter (2); more than 30 is over the size budget (3)
     code, out, err = run(["compute", "--family", "complete", "--n", "0"], capsys)

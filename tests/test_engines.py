@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,8 +34,8 @@ from tuttepoly.errors import (
     ResourceBudgetExceeded,
     UnsupportedWidth,
 )
-from tuttepoly.families import grid2, uniform, wheel
-from tuttepoly.gf import GFMatrix, standard_rep
+from tuttepoly.families import cycle, grid2, uniform, wheel
+from tuttepoly.gf import GFMatrix
 from tuttepoly.graphs import (
     Multigraph,
     bond_graph,
@@ -44,6 +45,8 @@ from tuttepoly.graphs import (
     path_graph,
     wheel_graph,
 )
+
+from helpers import standard_rep
 
 # frozen expected polynomials, written as {(x-exp, y-exp): coeff}
 T_U25 = BiPoly({(2, 0): 1, (1, 0): 3, (0, 1): 3, (0, 2): 2, (0, 3): 1})
@@ -381,8 +384,9 @@ GF3_4X13 = [
 # root rank calls of generic DC now, keyed by the calls when every node
 # re-ranked C, L | C and every loop and coloop test; with those ranks
 # inherited but the parallel and series classes rebuilt at every node they
-# were 191 / 489 / 1,058 / 7,353
-ROOT_RANK_CALLS = {282: 125, 721: 272, 1641: 631, 10540: 3516}
+# were 191 / 489 / 1,058 / 7,353, and before fat cycles were a closed form
+# 125 / 272 / 631 / 3,516
+ROOT_RANK_CALLS = {282: 109, 721: 261, 1641: 592, 10540: 3282}
 
 
 @pytest.mark.parametrize(
@@ -425,9 +429,11 @@ def test_dc_disconnected_graph_multiplies():
     assert tutte_dc(mt.Graphic(g)) == t3 * t3
 
 
-@pytest.mark.parametrize("g, nodes", [(grid_graph(3, 12), 2365), (complete_graph(8), 763)])
+@pytest.mark.parametrize("g, nodes", [(grid_graph(3, 12), 2359), (complete_graph(8), 711)],
+                         ids=["grid3x12", "K8"])
 def test_dc_graph_node_counts(g, nodes):
-    # one node per product over blocks: the exact count passes, one less does not
+    # one node per product over blocks: the exact count passes, one less does
+    # not; before fat cycles were a closed form they were 2,365 and 763
     m = mt.Graphic(g)
     assert tutte_dc(m, budget_nodes=nodes) == tutte_frontier(g)
     with pytest.raises(ResourceBudgetExceeded):
@@ -493,8 +499,10 @@ def test_dc_memo_promotes_a_class(monkeypatch):
 
 
 # canonical forms per tutte_dc call; when every memoized block was keyed
-# they were 2,401 and 677
-@pytest.mark.parametrize("g, keys", [(grid_graph(3, 12), 1261), (complete_graph(8), 280)])
+# they were 2,401 and 677, and with fat cycles memoized and an invariant
+# blind to edge multiplicities 1,261 and 280
+@pytest.mark.parametrize("g, keys", [(grid_graph(3, 12), 1207), (complete_graph(8), 208)],
+                         ids=["grid3x12", "K8"])
 def test_dc_graph_key_counts(monkeypatch, g, keys):
     calls = count_key_calls(monkeypatch)
     tutte_dc(mt.Graphic(g))
@@ -517,6 +525,132 @@ def test_dc_whole_parallel_class_is_a_base_case():
     # and tens of seconds
     thick = mt.thicken(mt.Uniform(1, 2), 100)
     assert tutte_dc(thick, budget_nodes=5) == uniform(1, 200)
+
+
+def fat_cycle_graphs(rng, sizes, extras=True):
+    """A cycle of bundles of sizes[i] parallel edges, with pendant trees and
+    loops attached when extras: (edges in an order of small frontier, the
+    same multigraph with its labels, edge order and edge ends shuffled)."""
+    k = len(sizes)
+    edges, n = [], k
+    for i, m in enumerate(sizes):
+        edges += [(i, (i + 1) % k)] * m
+        for _ in range(rng.randint(0, 2) if extras else 0):
+            tree = [i]
+            for _ in range(rng.randint(1, 3)):
+                edges.append((rng.choice(tree), n))
+                tree.append(n)
+                n += 1
+        if extras and rng.random() < 0.3:
+            edges.append((i, i))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved = [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v])
+             for u, v in edges]
+    rng.shuffle(moved)
+    return Multigraph(n, edges), Multigraph(n, moved)
+
+
+def fat_cycle_gf3(rng, sizes):
+    """The fat cycle over GF(3): the columns e_1 .. e_(k-1) and their sum, a
+    circuit, the i-th repeated sizes[i] times, each copy scaled by 1 or 2."""
+    k = len(sizes)
+    circuit = [[int(i == j) for i in range(k - 1)] for j in range(k - 1)]
+    circuit.append([1] * (k - 1))
+    cols = [[c * a for a in col] for col, m in zip(circuit, sizes)
+            for c in rng.choices((1, 2), k=m)]
+    rng.shuffle(cols)
+    return mt.Linear(GFMatrix(3, [list(row) for row in zip(*cols)]))
+
+
+def test_dc_fat_cycles_match_the_frontier_sweep():
+    rng = random.Random(17)
+    for _ in range(80):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(2, 9))]
+        ordered, shuffled = fat_cycle_graphs(rng, sizes)
+        t = tutte_frontier(ordered)
+        assert tutte_dc(mt.Graphic(shuffled)) == t, sizes
+        # spanning trees: every bundle but one keeps one of its edges
+        assert t.eval(1, 1) == sum(prod(sizes[:j] + sizes[j + 1:])
+                                   for j in range(len(sizes)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 10])
+def test_dc_plain_cycle_is_the_circuit(n):
+    assert tutte_dc(mt.Graphic(cycle_graph(n))) == cycle(n)
+    assert tutte_dc(mt.Uniform(n - 1, n)) == cycle(n)
+
+
+def test_dc_generic_fat_cycles_match_subset():
+    rng = random.Random(5)
+    for k in range(3, 7):
+        sizes = [rng.randint(1, 3) for _ in range(k)]
+        graphic = tutte_dc(mt.Graphic(fat_cycle_graphs(rng, sizes, False)[1]))
+        extended = mt.Uniform(k - 1, k)
+        for i, m in enumerate(sizes):
+            for _ in range(m - 1):
+                extended = mt.parallel_extension(extended, i)
+        for m in (extended, fat_cycle_gf3(rng, sizes)):
+            assert tutte_dc(m) == tutte_subset(m) == graphic, (sizes, m)
+        thick = mt.thicken(mt.Uniform(k - 1, k), 2)
+        assert tutte_dc(thick) == tutte_subset(thick)
+
+
+def test_fat_cycle_is_one_node_and_no_key(monkeypatch):
+    rng = random.Random(9)
+    sizes = [3, 1, 4, 1, 5]
+    ordered, shuffled = fat_cycle_graphs(rng, sizes)
+    roots = [
+        mt.Graphic(shuffled),
+        mt.Graphic(cycle_graph(12)),
+        mt.thicken(mt.Uniform(4, 5), 3),
+        fat_cycle_gf3(rng, sizes),
+    ]
+    expected = [tutte_frontier(ordered)] + [tutte_subset(m) for m in roots[1:]]
+    calls = count_key_calls(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fat-cycle closed form ran another engine")
+
+    for name in ("tutte_subset", "_corank_nullity_counts", "tutte_frontier",
+                 "tutte_activities"):
+        monkeypatch.setattr(engines, name, refuse)
+    for m, t in zip(roots, expected):
+        assert tutte_dc(m, budget_nodes=1) == t, m
+    assert calls == []
+    chord = Multigraph(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 2)])
+    with pytest.raises(ResourceBudgetExceeded):
+        tutte_dc(mt.Graphic(chord), budget_nodes=1)
+
+
+def test_dc_fat_cycle_near_misses_match_subset():
+    rng = random.Random(11)
+    sizes = [2, 1, 3, 2]
+    ordered, _ = fat_cycle_graphs(rng, sizes, False)
+    chord = Multigraph(4, list(ordered.edges) + [(0, 2)])
+    gf3 = fat_cycle_gf3(rng, sizes)
+    rows = [list(row) for row in gf3.mat.rows]
+    for row, a in zip(rows, (1, 1, 0)):  # a chord: e_1 + e_2
+        row.append(a)
+    # a triangle and a pendant pair of parallel elements: four classes of
+    # rank 3, but the pair's lowest element is a coloop of the four lowest
+    deficit = Multigraph(4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3)])
+    deficit_gf3 = standard_rep(3, 3, [(1, 1, 0), (0, 0, 2)])
+    for m in (
+        mt.Graphic(chord),
+        mt.BasisList(3, chord.nedges, mt.bases(mt.Graphic(chord))),
+        mt.Linear(GFMatrix(3, rows)),
+        mt.BasisList(3, 5, mt.bases(mt.Graphic(deficit))),
+        mt.Linear(deficit_gf3),
+    ):
+        assert tutte_dc(m) == tutte_subset(m), m
+    assert tutte_dc(mt.Linear(deficit_gf3)) == cycle(3) * uniform(1, 2)
+
+
+def test_dc_budget_below_one_is_refused():
+    for cap in (0, -5):
+        with pytest.raises(InvalidParameters):
+            tutte_dc(mt.Uniform(1, 2), budget_nodes=cap)
 
 
 def test_packed_routes_do_no_polynomial_arithmetic(monkeypatch):

@@ -27,7 +27,9 @@ from tuttepoly.errors import (
     SizeBudgetExceeded,
     UnknownSystem,
 )
-from tuttepoly.gf import GFMatrix, standard_rep
+from tuttepoly.gf import GFMatrix
+
+from helpers import standard_rep
 
 
 def bp(d):

@@ -21,7 +21,7 @@ from tuttepoly.errors import (
     NotCircuitHyperplane,
     PreconditionViolated,
 )
-from tuttepoly.gf import GFMatrix, standard_rep
+from tuttepoly.gf import GFMatrix
 from tuttepoly.graphs import (
     Multigraph,
     bond_graph,
@@ -32,6 +32,8 @@ from tuttepoly.graphs import (
     grid_graph,
     wheel_graph,
 )
+
+from helpers import standard_rep
 
 
 def fano_sparse():
