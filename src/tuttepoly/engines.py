@@ -9,7 +9,8 @@ others:
   parallel- and series-class shortcuts, on masks of the input's rank oracle,
   each child inheriting the ranks and the classes its parent knows; graphs
   recurse on multigraphs as a product over their blocks, memoized on a
-  canonical form computed only for blocks that share a cheap invariant; on
+  canonical form computed only for blocks that share a cheap invariant,
+  each split once on an edge set X as T = w_d T(G\\X) + w_c T(G/X); on
   both, a fat cycle (a circuit whose elements are bundles of parallel ones)
   is a closed form; every value is one packed int (``bipoly._Packing``).
 - ``tutte_activities``: sum of x^i y^j over bases with i internally and j
@@ -167,17 +168,16 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     "Computing Tutte polynomials", ACM TOMS 37, 2010).  The lookup takes a labelled repeat
     of a block as it stands; else the block joins its class under a cheap
     invariant (vertex count, sorted end degrees and multiplicity of each end
-    pair, counted by the pass that tests for a fat cycle), and
+    pair, read from one table of its edges per end pair), and
     ``graphs.canonical_key``, a complete isomorphism invariant, is computed
     only when a second block joins a class, for both: a key no other block
     could match is never computed, and the hits are those of a memo keyed
-    on every block.  Such a block splits on its largest parallel class,
-    else a degree-2 chain, else its last edge; in a 2-connected graph on at
-    least 3 vertices no parallel class is a bond and no such chain is a
-    circuit.  Every product over blocks costs one of budget_nodes.  Values
-    are ints packed by ``bipoly._Packing``: y-degree at most n - r,
-    coefficients at most T(1,1) <= C(n, r) (each, times its path weight, is
-    part of T).
+    on every block.  Such a block splits once on an edge set X read from
+    the same table, its largest parallel class, else a degree-2 chain, else
+    its last edge, as T = w_d T(G\\X) + w_c T(G/X) (``_dc_block``).  Every
+    product over blocks costs one of budget_nodes.  Values are ints packed
+    by ``bipoly._Packing``: y-degree at most n - r, coefficients at most
+    T(1,1) <= C(n, r) (each, times its path weight, is part of T).
     """
     if budget_nodes < 1:
         raise InvalidParameters(f"node budget must be at least 1, not {budget_nodes}")
@@ -219,23 +219,22 @@ def _dc_graph(g, pk, budget, memo):
             acc <<= pk.y if u == v else pk.x  # a loop or a bridge
             continue
         block = g.restrict(edges)
-        mult = {}  # edges per vertex pair
-        for u, v in block.edges:
-            pair = (u, v) if u < v else (v, u)
-            mult[pair] = mult.get(pair, 0) + 1
+        pairs = {}  # vertex pair -> the edges joining it
+        for i, (u, v) in enumerate(block.edges):
+            pairs.setdefault((u, v) if u < v else (v, u), []).append(i)
         if block.nverts == 2:
             poly = _bond(pk, k)
-        elif len(mult) == block.nverts:  # n end pairs on n vertices
-            poly = _fat_cycle(pk, list(mult.values()))
+        elif len(pairs) == block.nverts:  # n end pairs on n vertices
+            poly = _fat_cycle(pk, [len(es) for es in pairs.values()])
         else:
-            poly = _memo_block(block, mult, pk, budget, memo)
+            poly = _memo_block(block, pairs, pk, budget, memo)
         acc *= poly
     return acc
 
 
-def _memo_block(block, mult, pk, budget, memo):
+def _memo_block(block, pairs, pk, budget, memo):
     """T of a block, neither a bond nor a fat cycle, through the memo
-    (labelled, classes); mult counts its edges per vertex pair.  A class is
+    (labelled, classes); pairs lists its edges per vertex pair.  A class is
     (first block, T) until it becomes {canonical_key: T}.  A block's
     descendants have fewer edges, so they never reach its class while it is
     expanded."""
@@ -244,16 +243,16 @@ def _memo_block(block, mult, pk, budget, memo):
     if poly is not None:
         return poly
     deg = [0] * block.nverts
-    for (u, v), c in mult.items():
-        deg[u] += c
-        deg[v] += c
+    for (u, v), es in pairs.items():
+        deg[u] += len(es)
+        deg[v] += len(es)
     inv = (block.nverts, tuple(sorted(
-        (deg[u], deg[v], c) if deg[u] <= deg[v] else (deg[v], deg[u], c)
-        for (u, v), c in mult.items()
+        (deg[u], deg[v], len(es)) if deg[u] <= deg[v] else (deg[v], deg[u], len(es))
+        for (u, v), es in pairs.items()
     )))
     cls = classes.get(inv)
     if cls is None:
-        poly = _dc_block(block, pk, budget, memo)
+        poly = _dc_block(block, pairs, pk, budget, memo)
         classes[inv] = (block, poly)
     else:
         if isinstance(cls, tuple):
@@ -262,34 +261,40 @@ def _memo_block(block, mult, pk, budget, memo):
         key = canonical_key(block)
         poly = cls.get(key)
         if poly is None:
-            poly = cls[key] = _dc_block(block, pk, budget, memo)
+            poly = cls[key] = _dc_block(block, pairs, pk, budget, memo)
     labelled[block] = poly
     return poly
 
 
-def _dc_block(g, pk, budget, memo):
-    """T of a 2-connected g with at least 3 vertices, not a fat cycle:
-    no parallel class is a bond and no degree-2 chain is a circuit."""
-    classes = [c for c in g.parallel_classes() if len(c) >= 2]
-    if classes:
-        cls = max(classes, key=len)
-        gd = g.delete_edges(cls)
-        gc = g.delete_edges(cls[1:]).contract_edge(cls[0])
-        return _dc_graph(gd, pk, budget, memo) + pk.geom(pk.y, len(cls)) * _dc_graph(
-            gc, pk, budget, memo
-        )
-    chain = g.degree_two_chain()
-    if chain:
-        gd = g.delete_edges(chain)
-        gc = g
-        for i in sorted(chain, reverse=True):
-            gc = gc.contract_edge(i)
-        return pk.geom(pk.x, len(chain)) * _dc_graph(gd, pk, budget, memo) + _dc_graph(
-            gc, pk, budget, memo
-        )
-    e = len(g.edges) - 1
-    return _dc_graph(g.delete_edges([e]), pk, budget, memo) + _dc_graph(
-        g.contract_edge(e), pk, budget, memo
+def _dc_block(g, pairs, pk, budget, memo):
+    """T of a 2-connected g on at least 3 vertices, not a fat cycle, whose
+    edges pairs lists per end pair, by one split on an edge set X of size p:
+    T = w_d T(g\\X) + w_c T(g/X).  X is the largest parallel class (w_d = 1,
+    w_c = [p]_y = 1 + y + ... + y^(p-1)), else the maximal degree-2 chain
+    through the least degree-2 vertex (w_d = [p]_x, w_c = 1), else the last
+    edge (both 1).  As g is neither a bond nor a cycle, no such class is a
+    cocircuit and no such chain is a circuit."""
+    wd = wc = 1
+    x = max(pairs.values(), key=len)  # the earliest of the largest classes
+    if len(x) > 1:
+        wc = pk.geom(pk.y, len(x))
+    else:  # g is simple: walk both ways from its least degree-2 vertex
+        nbrs = [[] for _ in range(g.nverts)]
+        for (u, v), (i,) in pairs.items():
+            nbrs[u].append((v, i))
+            nbrs[v].append((u, i))
+        w = next((w for w, nb in enumerate(nbrs) if len(nb) == 2), None)
+        x = [len(g.edges) - 1]
+        if w is not None:
+            x = []
+            for z, i in nbrs[w]:
+                x.append(i)
+                while len(nbrs[z]) == 2:
+                    z, i = next(step for step in nbrs[z] if step[1] != i)
+                    x.append(i)
+            wd = pk.geom(pk.x, len(x))
+    return wd * _dc_graph(g.delete_edges(x), pk, budget, memo) + wc * _dc_graph(
+        g.contract_edges(x), pk, budget, memo
     )
 
 

@@ -2,10 +2,13 @@
 
 Edges are indexed 0..m-1 in insertion order and may repeat endpoint pairs
 (parallel edges) or join a vertex to itself (loops).  Deletion and
-contraction return new graphs whose edges keep their relative order, so
-element labels stay aligned with matroid minors.  ``blocks`` splits the
-edges into biconnected components, the factors of deletion-contraction on
-graphs, and ``restrict`` builds the graph of one of them.
+contraction of an edge set return new graphs whose edges keep their
+relative order, so element labels stay aligned with matroid minors; the
+one split of deletion-contraction on graphs, on a parallel class, a
+degree-2 chain or one edge, is ``delete_edges`` against ``contract_edges``
+of that set.  ``blocks`` splits the edges into biconnected components, the
+factors of deletion-contraction on graphs, and ``restrict`` builds the
+graph of one of them.
 """
 
 from __future__ import annotations
@@ -27,10 +30,14 @@ class UnionFind:
         return a
 
     def union(self, a, b):
+        """Join the sets of a and b under the lesser root; False if one set."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        self.parent[rb] = ra
+        if ra < rb:
+            self.parent[rb] = ra
+        else:
+            self.parent[ra] = rb
         return True
 
 
@@ -99,18 +106,24 @@ class Multigraph:
             self.nverts, [e for i, e in enumerate(self.edges) if i not in drop]
         )
 
-    def contract_edge(self, i):
-        """Contract edge i (a loop contracts to a deletion) and compact vertices."""
-        u, v = self.edges[i]
-        if u == v:
-            return self.delete_edges([i])
-        a, b = min(u, v), max(u, v)
-        # merge b into a, shift higher vertex labels down
-        relabel = [w if w < b else (a if w == b else w - 1) for w in range(self.nverts)]
+    def contract_edges(self, drop):
+        """Contract the edges drop (a loop contracts to a deletion): each set
+        of vertices they join becomes its least vertex, and the vertices left
+        are numbered in increasing order, as successive single contractions
+        that merge the greater end into the lesser one would number them."""
+        drop = set(drop)
+        uf = UnionFind(self.nverts)
+        for i in drop:
+            uf.union(*self.edges[i])
+        label = []
+        kept = 0
+        for w, p in enumerate(uf.parent):  # p < w unless w is its set's root
+            label.append(label[p] if p < w else kept)
+            kept += p == w
         edges = [
-            (relabel[x], relabel[y]) for k, (x, y) in enumerate(self.edges) if k != i
+            (label[x], label[y]) for i, (x, y) in enumerate(self.edges) if i not in drop
         ]
-        return Multigraph._trusted(self.nverts - 1, edges)
+        return Multigraph._trusted(kept, edges)
 
     def restrict(self, edge_indices):
         """The graph on those edges and their ends: the edges keep their
@@ -177,51 +190,6 @@ class Multigraph:
                             low[p] = low[w]
         out.sort()
         return out
-
-    def parallel_classes(self):
-        """Non-loop edge indices grouped by endpoint pair."""
-        groups = {}
-        for i, (u, v) in enumerate(self.edges):
-            if u != v:
-                groups.setdefault((min(u, v), max(u, v)), []).append(i)
-        return list(groups.values())
-
-    def degree_two_chain(self):
-        """A maximal series run through degree-2 vertices, or None.
-
-        Returns edge indices forming a path whose interior vertices have
-        degree exactly 2 (loops forbidden at those vertices).  Such edges lie
-        in one series class, which is all the deletion-contraction engine
-        needs; classes invisible to this test are found by the generic rule.
-        """
-        deg = [0] * self.nverts
-        incident = [[] for _ in range(self.nverts)]
-        for i, (u, v) in enumerate(self.edges):
-            deg[u] += 1
-            deg[v] += 1
-            incident[u].append(i)
-            incident[v].append(i)
-        for w in range(self.nverts):
-            if deg[w] == 2 and len(set(incident[w])) == 2:
-                chain = set(incident[w])
-                # grow through neighboring degree-2 vertices
-                grew = True
-                while grew:
-                    grew = False
-                    touched = {
-                        z
-                        for i in chain
-                        for z in self.edges[i]
-                    }
-                    for z in touched:
-                        if deg[z] == 2 and len(set(incident[z])) == 2:
-                            for i in incident[z]:
-                                if i not in chain:
-                                    chain.add(i)
-                                    grew = True
-                if len(chain) >= 2:
-                    return sorted(chain)
-        return None
 
 
 # -- canonical form ---------------------------------------------------------

@@ -202,12 +202,19 @@ class BasisList(Matroid):
         if check and n <= 16:
             # each e in b1 - b2 needs an f in b2 - b1 with b1 - e + f a basis;
             # ex[e] masks the f outside b1 that work, so some b2 fails at e
-            # iff it avoids ex[e] and e, and only then are b1's pairs walked
+            # iff it avoids ex[e] and e: iff bit full ^ ex[e] ^ 1 << e of up,
+            # the sets holding a basis as a 2^n-bit int, is set.  Only then
+            # are b1's pairs walked for the message.
             mask_set = set(masks)
+            full, sets = (1 << n) - 1, (1 << (1 << n)) - 1
+            up = sum(1 << m for m in masks)
+            for k in range(n):  # low marks the sets without k
+                low = sets // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1)
+                up |= (up & low) << (1 << k)
             for b1, m1 in zip(bases, masks):
                 ex = {e: sum(1 << f for f in range(n) if not m1 >> f & 1
                              and (m1 ^ 1 << e) | 1 << f in mask_set) for e in b1}
-                if all(m2 & (x | 1 << e) for e, x in ex.items() for m2 in masks):
+                if not any(up >> (full ^ x ^ 1 << e) & 1 for e, x in ex.items()):
                     continue
                 for b2, m2 in zip(bases, masks):
                     for e in b1 - b2:
@@ -442,7 +449,7 @@ def contract(m, e):
     if isinstance(m, Uniform):
         return Uniform(m.r - 1, m.n - 1)
     if isinstance(m, Graphic):
-        return Graphic(m.graph.contract_edge(e))
+        return Graphic(m.graph.contract_edges([e]))
     if isinstance(m, Linear):
         return Linear(m.mat.contract_column(e))
     return _remap(m, [i for i in range(m.n) if i != e], 1 << e)

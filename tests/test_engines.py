@@ -1054,25 +1054,30 @@ def test_relaxation_shifts_one_basis():
     assert tutte_subset(relaxed) == T_F7 - X * Y + X + Y
 
 
-def test_parallel_class_split_identity():
-    # doubled edge on a triangle: T(M) = T(M minus class) + (1+y) T(M/class)
-    g = Multigraph(3, [(0, 1), (0, 1), (1, 2), (2, 0)])
-    m = mt.Graphic(g)
-    minus = mt.Graphic(g.delete_edges([0, 1]))
-    contracted = mt.Graphic(g.delete_edges([1]).contract_edge(0))
-    lhs = tutte_subset(m)
-    rhs = tutte_subset(minus) + (1 + Y) * tutte_subset(contracted)
-    assert lhs == rhs
+@pytest.mark.parametrize(
+    "g, x, wd, wc",
+    [
+        # a doubled edge on a triangle, X its parallel class
+        (Multigraph(3, [(0, 1), (0, 1), (1, 2), (2, 0)]), [0, 1], 1, 1 + Y),
+        # a tripled edge of K4
+        (Multigraph(4, [(0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)]),
+         [0, 1, 7], 1, 1 + Y + Y**2),
+        # a two-edge chain inside a 4-cycle, X a series class
+        (cycle_graph(4), [0, 1], 1 + X, 1),
+        # a three-edge chain of a theta graph
+        (Multigraph(5, [(0, 2), (2, 3), (3, 1), (0, 4), (4, 1), (0, 1)]),
+         [0, 1, 2], 1 + X + X**2, 1),
+        # one edge of K4
+        (complete_graph(4), [5], 1, 1),
+    ],
+    ids=["parallel2", "parallel3", "series2", "series3", "edge"],
+)
+def test_split_identity(g, x, wd, wc):
+    # T(G) = w_d T(G minus X) + w_c T(G/X), the one split of graph DC
+    def t(h):
+        return tutte_subset(mt.Graphic(h))
 
-
-def test_series_class_split_identity():
-    # two-edge path chain inside a 4-cycle: T = (1+x) T(del X) + T(M/X)
-    g = cycle_graph(4)
-    m = mt.Graphic(g)
-    x_cls = [0, 1]
-    minus = mt.Graphic(g.delete_edges(x_cls))
-    contracted = mt.Graphic(g.contract_edge(1).contract_edge(0))
-    assert tutte_subset(m) == (1 + X) * tutte_subset(minus) + tutte_subset(contracted)
+    assert t(g) == wd * t(g.delete_edges(x)) + wc * t(g.contract_edges(x))
 
 
 @st.composite
@@ -1094,6 +1099,29 @@ def multigraphs(draw):
         size = cuts[b + 1] - cuts[b]
         edges.append((cuts[b] + u % size, cuts[b] + v % size))
     return Multigraph(nv, edges)
+
+
+def contract_one(g, i):
+    """Reference single contraction: a loop is deleted, else the greater end
+    merges into the lesser and the higher vertices shift down by one."""
+    u, v = g.edges[i]
+    rest = [e for k, e in enumerate(g.edges) if k != i]
+    if u == v:
+        return Multigraph(g.nverts, rest)
+    a, b = min(u, v), max(u, v)
+    relabel = [w if w < b else (a if w == b else w - 1) for w in range(g.nverts)]
+    return Multigraph(g.nverts - 1, [(relabel[x], relabel[y]) for x, y in rest])
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_contract_edges_matches_single_contractions(g, data):
+    picks = data.draw(st.lists(st.booleans(), min_size=g.nedges, max_size=g.nedges))
+    drop = [i for i, p in enumerate(picks) if p]
+    expected = g
+    for i in reversed(drop):
+        expected = contract_one(expected, i)
+    assert g.contract_edges(drop) == expected
 
 
 @given(multigraphs())

@@ -11,6 +11,7 @@ from tuttepoly import matroids as mt
 from tuttepoly.errors import InvalidParameters
 from tuttepoly.graphs import (
     Multigraph,
+    UnionFind,
     canonical_key,
     complete_bipartite_graph,
     complete_graph,
@@ -261,4 +262,12 @@ def test_public_constructor_checks_edges_and_minors_stay_equal():
             Multigraph(3, bad)
     g = Multigraph(5, [(0, 1), (1, 2), (2, 0), (3, 3), (1, 2)])
     assert g.delete_edges([1]) == Multigraph(5, [(0, 1), (2, 0), (3, 3), (1, 2)])
-    assert g.contract_edge(1) == Multigraph(4, [(0, 1), (1, 0), (2, 2), (1, 1)])
+    assert g.contract_edges([1]) == Multigraph(4, [(0, 1), (1, 0), (2, 2), (1, 1)])
+
+
+def test_union_keeps_the_lesser_root():
+    uf = UnionFind(6)
+    assert uf.union(5, 3) and uf.union(4, 5) and uf.union(2, 1)
+    assert [uf.find(w) for w in range(6)] == [0, 1, 1, 3, 3, 3]
+    assert uf.union(4, 1) and not uf.union(3, 2)
+    assert [uf.find(w) for w in range(6)] == [0, 1, 1, 1, 1, 1]

@@ -288,6 +288,22 @@ def test_basis_list_exchange_check_matches_pairwise():
     assert 50 < failures < 250  # both verdicts are exercised
 
 
+def test_basis_list_exchange_check_on_a_large_family():
+    family = [frozenset(b) for b in combinations(range(14), 7)]
+    # one basis of U(7,14) removed is a circuit-hyperplane: still a matroid
+    assert len(mt.BasisList(7, 14, family[1:]).bases) == 3431
+    # two removed that share six elements break the exchange axiom; the
+    # message is the first failure of pairwise_exchange_failure (12 s there)
+    with pytest.raises(InvalidParameters) as exc:
+        mt.BasisList(7, 14, family[2:])
+    assert str(exc.value) == (
+        "basis-exchange axiom fails on "
+        "[0, 1, 2, 3, 4, 5, 11], [1, 2, 3, 4, 5, 6, 7] at 11"
+    )
+    b1, b2, e = frozenset({0, 1, 2, 3, 4, 5, 11}), frozenset(range(1, 8)), 11
+    assert all((b1 - {e}) | {f} not in family[2:] for f in b2 - b1)
+
+
 def test_lattice_path_catalan():
     m3 = mt.catalan_matroid(3)
     assert m3.n == 6
