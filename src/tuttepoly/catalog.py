@@ -356,11 +356,9 @@ FORMULA_ROUTES = {
 
 
 def _engine_routes(m):
-    routes = [("engine:subset", lambda: eng.tutte_subset(m)),
-              ("engine:dc", lambda: eng.tutte_dc(m))]
-    if m.n <= eng._ACTIVITY_CAP:
-        routes.append(("engine:activities", lambda: eng.tutte_activities(m)))
-    return routes
+    return [("engine:subset", lambda: eng.tutte_subset(m)),
+            ("engine:dc", lambda: eng.tutte_dc(m)),
+            ("engine:activities", lambda: eng.tutte_activities(m))]
 
 
 def verify(name, engines=None):
@@ -368,8 +366,8 @@ def verify(name, engines=None):
 
     Returns a report dict: route polynomials, pairwise agreement, the
     verdict against the stored ground truth, and erratum context if the
-    stored value is a flagged misprint.  Where the bases are enumerated,
-    "ok" also requires their count to equal T(1, 1) of the agreed polynomial.
+    stored value is a flagged misprint.  "ok" also requires the number of
+    bases, enumerated, to equal T(1, 1) of the agreed polynomial.
     """
     entry = lookup(name)
     m = build_recipe(entry.recipe)
@@ -390,10 +388,8 @@ def verify(name, engines=None):
         and entry.erratum is not None
         and computed == entry.erratum["derived_truth"]
     )
-    basis_count = len(mt.bases(m)) if m.n <= 16 else None
-    ok = (matches_truth or erratum_confirmed) and (
-        basis_count is None or basis_count == computed.eval(1, 1)
-    )
+    basis_count = len(mt.bases(m))
+    ok = (matches_truth or erratum_confirmed) and basis_count == computed.eval(1, 1)
     return {
         "name": name,
         "routes": results,

@@ -4,13 +4,15 @@ Every matroid exposes a ground set 0..n-1 and rank(subset).  Internally a
 subset is an int bitmask (bit e stands for element e), and every class
 implements ``_rank(mask)`` on it: the one rank-oracle protocol between the
 variants, the views and the engines.  Concrete variants (uniform, graphic,
-linear, paving encodings, explicit basis lists, lattice-path) rank masks
-directly; views (dual, relaxation, free extension, direct sum, 2-sum and
-tensor product, and the one element-map view behind minors, parallel
-extensions and thickenings) derive the rank from a wrapped matroid, so every
-construction stays exact and checkable against brute-force enumeration.  It
-stays structural only where that measurably pays: on a Graphic, and for
-minors of a Uniform or Linear.  Public functions take and return element sets.
+linear, paving encodings, explicit basis lists, lattice paths by interval
+matching) rank masks directly; views (dual, relaxation, free extension,
+direct sum, 2-sum and tensor product, and the one element-map view behind
+minors, parallel extensions and thickenings) derive the rank from a wrapped
+matroid.  No construction lists bases or circuits (the triangle sum too is
+built from ranks and standard forms), and each stays exact and checkable
+against brute-force enumeration.  It stays structural only where that
+measurably pays: on a Graphic, and for minors of a Uniform or Linear.
+Public functions take and return element sets.
 
 Minors relabel the surviving elements to 0..n'-1 preserving order, which
 keeps recipes reproducible.
@@ -19,6 +21,7 @@ keeps recipes reproducible.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from .errors import (
     ElementOutOfRange,
@@ -151,23 +154,37 @@ class PavingPartition(Matroid):
                 raise ElementOutOfRange("block element out of range")
             if len(b) == n:  # the only block: every r-set in it has rank r-1
                 raise InvalidPartition("a block holds the whole ground set")
-        seen = {}
-        for bi, b in enumerate(blocks):
-            for sub in combinations(sorted(b), r - 1):
-                if sub in seen:
+        need = comb(n, r - 1)
+        covered = sum(comb(len(b), r - 1) for b in blocks)
+        if covered != need:
+            raise InvalidPartition(
+                f"blocks cover {covered} of the {need} ({r - 1})-subsets"
+            )
+        # the count matches, so the blocks cover every (r-1)-subset exactly
+        # once unless one lies in two of them; either search costs <= blocks^2
+        masks = [sum(1 << e for e in b) for b in blocks]
+        if need <= len(blocks) ** 2:
+            seen = set()
+            for b in blocks:
+                for sub in combinations(sorted(b), r - 1):
+                    if sub in seen:
+                        raise InvalidPartition(
+                            f"(r-1)-subset {set(sub)} lies in two blocks"
+                        )
+                    seen.add(sub)
+        else:  # two blocks sharing r-1 elements share their least r-1
+            for i, bi in enumerate(masks):
+                shared = [sorted(_bits(bi & bj))[: r - 1] for bj in masks[:i]
+                          if (bi & bj).bit_count() >= r - 1]
+                if shared:
                     raise InvalidPartition(
-                        f"(r-1)-subset {set(sub)} lies in two blocks"
+                        f"(r-1)-subset {set(min(shared))} lies in two blocks"
                     )
-                seen[sub] = bi
-        for sub in combinations(range(n), r - 1):
-            if sub not in seen:
-                raise InvalidPartition(f"(r-1)-subset {set(sub)} lies in no block")
         self.r = r
         self.n = n
         self.blocks = blocks
         bymember = [[] for _ in range(n)]
-        for b in blocks:
-            bmask = _mask(self, b)
+        for b, bmask in zip(blocks, masks):
             for e in b:
                 bymember[e].append(bmask)
         self._bymember = bymember
@@ -203,18 +220,21 @@ class BasisList(Matroid):
             # each e in b1 - b2 needs an f in b2 - b1 with b1 - e + f a basis;
             # ex[e] masks the f outside b1 that work, so some b2 fails at e
             # iff it avoids ex[e] and e: iff bit full ^ ex[e] ^ 1 << e of up,
-            # the sets holding a basis as a 2^n-bit int, is set.  Only then
-            # are b1's pairs walked for the message.
+            # the sets holding a basis as a 2^n-bit int, is set.  That int is
+            # read as little-endian bytes, set s at bit s & 7 of byte s >> 3.
+            # Only then are b1's pairs walked for the message.
             mask_set = set(masks)
             full, sets = (1 << n) - 1, (1 << (1 << n)) - 1
             up = sum(1 << m for m in masks)
             for k in range(n):  # low marks the sets without k
                 low = sets // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1)
                 up |= (up & low) << (1 << k)
+            up = up.to_bytes((1 << n) + 7 >> 3, "little")
             for b1, m1 in zip(bases, masks):
                 ex = {e: sum(1 << f for f in range(n) if not m1 >> f & 1
                              and (m1 ^ 1 << e) | 1 << f in mask_set) for e in b1}
-                if not any(up >> (full ^ x ^ 1 << e) & 1 for e, x in ex.items()):
+                holes = [full ^ x ^ 1 << e for e, x in ex.items()]
+                if not any(up[s >> 3] >> (s & 7) & 1 for s in holes):
                     continue
                 for b2, m2 in zip(bases, masks):
                     for e in b1 - b2:
@@ -228,12 +248,14 @@ class BasisList(Matroid):
         return max((mask & b).bit_count() for b in self._masks)
 
 
-class LatticePath(BasisList):
-    """Lattice-path matroid M[P, Q]: bases are north-step sets of bounded paths.
+class LatticePath(Matroid):
+    """Lattice-path matroid M[P, Q] (Bonin, de Mier & Noy, JCTA 104, 2003).
 
-    P and Q are strings over {N, E} of the same length with equal step
-    counts; a path w is admissible when h_P(k) <= h_w(k) <= h_Q(k) for every
-    prefix length k, where h is the running north-step count.
+    P (lower) and Q (upper) are strings over {N, E} of the same length with
+    equal north-step counts; the bases are the north-step sets of the paths
+    that stay weakly between them.  The i-th north step of such a path lies
+    in the interval [first[i], last[i]], from the i-th north step of Q to
+    that of P, so M[P, Q] is the transversal matroid of these intervals.
     """
 
     def __init__(self, lower, upper):
@@ -242,32 +264,27 @@ class LatticePath(BasisList):
             raise InvalidParameters("paths must be equal-length N/E strings")
         if lower.count("N") != upper.count("N"):
             raise InvalidParameters("paths must share their endpoint")
-        hp = _heights(lower)
-        hq = _heights(upper)
-        if any(a > b for a, b in zip(hp, hq)):
+        self.first = [k for k, step in enumerate(upper) if step == "N"]
+        self.last = [k for k, step in enumerate(lower) if step == "N"]
+        if any(a > b for a, b in zip(self.first, self.last)):
             raise InvalidParameters("lower path must stay weakly below upper path")
-        n = len(lower)
-        bases = []
-        stack = [(0, 0, [])]  # (position, norths so far, chosen positions)
-        while stack:
-            pos, h, chosen = stack.pop()
-            if pos == n:
-                bases.append(frozenset(chosen))
-                continue
-            if hp[pos + 1] <= h + 1 <= hq[pos + 1]:
-                stack.append((pos + 1, h + 1, chosen + [pos]))
-            if hp[pos + 1] <= h <= hq[pos + 1]:
-                stack.append((pos + 1, h, chosen))
         self.lower = lower
         self.upper = upper
-        super().__init__(lower.count("N"), n, bases, check=False)
+        self.n = len(lower)
 
-
-def _heights(path):
-    hs = [0]
-    for step in path:
-        hs.append(hs[-1] + (1 if step == "N" else 0))
-    return hs
+    def _rank(self, mask):
+        # both ends rise with i, so matching each element in increasing
+        # order to the first interval still open to it is a largest matching
+        first, last, i, rank = self.first, self.last, 0, 0
+        for x in _bits(mask):
+            while i < len(last) and last[i] < x:
+                i += 1
+            if i == len(last):
+                break
+            if first[i] <= x:
+                i += 1
+                rank += 1
+        return rank
 
 
 def catalan_matroid(n):
@@ -638,13 +655,13 @@ def _triangle_check(m, t):
 
 
 def _delta_sum_circuit_conditions(m1, t1, m2, t2):
-    # each side needs circuits meeting the triangle T = (p, s, q) in exactly
-    # {s} and in exactly {p}; nothing is required through q
+    # a circuit meets the triangle T = (p, s, q) in exactly {e} iff e lies in
+    # the closure of E - T; each side needs that for s and for p, not for q
     for m, t in ((m1, t1), (m2, t2)):
-        cs = circuits(m)
-        tset = frozenset(t)
+        rest = ((1 << m.n) - 1) ^ _mask(m, t)
+        r = m._rank(rest)
         for needed in (t[1], t[0]):
-            if not any(c & tset == frozenset([needed]) for c in cs):
+            if m._rank(rest | 1 << needed) != r:
                 raise PreconditionViolated(
                     f"no circuit meets the shared triangle exactly in element {needed}"
                 )
@@ -653,9 +670,10 @@ def _delta_sum_circuit_conditions(m1, t1, m2, t2):
 def delta_sum(m1, t1, m2, t2):
     """Triangle sum: glue along a shared 3-circuit, then drop the triangle.
 
-    Graphic inputs use the graph operation (identify the two triangles,
-    delete the connector edges); binary inputs merge GF(2) cycle spaces and
-    return the Linear matroid of its orthogonal complement.
+    Ground set E1 - T1, then E2 - T2, each in order.  Graphic inputs glue the
+    graphs at the triangles' vertices: the first graph keeps its numbers and
+    the second's other vertices follow in order.  Binary inputs glue their
+    standard forms along the triangle's span (Seymour, JCTB 28, 1980).
     """
     t1 = _triangle_check(m1, t1)
     t2 = _triangle_check(m2, t2)
@@ -672,83 +690,35 @@ def delta_sum(m1, t1, m2, t2):
 def _triangle_vertices(g, t):
     """Map triangle edge positions to vertices: vertex k is off edge t[k]."""
     ends = [set(g.edges[i]) for i in t]
-    v0 = (ends[1] & ends[2]).pop()
-    v1 = (ends[0] & ends[2]).pop()
-    v2 = (ends[0] & ends[1]).pop()
-    return (v0, v1, v2)
+    return [(ends[k - 2] & ends[k - 1]).pop() for k in range(3)]
 
 
 def _delta_sum_graphic(m1, t1, m2, t2):
+    # both graphs side by side, three glue edges joining the matching
+    # triangle vertices, contracted at once onto the first graph's vertices
     g1, g2 = m1.graph, m2.graph
-    tri1 = _triangle_vertices(g1, t1)
-    tri2 = _triangle_vertices(g2, t2)
-    relabel = {}
-    nxt = g1.nverts
-    for w in range(g2.nverts):
-        if w in tri2:
-            relabel[w] = tri1[tri2.index(w)]
-        else:
-            relabel[w] = nxt
-            nxt += 1
-    edges = [e for i, e in enumerate(g1.edges) if i not in set(t1)]
-    edges += [
-        (relabel[u], relabel[v])
-        for i, (u, v) in enumerate(g2.edges)
-        if i not in set(t2)
-    ]
-    return Graphic(Multigraph(nxt, edges))
-
-
-def _cycle_space_basis(mat):
-    """Basis of the kernel of the representation matrix, read off its
-    standard form [I_r | A]: for each column j off the greedy basis
-    b_0 < b_1 < ..., the vector e_j - sum_i A[i][j] e_{b_i}."""
-    basis, pos, coords = mat.standard_form()
-    out = []
-    for j in range(mat.ncols):
-        if pos[j] < 0:
-            v = [0] * mat.ncols
-            v[j] = 1
-            for b, a in zip(basis, coords[j]):
-                v[b] = -a % mat.p
-            out.append(v)
-    return out
+    shift = g1.nverts
+    edges = [e for i, e in enumerate(g1.edges) if i not in t1]
+    edges += [(u + shift, v + shift)
+              for i, (u, v) in enumerate(g2.edges) if i not in t2]
+    glue = len(edges)
+    edges += [(a, b + shift) for a, b in zip(_triangle_vertices(g1, t1),
+                                             _triangle_vertices(g2, t2))]
+    joined = Multigraph._trusted(shift + g2.nverts, edges)
+    return Graphic(joined.contract_edges(range(glue, glue + 3)))
 
 
 def _delta_sum_binary(m1, t1, m2, t2):
-    k1 = _cycle_space_basis(m1.mat)
-    k2 = _cycle_space_basis(m2.mat)
-    keep1 = [e for e in range(m1.n) if e not in set(t1)]
-    keep2 = [e for e in range(m2.n) if e not in set(t2)]
-    n = len(keep1) + len(keep2)
-    # joint vectors (a, b) with a in K1, b in K2 agreeing on the triangle
-    vecs = []
-    for v in k1:
-        vecs.append([v[e] for e in keep1] + [0] * len(keep2) + [v[e] for e in t1])
-    for v in k2:
-        vecs.append([0] * len(keep1) + [v[e] for e in keep2] + [v[e] for e in t2])
-    # eliminate the 3 triangle coordinates to get the merged cycle space
-    for tpos in range(3):
-        j = n + tpos
-        pivot = next((v for v in vecs if v[j]), None)
-        if pivot is None:
-            continue
-        vecs.remove(pivot)
-        vecs = [
-            [(a + b) % 2 for a, b in zip(v, pivot)] if v[j] else v for v in vecs
-        ]
-    cycle = [v[:n] for v in vecs]
-    # result representation = orthogonal complement of the merged cycle space
-    return Linear(GFMatrix(2, _kernel_of_span(cycle, n)))
-
-
-def _kernel_of_span(vectors, n):
-    """Rows spanning {w : w . v = 0 for all v}, over GF(2)."""
-    if not vectors:
-        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    comp = _cycle_space_basis(GFMatrix(2, vectors))
-    # empty complement means every element is a loop
-    return comp if comp else [[0] * n]
+    # with the triangle first, a standard form puts t0, t1, t2 at e0, e1 and
+    # e0 + e1: the sides share those two rows and stack the rest
+    sides = []
+    for m, t in ((m1, t1), (m2, t2)):
+        order = [*t, *(e for e in range(m.n) if e not in t)]
+        std = GFMatrix._trusted(2, [[row[e] for e in order] for row in m.mat.rows])
+        sides.append(std.standard_form()[2][3:])
+    (c1, c2), k1, k2 = sides, m1.full_rank - 2, m2.full_rank - 2
+    cols = [c + (0,) * k2 for c in c1] + [c[:2] + (0,) * k1 + c[2:] for c in c2]
+    return Linear(GFMatrix._trusted(2, zip(*cols)))
 
 
 def thicken(m, k):

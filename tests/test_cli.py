@@ -246,6 +246,17 @@ def test_paving_block_spanning_the_ground_set_exits_two(tmp_path, capsys):
     assert code == 2 and out == "" and "whole ground set" in err
 
 
+def test_paving_file_is_count_checked_before_enumeration(tmp_path, capsys):
+    # one 59-element block of a rank-12 matroid on 60 elements: the parent
+    # listed its C(59, 11) 11-subsets before it checked anything
+    path = tmp_path / "paving.json"
+    path.write_text(json.dumps({"kind": "paving", "r": 12, "n": 60,
+                                "blocks": [list(range(59))]}))
+    code, out, err = run(["compute", "--matroid", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "blocks cover 279871768995 of the 342700125300 (11)-subsets" in err
+
+
 def test_exit_three_on_budget(tmp_path, capsys):
     path = tmp_path / "u49.json"
     path.write_text('{"kind": "uniform", "r": 4, "n": 9}')

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +23,7 @@ from tuttepoly.errors import (
     NotCircuitHyperplane,
     PreconditionViolated,
 )
+from tuttepoly.formats import parse_matroid
 from tuttepoly.gf import GFMatrix
 from tuttepoly.graphs import (
     Multigraph,
@@ -33,7 +36,14 @@ from tuttepoly.graphs import (
     wheel_graph,
 )
 
-from helpers import standard_rep
+from helpers import (
+    _cycle_space_basis,
+    delta_sum_binary_reference,
+    delta_sum_graphic_reference,
+    lattice_path_bases,
+    path_heights,
+    standard_rep,
+)
 
 
 def fano_sparse():
@@ -146,7 +156,7 @@ def test_rank_of_columns_matches_elimination(mat, data):
     for cols in picks:
         assert mat.rank_of_columns(cols) == eliminated_rank(mat, cols)
     # the kernel read off the standard form: n - r independent null vectors
-    kernel = mt._cycle_space_basis(mat)
+    kernel = _cycle_space_basis(mat)
     assert len(kernel) == n - eliminated_rank(mat, range(n))
     for v in kernel:
         assert all(sum(a * b for a, b in zip(row, v)) % mat.p == 0 for row in mat.rows)
@@ -248,6 +258,53 @@ def test_paving_partition_validation_and_rank():
         mt.PavingPartition(3, 5, [range(5)])
 
 
+def test_paving_partition_counts_before_it_enumerates():
+    with pytest.raises(InvalidPartition) as exc:
+        mt.PavingPartition(3, 6, [{0, 1, 2}, {0, 1, 3}])
+    assert str(exc.value) == "blocks cover 6 of the 15 (2)-subsets"
+    # 15 + 6 = 21 pairs, all of them, but {0, 1} twice and {3, 6} never
+    with pytest.raises(InvalidPartition) as exc:
+        mt.PavingPartition(3, 7, [range(6), {0, 1, 2, 6}])
+    assert str(exc.value) == "(r-1)-subset {0, 1} lies in two blocks"
+    # one 59-element block of a rank-12 file: C(59, 11) of C(60, 11)
+    with pytest.raises(InvalidPartition, match="of the 342700125300 "):
+        mt.PavingPartition(12, 60, [range(59)])
+
+
+def first_double_cover(r, blocks):
+    seen = set()
+    for b in blocks:
+        for sub in combinations(sorted(b), r - 1):
+            if sub in seen:
+                return f"(r-1)-subset {set(sub)} lies in two blocks"
+            seen.add(sub)
+    return None
+
+
+def test_paving_partition_double_cover_matches_enumeration():
+    # blocks whose (r-1)-subset counts add up to C(n, r-1): the pairwise
+    # search (few blocks) and the enumeration (many) name the same subset
+    rng = random.Random("paving")
+    branches = set()
+    for _ in range(400):
+        r, n = rng.choice([(3, 6), (3, 7), (3, 8), (4, 7), (4, 8)])
+        need, blocks = comb(n, r - 1), []
+        while need:
+            size = rng.randint(r - 1, n - 1)
+            if comb(size, r - 1) <= need:
+                blocks.append(rng.sample(range(n), size))
+                need -= comb(size, r - 1)
+        expected = first_double_cover(r, blocks)
+        try:
+            mt.PavingPartition(r, n, blocks)
+            message = None
+        except InvalidPartition as exc:
+            message = str(exc)
+        assert message == expected, blocks
+        branches.add((comb(n, r - 1) <= len(blocks) ** 2, message is None))
+    assert {(True, False), (False, False)} <= branches
+
+
 def test_basis_list_exchange_checked():
     mt.BasisList(2, 4, [{0, 1}, {0, 2}, {1, 2}])
     with pytest.raises(InvalidParameters):
@@ -307,17 +364,69 @@ def test_basis_list_exchange_check_on_a_large_family():
 def test_lattice_path_catalan():
     m3 = mt.catalan_matroid(3)
     assert m3.n == 6
-    assert len(m3.bases) == 5
+    assert len(mt.bases(m3)) == 5
     assert mt.is_loop(m3, 0)
     assert mt.is_coloop(m3, 5)
-    assert m3.bases == frozenset(
+    assert frozenset(mt.bases(m3)) == frozenset(
         frozenset(b) for b in [{1, 3, 5}, {1, 4, 5}, {2, 3, 5}, {2, 4, 5}, {3, 4, 5}]
     )
-    assert len(mt.catalan_matroid(4).bases) == 14
+    assert len(mt.bases(mt.catalan_matroid(4))) == 14
     with pytest.raises(InvalidParameters):
         mt.LatticePath("EN", "NEE")
     with pytest.raises(InvalidParameters):
         mt.LatticePath("NE", "EN")  # lower above upper
+
+
+def heights_to_path(hs):
+    return "".join("N" if b > a else "E" for a, b in zip(hs, hs[1:]))
+
+
+@st.composite
+def lattice_path_pairs(draw):
+    """Two N/E paths of up to 12 steps with one endpoint; half the time the
+    pointwise lower and upper of two drawn paths, so that they are ordered."""
+    length = draw(st.integers(0, 12))
+    norths = draw(st.integers(0, length))
+    steps = st.permutations(range(length)).map(lambda ks: set(ks[:norths]))
+    p, q = (path_heights(["N" if k in s else "E" for k in range(length)])
+            for s in (draw(steps), draw(steps)))
+    if draw(st.booleans()):
+        p, q = list(map(min, p, q)), list(map(max, p, q))
+    return heights_to_path(p), heights_to_path(q)
+
+
+@given(lattice_path_pairs(), st.data())
+@settings(max_examples=150, deadline=None)
+@example(("EEENNN", "ENENEN"), None)
+@example(("", ""), None)
+def test_lattice_path_ranks_match_path_enumeration(paths, data):
+    lower, upper = paths
+    if any(a > b for a, b in zip(path_heights(lower), path_heights(upper))):
+        with pytest.raises(InvalidParameters, match="weakly below"):
+            mt.LatticePath(lower, upper)
+        return
+    m = mt.LatticePath(lower, upper)
+    bases = [sum(1 << e for e in b) for b in lattice_path_bases(lower, upper)]
+    n = len(lower)
+    if n <= 8:
+        masks = range(1 << n)
+    else:
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=64))
+    for mask in masks:
+        assert m._rank(mask) == max((mask & b).bit_count() for b in bases)
+    assert m.full_rank == lower.count("N")
+
+
+def test_long_lattice_path_is_uniform():
+    # M[E^30 N^30, N^30 E^30] is U(30, 60): about 1.2e17 paths, none listed
+    m = parse_matroid(json.dumps(
+        {"kind": "lattice_path", "lower": "E" * 30 + "N" * 30,
+         "upper": "N" * 30 + "E" * 30}))
+    assert (m.n, m.full_rank) == (60, 30)
+    rng = random.Random(60)
+    for _ in range(200):
+        subset = rng.sample(range(60), rng.randint(0, 60))
+        assert m.rank(subset) == min(len(subset), 30)
 
 
 def test_dual_structure():
@@ -504,6 +613,108 @@ def test_delta_sum_binary_matches_graphic():
     assert sorted(map(sorted, mt.bases(out_bin))) == sorted(
         map(sorted, mt.bases(out_gr))
     )
+
+
+@st.composite
+def linear_with_triangle(draw, p=2):
+    """A GF(p) matroid with a triangle: columns e0, e1 and e0 + c e1 among up
+    to five drawn ones, in a drawn order, with rows mixed by row additions.
+    Returns (matroid, triangle) with the triangle in a drawn order."""
+    r = draw(st.integers(2, 4))
+    c = draw(st.integers(1, p - 1))
+    unit = [[int(i == j) for i in range(r)] for j in range(2)]
+    cols = [unit[0], unit[1], [a + c * b for a, b in zip(*unit)]]
+    cols += draw(st.lists(st.lists(st.integers(0, p - 1), min_size=r, max_size=r),
+                          max_size=5))
+    order = draw(st.permutations(range(len(cols))))
+    rows = [[cols[j][i] for j in order] for i in range(r)]
+    for a, b in draw(st.lists(st.tuples(st.integers(0, r - 1),
+                                        st.integers(0, r - 1)), max_size=6)):
+        if a != b:
+            rows[a] = [x + y for x, y in zip(rows[a], rows[b])]
+    tri = [order.index(k) for k in draw(st.permutations(range(3)))]
+    return mt.Linear(GFMatrix(p, rows)), tri
+
+
+@st.composite
+def graph_with_triangle(draw):
+    """A multigraph (loops and parallel edges allowed) with a triangle on
+    three drawn vertices, its edges at drawn positions in a drawn order."""
+    nv = draw(st.integers(3, 6))
+    a, b, c = draw(st.permutations(range(nv)))[:3]
+    vertex = st.integers(0, nv - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=7))
+    for e in [(a, b), (b, c), (c, a)]:
+        edges.insert(draw(st.integers(0, len(edges))), e)
+    tri = [edges.index(e) for e in [(a, b), (b, c), (c, a)]]
+    tri = [tri[k] for k in draw(st.permutations(range(3)))]
+    return mt.Graphic(Multigraph(nv, edges)), tri
+
+
+def circuit_condition_failure(m1, t1, m2, t2):
+    """The refusal of the triangle-sum precondition by circuit search."""
+    for m, t in ((m1, t1), (m2, t2)):
+        for needed in (t[1], t[0]):
+            if not any(c & set(t) == {needed} for c in mt.circuits(m)):
+                return f"no circuit meets the shared triangle exactly in element {needed}"
+    return None
+
+
+K4_TRIANGLE = (mt.Graphic(complete_graph(4)), (0, 1, 3))
+C3_TRIANGLE = (mt.Graphic(cycle_graph(3)), (0, 1, 2))
+
+
+@given(st.one_of(linear_with_triangle(), linear_with_triangle(3), graph_with_triangle()),
+       st.one_of(linear_with_triangle(), linear_with_triangle(5), graph_with_triangle()))
+@settings(max_examples=150, deadline=None)
+@example(K4_TRIANGLE, K4_TRIANGLE)
+@example(K4_TRIANGLE, C3_TRIANGLE)
+@example(C3_TRIANGLE, K4_TRIANGLE)
+def test_delta_sum_closure_condition_matches_circuit_search(side1, side2):
+    (m1, t1), (m2, t2) = side1, side2
+    try:
+        mt._delta_sum_circuit_conditions(m1, t1, m2, t2)
+        message = None
+    except PreconditionViolated as exc:
+        message = str(exc)
+    assert message == circuit_condition_failure(m1, t1, m2, t2)
+
+
+@given(linear_with_triangle(), linear_with_triangle())
+@settings(max_examples=120, deadline=None)
+def test_delta_sum_binary_matches_cycle_space_reference(side1, side2):
+    # the gluing needs no precondition, so it is checked on every draw
+    (m1, t1), (m2, t2) = side1, side2
+    out = mt._delta_sum_binary(m1, t1, m2, t2)
+    ref = delta_sum_binary_reference(m1, t1, m2, t2)
+    assert out.n == ref.n == m1.n + m2.n - 6
+    for mask in range(1 << out.n):
+        assert out._rank(mask) == ref._rank(mask)
+
+
+@given(graph_with_triangle(), graph_with_triangle())
+@settings(max_examples=150, deadline=None)
+def test_delta_sum_graphic_matches_relabelling_reference(side1, side2):
+    (m1, t1), (m2, t2) = side1, side2
+    out = mt._delta_sum_graphic(m1, t1, m2, t2)
+    assert out.graph == delta_sum_graphic_reference(m1, t1, m2, t2).graph
+
+
+def test_delta_sum_past_the_enumeration_limit():
+    # 27 of the 31 points of PG(4, 2), the triangle e0, e1, e0 + e1 among them
+    points = [[v >> i & 1 for i in range(5)] for v in range(1, 32)]
+    cols = [c for c in points if c not in ([0, 1, 1, 0, 0], [1, 1, 1, 1, 1],
+                                           [0, 0, 1, 1, 1], [1, 0, 0, 1, 1])]
+    m = mt.Linear(GFMatrix(2, [list(row) for row in zip(*cols)]))
+    tri = [cols.index(c) for c in ([1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 1, 0, 0, 0])]
+    assert m.n == 27
+    out = mt.delta_sum(m, tri, m, tri)
+    assert (out.n, out.full_rank) == (48, 8)
+    ref = delta_sum_binary_reference(m, tri, m, tri)
+    rng = random.Random(27)
+    for _ in range(300):
+        mask = rng.getrandbits(48)
+        assert out._rank(mask) == ref._rank(mask)
 
 
 def test_thicken_and_stretch_groundsets():
