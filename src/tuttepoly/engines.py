@@ -9,10 +9,11 @@ others:
   parallel- and series-class shortcuts, on masks of the input's rank oracle,
   each child inheriting the ranks and the classes its parent knows; graphs
   recurse on multigraphs as a product over their blocks, memoized on a
-  canonical form computed only for blocks that share a cheap invariant,
-  each split once on an edge set X as T = w_d T(G\\X) + w_c T(G/X); on
-  both, a fat cycle (a circuit whose elements are bundles of parallel ones)
-  is a closed form; every value is one packed int (``bipoly._Packing``).
+  one-way canonical key (equal keys imply isomorphic blocks) computed only
+  for blocks that share a cheap invariant, each split once on an edge set
+  X as T = w_d T(G\\X) + w_c T(G/X); on both, a fat cycle (a circuit
+  whose elements are bundles of parallel ones) is a closed form; every
+  value is one packed int (``bipoly._Packing``).
 - ``tutte_activities``: sum of x^i y^j over bases with i internally and j
   externally active elements relative to a total order.
 - ``coboundary`` plus the substitution pair ``tutte_from_coboundary`` /
@@ -169,12 +170,14 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     of a block as it stands; else the block joins its class under a cheap
     invariant (vertex count, sorted end degrees and multiplicity of each end
     pair, read from one table of its edges per end pair), and
-    ``graphs.canonical_key``, a complete isomorphism invariant, is computed
-    only when a second block joins a class, for both: a key no other block
-    could match is never computed, and the hits are those of a memo keyed
-    on every block.  Such a block splits once on an edge set X read from
-    the same table, its largest parallel class, else a degree-2 chain, else
-    its last edge, as T = w_d T(G\\X) + w_c T(G/X) (``_dc_block``).  Every
+    ``graphs.canonical_key``, whose equal keys imply isomorphic blocks, is
+    computed only when a second block joins a class, for both: a key no
+    other block could match is never computed, and the hits are those of a
+    memo keyed on every block.  Isomorphic blocks may get different keys;
+    the one that misses is expanded again, to the same value.  Such a block
+    splits once on an edge set X read from the same table, its largest
+    parallel class, else a degree-2 chain, else its last edge, as
+    T = w_d T(G\\X) + w_c T(G/X) (``_dc_block``).  Every
     product over blocks costs one of budget_nodes.  Values are ints packed
     by ``bipoly._Packing``: y-degree at most n - r, coefficients at most
     T(1,1) <= C(n, r) (each, times its path weight, is part of T).

@@ -8,7 +8,10 @@ one split of deletion-contraction on graphs, on a parallel class, a
 degree-2 chain or one edge, is ``delete_edges`` against ``contract_edges``
 of that set.  ``blocks`` splits the edges into biconnected components, the
 factors of deletion-contraction on graphs, and ``restrict`` builds the
-graph of one of them.
+graph of one of them.  ``canonical_key`` relabels a graph along one path of
+individualization-refinement: equal keys imply isomorphic graphs, which is
+all the deletion-contraction memo needs, but isomorphic graphs may get
+different keys.
 """
 
 from __future__ import annotations
@@ -227,20 +230,18 @@ def _refine(col, ncol, adj):
 
 
 def canonical_key(g):
-    """Complete canonical encoding of a multigraph: equal keys iff isomorphic.
+    """An encoding of a multigraph such that equal keys imply isomorphic graphs.
 
-    Individualization-refinement (McKay & Piperno, "Practical graph
-    isomorphism, II", 2014): colour refinement on loop counts and edge
-    multiplicities makes the vertex partition equitable; each vertex of the
-    first non-singleton cell is individualized in turn and the search
-    recurses until the partition is discrete.  Each leaf labels the vertices
-    by their cell, and the key is the least sorted (min label, max label,
-    multiplicity) edge list over all leaves, with the loop count of every
-    labelled vertex.  Automorphisms found between leaves of equal encoding
-    prune the search: a child in the orbit of an explored sibling under the
-    automorphisms fixing the path to it is skipped, and a subtree that yields
-    a leaf equal to the best returns to the level where the two paths part.
-    Never gives up, so every deletion-contraction node can be memoized.
+    One path of individualization-refinement (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014): colour refinement on loop counts and edge
+    multiplicities makes the vertex partition equitable; while it is not
+    discrete, the least vertex of the first non-singleton cell is
+    individualized and the partition refined again.  The leaf labels every
+    vertex by its cell, and the key is the sorted (min label, max label,
+    multiplicity) edge list of that relabelled copy of g, with the loop count
+    of every labelled vertex.  So equal keys prove isomorphism, but two
+    isomorphic graphs may get different keys: a memo keyed on it never takes
+    a wrong value, and a miss only expands an isomorphic graph again.
     """
     n = g.nverts
     mult = {}
@@ -255,78 +256,22 @@ def canonical_key(g):
     for (u, v), m in mult.items():
         adj[u].append((v, m))
         adj[v].append((u, m))
-    triples = [(u, v, m) for (u, v), m in mult.items()]
-
-    best = None  # least leaf encoding so far
-    best_col = None
-    best_path = None
-    auts = []  # automorphisms as vertex maps, from leaves equal to best
-    path = []
-
-    def leaf(col):
-        nonlocal best, best_col, best_path
-        enc = tuple(sorted([
-            (col[u], col[v], m) if col[u] < col[v] else (col[v], col[u], m)
-            for u, v, m in triples
-        ]))
-        if best is None or enc < best:
-            best, best_col, best_path = enc, col, list(path)
-            return None
-        if enc != best:
-            return None
-        inv = [0] * n
-        for w, c in enumerate(best_col):
-            inv[c] = w
-        auts.append([inv[c] for c in col])
-        # An individualized vertex keeps the first label of its cell, so a
-        # leaf's labels fix the path to it and the automorphism maps this
-        # path onto the best one.  It fixes their common prefix, and the
-        # subtree where this path leaves the best one repeats an explored one.
-        j = 0
-        while path[j] == best_path[j]:
-            j += 1
-        return j
-
-    def search(col, ncol):
-        if ncol == n:
-            return leaf(col)
+    col, ncol = _refine(*_ranks(loopc), adj)
+    while ncol < n:
         counts = [0] * ncol
         for c in col:
             counts[c] += 1
         target = next(c for c in range(ncol) if counts[c] > 1)
-        depth = len(path)
-        explored = []
-        seen_auts = 0
-        root = None
-        for v in [w for w in range(n) if col[w] == target]:
-            if explored and len(auts) > seen_auts:
-                seen_auts = len(auts)
-                root = _orbits(n, [a for a in auts
-                                   if all(a[p] == p for p in path)])
-            if root is not None and root[v] in {root[e] for e in explored}:
-                continue
-            explored.append(v)
-            child = [c + 1 if c > target or (c == target and w != v) else c
-                     for w, c in enumerate(col)]
-            path.append(v)
-            back = search(*_refine(child, ncol + 1, adj))
-            path.pop()
-            if back is not None and back < depth:
-                return back
-        return None
-
-    search(*_refine(*_ranks(loopc), adj))
-    loops = tuple(sorted((best_col[w], c) for w, c in enumerate(loopc) if c))
-    return (n, loops, best)
-
-
-def _orbits(n, gens):
-    """Orbit representative of every vertex under the group gens generate."""
-    uf = UnionFind(n)
-    for a in gens:
-        for w in range(n):
-            uf.union(w, a[w])
-    return [uf.find(w) for w in range(n)]
+        v = col.index(target)
+        col, ncol = _refine(
+            [c + 1 if c > target or (c == target and w != v) else c
+             for w, c in enumerate(col)], ncol + 1, adj)
+    edges = tuple(sorted([
+        (col[u], col[v], m) if col[u] < col[v] else (col[v], col[u], m)
+        for (u, v), m in mult.items()
+    ]))
+    loops = tuple(sorted((col[w], c) for w, c in enumerate(loopc) if c))
+    return (n, loops, edges)
 
 
 # -- builders ----------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Shared test helpers, imported by the test modules of this directory.
 
-Besides small builders, this holds slower reference constructions that the
-package once used and no longer does: the GF(p) cycle space read off a
+Besides small builders, this holds slower reference constructions.  The
+package once used and no longer uses the GF(p) cycle space read off a
 standard form, the binary triangle sum through merged cycle spaces, the
-graphic triangle sum by an explicit vertex relabelling, and the bases of a
+graphic triangle sum by an explicit vertex relabelling and the bases of a
 lattice-path matroid by a depth-first walk over admissible paths.
+``reference_key`` is a brute-force complete canonical form of a multigraph:
+equal keys iff isomorphic, where equal ``graphs.canonical_key`` keys only
+imply it.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 from tuttepoly import matroids as mt
 from tuttepoly.gf import GFMatrix
@@ -128,3 +133,72 @@ def lattice_path_bases(lower, upper):
         if hp[pos + 1] <= h <= hq[pos + 1]:
             stack.append((pos + 1, h, chosen))
     return frozenset(bases)
+
+
+def reference_key(g):
+    """Brute-force canonical encoding, kept only as a test oracle.
+
+    Vertex classes come from iterated neighbourhood colouring; the key is the
+    least edge multiset over every class-preserving relabelling, so it is
+    complete but factorial in the class sizes.
+    """
+    n = g.nverts
+    mult = {}
+    loopc = [0] * n
+    for u, v in g.edges:
+        if u == v:
+            loopc[u] += 1
+        else:
+            k = (min(u, v), max(u, v))
+            mult[k] = mult.get(k, 0) + 1
+    adj = [[] for _ in range(n)]
+    for (u, v), m in mult.items():
+        adj[u].append((v, m))
+        adj[v].append((u, m))
+
+    colors = [(loopc[w], tuple(sorted(m for _, m in adj[w]))) for w in range(n)]
+    for _ in range(n):
+        palette = {c: i for i, c in enumerate(sorted(set(colors)))}
+        base = [palette[c] for c in colors]
+        refined = [
+            (base[w], tuple(sorted((base[z], m) for z, m in adj[w])))
+            for w in range(n)
+        ]
+        done = len(set(refined)) == len(set(colors))
+        colors = refined
+        if done:
+            break
+    palette = {c: i for i, c in enumerate(sorted(set(colors)))}
+    final = [palette[c] for c in colors]
+    classes = {}
+    for w in range(n):
+        classes.setdefault(final[w], []).append(w)
+    ordered = [classes[c] for c in sorted(classes)]
+    offsets = []
+    pos = 0
+    for cl in ordered:
+        offsets.append(pos)
+        pos += len(cl)
+
+    pairs = sorted(mult.items())
+    best = None
+    label = [0] * n
+
+    def assign(ci):
+        nonlocal best
+        if ci == len(ordered):
+            enc = tuple(sorted(
+                (min(label[u], label[v]), max(label[u], label[v]), m)
+                for (u, v), m in pairs
+            ))
+            if best is None or enc < best:
+                best = enc
+            return
+        for perm in permutations(ordered[ci]):
+            for k, w in enumerate(perm):
+                label[w] = offsets[ci] + k
+            assign(ci + 1)
+
+    assign(0)
+    loops = tuple(sorted((final[w], c) for w, c in enumerate(loopc) if c))
+    return (n, loops, best)

@@ -257,6 +257,36 @@ def test_paving_file_is_count_checked_before_enumeration(tmp_path, capsys):
     assert "blocks cover 279871768995 of the 342700125300 (11)-subsets" in err
 
 
+def test_bases_file_past_sixteen_elements_is_exchange_checked(tmp_path, capsys):
+    # two disjoint bases are no matroid; on 17 elements this file was taken
+    # unchecked, and deletion-contraction printed x^2*y^14 + 2*y^15
+    path = tmp_path / "bases.json"
+    path.write_text(json.dumps({"kind": "bases", "r": 2, "n": 17,
+                                "bases": [[0, 1], [2, 3]]}))
+    code, out, err = run(["compute", "--matroid", str(path), "--engine", "dc"], capsys)
+    assert code == 2 and out == ""
+    assert "basis-exchange axiom fails on [0, 1], [2, 3] at 0" in err
+
+
+def test_bases_file_past_the_enumeration_limit_exits_three(tmp_path, capsys):
+    path = tmp_path / "bases.json"
+    path.write_text(json.dumps({"kind": "bases", "r": 1, "n": 25, "bases": [[0]]}))
+    code, out, err = run(["compute", "--matroid", str(path)], capsys)
+    assert code == 3 and out == "" and "enumeration limit 24" in err
+
+
+def test_bases_file_at_the_enumeration_limit_is_accepted(tmp_path, capsys):
+    path = tmp_path / "u324.json"
+    path.write_text(json.dumps({"kind": "bases", "r": 3, "n": 24, "bases": [
+        [a, b, c] for a in range(24) for b in range(a + 1, 24)
+        for c in range(b + 1, 24)]}))
+    code, out, _ = run(["compute", "--matroid", str(path), "--engine", "coboundary"],
+                       capsys)
+    assert code == 0
+    assert run(["compute", "--family", "uniform", "--r", "3", "--n", "24"],
+               capsys) == (0, out, "")
+
+
 def test_exit_three_on_budget(tmp_path, capsys):
     path = tmp_path / "u49.json"
     path.write_text('{"kind": "uniform", "r": 4, "n": 9}')

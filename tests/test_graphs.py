@@ -1,13 +1,21 @@
-"""Multigraph canonical form, blocks and edge checks against independent references."""
+"""Multigraph canonical keys, blocks and edge checks against independent references.
+
+``canonical_key`` follows one path of individualization-refinement, so equal
+keys imply isomorphic graphs but isomorphic graphs may get different keys.
+Its keys are checked for invariance under relabelling of random multigraphs,
+for equality with the brute-force ``helpers.reference_key`` on small and on
+symmetric graphs, and, where two labellings of a regular graph get different
+keys, for deletion-contraction agreeing on both.
+"""
 
 from __future__ import annotations
 
 import random
-from itertools import permutations
 
 import pytest
 
 from tuttepoly import matroids as mt
+from tuttepoly.engines import tutte_dc
 from tuttepoly.errors import InvalidParameters
 from tuttepoly.graphs import (
     Multigraph,
@@ -19,74 +27,7 @@ from tuttepoly.graphs import (
     grid_graph,
 )
 
-
-def reference_key(g):
-    """Brute-force canonical encoding, kept only as a test oracle.
-
-    Vertex classes come from iterated neighbourhood colouring; the key is the
-    least edge multiset over every class-preserving relabelling, so it is
-    complete but factorial in the class sizes.
-    """
-    n = g.nverts
-    mult = {}
-    loopc = [0] * n
-    for u, v in g.edges:
-        if u == v:
-            loopc[u] += 1
-        else:
-            k = (min(u, v), max(u, v))
-            mult[k] = mult.get(k, 0) + 1
-    adj = [[] for _ in range(n)]
-    for (u, v), m in mult.items():
-        adj[u].append((v, m))
-        adj[v].append((u, m))
-
-    colors = [(loopc[w], tuple(sorted(m for _, m in adj[w]))) for w in range(n)]
-    for _ in range(n):
-        palette = {c: i for i, c in enumerate(sorted(set(colors)))}
-        base = [palette[c] for c in colors]
-        refined = [
-            (base[w], tuple(sorted((base[z], m) for z, m in adj[w])))
-            for w in range(n)
-        ]
-        done = len(set(refined)) == len(set(colors))
-        colors = refined
-        if done:
-            break
-    palette = {c: i for i, c in enumerate(sorted(set(colors)))}
-    final = [palette[c] for c in colors]
-    classes = {}
-    for w in range(n):
-        classes.setdefault(final[w], []).append(w)
-    ordered = [classes[c] for c in sorted(classes)]
-    offsets = []
-    pos = 0
-    for cl in ordered:
-        offsets.append(pos)
-        pos += len(cl)
-
-    pairs = sorted(mult.items())
-    best = None
-    label = [0] * n
-
-    def assign(ci):
-        nonlocal best
-        if ci == len(ordered):
-            enc = tuple(sorted(
-                (min(label[u], label[v]), max(label[u], label[v]), m)
-                for (u, v), m in pairs
-            ))
-            if best is None or enc < best:
-                best = enc
-            return
-        for perm in permutations(ordered[ci]):
-            for k, w in enumerate(perm):
-                label[w] = offsets[ci] + k
-            assign(ci + 1)
-
-    assign(0)
-    loops = tuple(sorted((final[w], c) for w, c in enumerate(loopc) if c))
-    return (n, loops, best)
+from helpers import reference_key
 
 
 def random_multigraph(rng, max_verts, max_edges):
@@ -142,15 +83,25 @@ def test_key_invariant_under_relabelling():
         assert canonical_key(relabelled(rng, g)) == canonical_key(g), g
 
 
-def test_key_invariant_on_regular_graphs():
-    # refinement leaves a regular graph in one cell, so only the search
-    # (and its pruning) can make the key independent of vertex names
+def test_key_misses_on_regular_graphs_leave_dc_exact():
+    # refinement leaves a regular graph in one cell, so the one path of
+    # individualization may end at different leaves for two labellings; the
+    # deletion-contraction memo then expands the same block twice, and both
+    # copies must still get the same polynomial
     rng = random.Random(13)
+    misses = 0
     for _ in range(150):
-        n = rng.randint(6, 14)
+        n = rng.randint(6, 10)
         k = rng.choice([d for d in (2, 3, 4) if n * d % 2 == 0])
         g = random_regular(rng, n, k)
-        assert canonical_key(relabelled(rng, g)) == canonical_key(g), g
+        h = relabelled(rng, g)
+        if canonical_key(h) == canonical_key(g):
+            continue
+        misses += 1
+        t = tutte_dc(mt.Graphic(g))
+        assert tutte_dc(mt.Graphic(h)) == t, g
+        assert t.eval(2, 2) == 2 ** g.nedges, g
+    assert misses >= 1
 
 
 def test_key_equality_matches_reference():
