@@ -13,6 +13,8 @@ every object is immutable once built.
 
 from __future__ import annotations
 
+import struct
+import sys
 from itertools import accumulate
 
 from .errors import NonExactDivision
@@ -266,6 +268,8 @@ class _Packing:
     ints (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009): x^i y^j
     is a whole-byte slot at bit i * x + j * y, so a sum is +, a product *."""
 
+    formats = {struct.calcsize(c): c for c in "BHIQ"} if sys.byteorder == "little" else {}
+
     def __init__(self, ydeg, bound):
         self.y = 8 * ((bound.bit_length() + 7) // 8)
         self.x = self.y * (ydeg + 1)
@@ -276,10 +280,19 @@ class _Packing:
         return ((1 << s * k) - 1) // ((1 << s) - 1)
 
     def unpack(self, v):
-        """{(i, j): c} of the packed v, one slice of bytes per slot."""
+        """{(i, j): c} of the packed v.  On a little-endian host, slots of at
+        most 8 bytes are widened with zero bytes to the least native unsigned
+        int that holds them (formats) and cast; wider ones are sliced."""
         b, d = self.y // 8, self.x // self.y
         data = v.to_bytes(-(-v.bit_length() // self.y) * b, "little")
-        slots = (int.from_bytes(data[k : k + b], "little") for k in range(0, len(data), b))
+        w = next((w for w in self.formats if w >= b), 0)
+        if w:
+            wide = bytearray(len(data) // b * w)
+            for t in range(b):
+                wide[t::w] = data[t::b]
+            slots = memoryview(wide).cast(self.formats[w]).tolist()
+        else:
+            slots = (int.from_bytes(data[k : k + b], "little") for k in range(0, len(data), b))
         return {divmod(k, d): c for k, c in enumerate(slots) if c}
 
 

@@ -28,9 +28,9 @@ others:
   transfer matrix of the wheel bad-colouring polynomials, stepped on dense
   coefficient lists.
 
-The one-variable results (``char_poly``, ``bad_colouring``,
-``transfer_wheel``) are dense int lists, low degree first, with no trailing
-zeros, so [] is the zero polynomial.
+The one-variable results (``char_poly``, ``transfer_wheel``) are dense int
+lists, low degree first, with no trailing zeros, so [] is the zero
+polynomial.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .errors import (
 from .graphs import canonical_key, grid_graph
 
 _ACTIVITY_CAP = 20
-_COLOURING_CAP = 12
 _FRONTIER_CAP = 8
 DEFAULT_BUDGET = 10_000_000
 
@@ -177,7 +176,11 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     the one that misses is expanded again, to the same value.  Such a block
     splits once on an edge set X read from the same table, its largest
     parallel class, else a degree-2 chain, else its last edge, as
-    T = w_d T(G\\X) + w_c T(G/X) (``_dc_block``).  Every
+    T = w_d T(G\\X) + w_c T(G/X) (``_dc_block``).  G\\X gets its blocks
+    from Tarjan's search (``Multigraph.blocks``), G/X from one union-find
+    pass around the vertex w that X merges into (``Multigraph.blocks_at``):
+    for any other vertex z, (G/X) - z = (G - z)/X is connected, as a block
+    less one vertex is, so only w can be a cut vertex of G/X.  Every
     product over blocks costs one of budget_nodes.  Values are ints packed
     by ``bipoly._Packing``: y-degree at most n - r, coefficients at most
     T(1,1) <= C(n, r) (each, times its path weight, is part of T).
@@ -188,7 +191,7 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     r = m.full_rank
     pk = _Packing(m.n - r, comb(m.n, r))
     if isinstance(m, mt.Graphic):
-        v = _dc_graph(m.graph, pk, budget, ({}, {}))
+        v = _dc_graph(m.graph.blocks(), pk, budget, ({}, {}))
     else:
         v = _dc_generic(m._rank, (1 << m.n) - 1, 0, 0, r, 3, None, None, pk, budget)
     return _wrap(pk.unpack(v))
@@ -211,27 +214,25 @@ def _fat_cycle(pk, sizes):
     return t
 
 
-def _dc_graph(g, pk, budget, memo):
-    """T(g), packed by pk, as the product of T over its blocks."""
+def _dc_graph(blocks, pk, budget, memo):
+    """T, packed by pk, of the graph whose ``Multigraph.blocks`` are blocks."""
     budget.tick()
     acc = 1
-    for edges in g.blocks():
-        k = len(edges)
+    for _, block in blocks:
+        k = len(block.edges)
         if k == 1:
-            u, v = g.edges[edges[0]]
-            acc <<= pk.y if u == v else pk.x  # a loop or a bridge
+            acc <<= pk.y if block.nverts == 1 else pk.x  # a loop or a bridge
             continue
-        block = g.restrict(edges)
+        if block.nverts == 2:
+            acc *= _bond(pk, k)
+            continue
         pairs = {}  # vertex pair -> the edges joining it
         for i, (u, v) in enumerate(block.edges):
             pairs.setdefault((u, v) if u < v else (v, u), []).append(i)
-        if block.nverts == 2:
-            poly = _bond(pk, k)
-        elif len(pairs) == block.nverts:  # n end pairs on n vertices
-            poly = _fat_cycle(pk, [len(es) for es in pairs.values()])
+        if len(pairs) == block.nverts:  # n end pairs on n vertices
+            acc *= _fat_cycle(pk, [len(es) for es in pairs.values()])
         else:
-            poly = _memo_block(block, pairs, pk, budget, memo)
-        acc *= poly
+            acc *= _memo_block(block, pairs, pk, budget, memo)
     return acc
 
 
@@ -296,8 +297,9 @@ def _dc_block(g, pairs, pk, budget, memo):
                     z, i = next(step for step in nbrs[z] if step[1] != i)
                     x.append(i)
             wd = pk.geom(pk.x, len(x))
-    return wd * _dc_graph(g.delete_edges(x), pk, budget, memo) + wc * _dc_graph(
-        g.contract_edges(x), pk, budget, memo
+    w = min([v for i in x for v in g.edges[i]])  # the vertex g/X merges X into
+    return wd * _dc_graph(g.delete_edges(x).blocks(), pk, budget, memo) + wc * _dc_graph(
+        g.contract_edges(x).blocks_at(w), pk, budget, memo
     )
 
 
@@ -515,31 +517,6 @@ def tutte_via_coboundary(m):
     return tutte_from_coboundary(coboundary(m), m.full_rank)
 
 
-# -- colouring enumeration ----------------------------------------------------
-
-
-def bad_colouring(g, colors):
-    """Count colourings by their number of monochromatic edges.
-
-    Returns [b_0, b_1, ..., b_|E|], where b_j is the number of colourings of
-    the vertices of g in the given number of colours having exactly j
-    monochromatic ("bad") edges; b_|E| > 0, as one colour makes all bad.
-    """
-    if g.nverts > _COLOURING_CAP:
-        raise GraphTooLarge(f"direct enumeration needs |V| <= {_COLOURING_CAP}")
-    if colors < 1:
-        raise InvalidParameters("need at least one colour")
-    counts = [0] * (len(g.edges) + 1)
-    edges = g.edges
-    for sigma in itertools.product(range(colors), repeat=g.nverts):
-        bad = 0
-        for u, v in edges:
-            if sigma[u] == sigma[v]:
-                bad += 1
-        counts[bad] += 1
-    return counts
-
-
 # -- frontier sweep and transfer matrices ------------------------------------
 
 
@@ -621,7 +598,8 @@ def transfer_grid(m, n):
 
 def transfer_wheel(n, colors):
     """Bad-colouring polynomial of the wheel with n rim vertices, as a dense
-    int list in t (as ``bad_colouring``).
+    int list in t: the coefficient of t^j counts the colourings in the given
+    number of colours with exactly j monochromatic edges.
 
     Computes colours * trace(D^n) where D is the colours x colours matrix
     with entry t^([i=j] + [j=first colour]); the trace imposes the periodic

@@ -44,6 +44,7 @@ _ONE = BiPoly.one()
 _DET = X * Y - X - Y  # (x-1)(y-1) - 1, the recurring 2-sum denominator
 
 COMPLETE_GRAPH_LIMIT = 30
+UNIFORM_LIMIT = 500  # n = 500, r = 250 takes about 0.8 s; the cost is cubic in n
 COMPLETE_BIPARTITE_LIMIT = 64
 GEOMETRY_POINT_LIMIT = 2**16
 
@@ -56,20 +57,20 @@ def uniform(r, n):
 
     The subset form groups the corank-nullity sum by subset size; for
     0 < r < n it is checked against the basis-activity form
-    sum_j C(n-j-1, r-1) y^j + sum_i C(n-i-1, n-r-1) x^i.
+    sum_j C(n-j-1, r-1) y^j + sum_i C(n-i-1, n-r-1) x^i.  n is at most
+    UNIFORM_LIMIT: the subset form's Taylor shifts take time cubic in n.
     """
     if not 0 <= r <= n:
         raise InvalidRank(f"need 0 <= r <= n, got r={r}, n={n}")
+    if n > UNIFORM_LIMIT:
+        raise SizeBudgetExceeded(f"supported range is n <= {UNIFORM_LIMIT}")
     total = _from_corank_nullity(
         {(r - min(a, r), a - min(a, r)): comb(n, a) for a in range(n + 1)}
     )
     if 0 < r < n:
-        alt = BiPoly.zero()
-        for j in range(1, n - r + 1):
-            alt = alt + BiPoly.monomial(0, j, comb(n - j - 1, r - 1))
-        for i in range(1, r + 1):
-            alt = alt + BiPoly.monomial(i, 0, comb(n - i - 1, n - r - 1))
-        if alt != total:
+        alt = {(0, j): comb(n - j - 1, r - 1) for j in range(1, n - r + 1)}
+        alt.update({(i, 0): comb(n - i - 1, n - r - 1) for i in range(1, r + 1)})
+        if BiPoly(alt) != total:
             raise PreconditionViolated(f"the closed forms of U_{{{r},{n}}} disagree")
     return total
 

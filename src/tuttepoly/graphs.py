@@ -6,9 +6,12 @@ contraction of an edge set return new graphs whose edges keep their
 relative order, so element labels stay aligned with matroid minors; the
 one split of deletion-contraction on graphs, on a parallel class, a
 degree-2 chain or one edge, is ``delete_edges`` against ``contract_edges``
-of that set.  ``blocks`` splits the edges into biconnected components, the
-factors of deletion-contraction on graphs, and ``restrict`` builds the
-graph of one of them.  ``canonical_key`` relabels a graph along one path of
+of that set.  ``blocks`` splits a graph into its biconnected components,
+the factors of deletion-contraction on graphs, with their relabelled graphs;
+``blocks_at`` does it by one union-find pass when only one vertex w can cut
+the graph, as for g/X with g 2-connected, X connected and w the vertex X
+merges into: for z != w, (g/X) - z = (g - z)/X is connected.
+``canonical_key`` relabels a graph along one path of
 individualization-refinement: equal keys imply isomorphic graphs, which is
 all the deletion-contraction memo needs, but isomorphic graphs may get
 different keys.
@@ -128,18 +131,12 @@ class Multigraph:
         ]
         return Multigraph._trusted(kept, edges)
 
-    def restrict(self, edge_indices):
-        """The graph on those edges and their ends: the edges keep their
-        relative order and the ends are renumbered in increasing order."""
-        picked = [self.edges[i] for i in sorted(edge_indices)]
-        verts = sorted({w for e in picked for w in e})
-        idx = {w: k for k, w in enumerate(verts)}
-        return Multigraph._trusted(len(verts), [(idx[u], idx[v]) for u, v in picked])
-
     # -- structure queries ------------------------------------------------
 
     def blocks(self):
-        """Edge indices of every block (biconnected component), each sorted.
+        """Every block (biconnected component) as (edges, graph): its sorted
+        edge indices and the graph on them, relabelled by ``_pieces``, in
+        order of least edge.
 
         One iterative Tarjan low-link search with a stack of edges (Hopcroft
         & Tarjan, CACM 16, 1973): the tree edge into w closes a block, made
@@ -192,7 +189,43 @@ class Multigraph:
                         elif low[w] < low[p]:
                             low[p] = low[w]
         out.sort()
+        return self._pieces(out, all(incident))
+
+    def blocks_at(self, hinge):
+        """``blocks`` of a connected graph in which no vertex but hinge is a
+        cut vertex, from one union-find pass over the graph less hinge: each
+        loop is a block, and so is each component with its edges to hinge."""
+        uf = UnionFind(self.nverts)
+        for u, v in self.edges:
+            if u != hinge and v != hinge:
+                uf.union(u, v)
+        pieces = {}  # by component root, or ~i for loop i; in edge order
+        for i, (u, v) in enumerate(self.edges):
+            root = ~i if u == v else uf.find(v if u == hinge else u)
+            pieces.setdefault(root, []).append(i)
+        return self._pieces(pieces.values(), True)
+
+    def _pieces(self, parts, covered):
+        """(edges, graph) for each sorted edge list in parts: the graph on those
+        edges, kept in order, and their ends, renumbered in increasing order;
+        self for the part of every edge when covered (no isolated vertex)."""
+        out = []
+        for es in parts:
+            if len(es) == 1:
+                u, v = self.edges[es[0]]
+                g = _ONE_EDGE[(u != v) + (u > v)]
+            elif covered and len(es) == len(self.edges):
+                g = self
+            else:
+                picked = [self.edges[i] for i in es]
+                idx = {w: k for k, w in enumerate(sorted(set().union(*picked)))}
+                g = Multigraph._trusted(len(idx), [(idx[u], idx[v]) for u, v in picked])
+            out.append((es, g))
         return out
+
+
+# a loop, a bridge listed from its lower end, one listed from its upper end
+_ONE_EDGE = (Multigraph(1, [(0, 0)]), Multigraph(2, [(0, 1)]), Multigraph(2, [(1, 0)]))
 
 
 # -- canonical form ---------------------------------------------------------

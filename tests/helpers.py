@@ -7,14 +7,20 @@ graphic triangle sum by an explicit vertex relabelling and the bases of a
 lattice-path matroid by a depth-first walk over admissible paths.
 ``reference_key`` is a brute-force complete canonical form of a multigraph:
 equal keys iff isomorphic, where equal ``graphs.canonical_key`` keys only
-imply it.
+imply it.  ``restricted`` builds the graph on some edges as
+``Multigraph.blocks`` relabels a block, and ``bad_colouring`` counts
+colourings by their monochromatic edges by brute force.  The random
+2-connected multigraphs put deletion-contraction's contraction children in
+the two shapes where their blocks need care: loops, and a cut vertex at the
+merged vertex.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 from tuttepoly import matroids as mt
+from tuttepoly.errors import GraphTooLarge, InvalidParameters
 from tuttepoly.gf import GFMatrix
 from tuttepoly.graphs import Multigraph
 
@@ -202,3 +208,88 @@ def reference_key(g):
     assign(0)
     loops = tuple(sorted((final[w], c) for w, c in enumerate(loopc) if c))
     return (n, loops, best)
+
+
+def restricted(g, edge_indices):
+    """The graph on those edges of g and their ends: the edges keep their
+    relative order and the ends are renumbered in increasing order."""
+    picked = [g.edges[i] for i in sorted(edge_indices)]
+    verts = sorted({w for e in picked for w in e})
+    idx = {w: k for k, w in enumerate(verts)}
+    return Multigraph(len(verts), [(idx[u], idx[v]) for u, v in picked])
+
+
+_COLOURING_CAP = 12
+
+
+def bad_colouring(g, colors):
+    """Count colourings by their number of monochromatic edges.
+
+    Returns [b_0, b_1, ..., b_|E|], where b_j is the number of colourings of
+    the vertices of g in the given number of colours having exactly j
+    monochromatic ("bad") edges; b_|E| > 0, as one colour makes all bad.
+    """
+    if g.nverts > _COLOURING_CAP:
+        raise GraphTooLarge(f"direct enumeration needs |V| <= {_COLOURING_CAP}")
+    if colors < 1:
+        raise InvalidParameters("need at least one colour")
+    counts = [0] * (len(g.edges) + 1)
+    for sigma in product(range(colors), repeat=g.nverts):
+        counts[sum(sigma[u] == sigma[v] for u, v in g.edges)] += 1
+    return counts
+
+
+def two_connected_edges(rng, n, ears):
+    """(vertex count, edges) of a random 2-connected loopless multigraph: a
+    cycle through n >= 3 vertices, then ears between two distinct vertices
+    already placed, each one edge (maybe parallel) or a path through one new
+    vertex."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = [(order[k], order[k - 1]) for k in range(n)]
+    for _ in range(ears):
+        a, b = rng.sample(range(n), 2)
+        if rng.random() < 0.3:
+            edges += [(a, n), (n, b)]
+            n += 1
+        else:
+            edges.append((a, b))
+    return n, edges
+
+
+def _shuffled(rng, n, edges, marked):
+    """Multigraph(n, edges) with its vertices renamed and its edges reordered
+    at random, and the new indices of the edges marked."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    order = list(range(len(edges)))
+    rng.shuffle(order)
+    g = Multigraph(n, [(perm[edges[i][0]], perm[edges[i][1]]) for i in order])
+    return g, sorted(k for k, i in enumerate(order) if i in marked)
+
+
+def chord_chain(rng):
+    """(g, X): a random 2-connected multigraph and a maximal degree-2 chain X
+    of it whose ends are also joined directly, so g/X has loops."""
+    n, edges = two_connected_edges(rng, rng.randint(3, 5), rng.randint(0, 3))
+    a, b = edges[rng.randrange(len(edges))]
+    path = [a, *range(n, n + rng.randint(1, 3)), b]
+    chain = range(len(edges), len(edges) + len(path) - 1)
+    edges += zip(path, path[1:])
+    return _shuffled(rng, path[-2] + 1, edges, set(chain))
+
+
+def split_class(rng):
+    """(g, X): two random 2-connected multigraphs glued at two vertices u
+    and v and joined by 2 or 3 more u-v edges, with X the class of all u-v
+    edges, so {u, v} is a 2-separation of g and the vertex g/X merges X into
+    is a cut vertex."""
+    n1, e1 = two_connected_edges(rng, 3, rng.randint(0, 1))
+    n2, e2 = two_connected_edges(rng, rng.randint(3, 4), rng.randint(0, 1))
+
+    def glued(w):  # the second graph's vertices 0 and 1 are the first's
+        return w if w < 2 else w + n1 - 2
+
+    edges = e1 + [(glued(a), glued(b)) for a, b in e2] + [(0, 1)] * rng.randint(2, 3)
+    cls = {i for i, e in enumerate(edges) if set(e) == {0, 1}}
+    return _shuffled(rng, n1 + n2 - 2, edges, cls)

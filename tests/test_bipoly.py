@@ -159,5 +159,23 @@ def test_packed_slots_hold_their_bound(bound):
     assert pk.unpack(ones * bound) == full
 
 
+@pytest.mark.parametrize("width", range(1, 10))
+def test_unpack_round_trips_every_slot_width(monkeypatch, width):
+    # slots of 1 to 9 bytes, empty, at 1 and at the bound, with the top slot
+    # at the bound: the native cast (1, 2, 4 or 8 bytes), the widened cast
+    # (3, 5, 6, 7) and the sliced bytes (9, or a big-endian host) agree
+    bound = (1 << 8 * width) - 1
+    pk = _Packing(2, bound)
+    assert pk.y == 8 * width
+    terms = {(i, j): (0, 1, bound)[(i + 2 * j) % 3] for i in range(3) for j in range(3)}
+    terms[2, 2] = bound
+    v = sum(c << i * pk.x + j * pk.y for (i, j), c in terms.items())
+    expected = {k: c for k, c in terms.items() if c}
+    assert pk.unpack(v) == expected
+    assert pk.unpack(0) == {}
+    monkeypatch.setattr(_Packing, "formats", {})
+    assert pk.unpack(v) == expected
+
+
 def test_every_exported_name_resolves():
     assert all(hasattr(tuttepoly, name) for name in tuttepoly.__all__)

@@ -10,6 +10,7 @@ import pytest
 from tuttepoly import catalog as cat
 from tuttepoly import cli
 from tuttepoly import engines as eng
+from tuttepoly import families as fam
 
 WHEEL3 = "x^3 + 3*x^2 + 2*x + 4*x*y + 2*y + 3*y^2 + y^3"
 
@@ -316,6 +317,17 @@ def test_complete_family_exit_codes(capsys):
     assert code == 2 and out == "" and "need n >= 1" in err
     code, out, err = run(["compute", "--family", "complete", "--n", "31"], capsys)
     assert code == 3 and out == "" and "1..30" in err
+
+
+def test_uniform_family_size_guard(capsys):
+    # more than UNIFORM_LIMIT elements is over the size budget (3), refused
+    # before any work: a billion elements returns as fast as one past the limit
+    for n in (fam.UNIFORM_LIMIT + 1, 10**9):
+        start = time.perf_counter()
+        code, out, err = run(["compute", "--family", "uniform", "--r", "5", "--n", str(n)],
+                             capsys)
+        assert code == 3 and out == "" and "Traceback" not in err
+        assert f"n <= {fam.UNIFORM_LIMIT}" in err and time.perf_counter() - start < 1
 
 
 def test_geometry_family_size_guard(capsys):

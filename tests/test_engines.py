@@ -13,7 +13,6 @@ from tuttepoly.catalog import build
 from tuttepoly.bipoly import BiPoly, X, Y, exact_div, subst_rational
 from tuttepoly.engines import (
     _corank_nullity_counts,
-    bad_colouring,
     char_poly,
     coboundary,
     coboundary_from_tutte,
@@ -46,7 +45,7 @@ from tuttepoly.graphs import (
     wheel_graph,
 )
 
-from helpers import standard_rep
+from helpers import bad_colouring, chord_chain, split_class, standard_rep
 
 # frozen expected polynomials, written as {(x-exp, y-exp): coeff}
 T_U25 = BiPoly({(2, 0): 1, (1, 0): 3, (0, 1): 3, (0, 2): 2, (0, 3): 1})
@@ -489,13 +488,38 @@ def test_dc_memo_promotes_a_class(monkeypatch):
     rng.shuffle(perm)
     moved = Multigraph(10, [(perm[u], perm[v]) for u, v in p.edges])
     union = Multigraph(30, list(p.edges) + shifted(moved, 10) + shifted(p, 20))
-    assert union.restrict(range(15, 30)) != p
+    assert [b for _, b in union.blocks()] == [p, moved, p] and moved != p
     calls = count_key_calls(monkeypatch)
     t = tutte_dc(mt.Graphic(p))
     alone = len(calls)
     assert tutte_dc(mt.Graphic(union)) == t**3
     assert len(calls) == 2 * alone + 2
     assert t == tutte_frontier(p)
+
+
+@pytest.mark.parametrize("shape, case", [(chord_chain, "loops"), (split_class, "cut vertex")])
+def test_dc_contraction_children_blocks(monkeypatch, shape, case):
+    # DC takes a contraction child's blocks from one union-find pass around
+    # the vertex the split merged; on every child it makes of these graphs
+    # they are Tarjan's blocks, and T is the subset sum's.  Chains whose ends
+    # are joined directly contract to loops; parallel classes whose ends are
+    # a 2-separation contract to a cut vertex
+    seen = {"loops": 0, "cut vertex": 0}
+    blocks_at = Multigraph.blocks_at
+
+    def checked(c, hinge):
+        out = blocks_at(c, hinge)
+        assert out == c.blocks(), (c, hinge)
+        seen["loops"] += any(b.nverts == 1 for _, b in out)
+        seen["cut vertex"] += sum(len(es) > 1 for es, _ in out) > 1
+        return out
+
+    monkeypatch.setattr(Multigraph, "blocks_at", checked)
+    rng = random.Random(17)
+    for _ in range(30):
+        m = mt.Graphic(shape(rng)[0])
+        assert tutte_dc(m) == tutte_subset(m), m.graph
+    assert seen[case] >= 10, seen
 
 
 # canonical forms per tutte_dc call; when every memoized block was keyed

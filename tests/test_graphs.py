@@ -5,7 +5,10 @@ keys imply isomorphic graphs but isomorphic graphs may get different keys.
 Its keys are checked for invariance under relabelling of random multigraphs,
 for equality with the brute-force ``helpers.reference_key`` on small and on
 symmetric graphs, and, where two labellings of a regular graph get different
-keys, for deletion-contraction agreeing on both.
+keys, for deletion-contraction agreeing on both.  ``blocks`` is checked
+against the blocks read off the circuits and its block graphs against
+``helpers.restricted``; ``blocks_at`` against ``blocks`` on the contraction
+children deletion-contraction makes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from tuttepoly.graphs import (
     grid_graph,
 )
 
-from helpers import reference_key
+from helpers import chord_chain, reference_key, restricted, split_class
 
 
 def random_multigraph(rng, max_verts, max_edges):
@@ -139,8 +142,12 @@ def test_key_is_complete_on_symmetric_graphs():
     assert canonical_key(Multigraph(0, [])) == (0, (), ())
 
 
+def block_edges(g):
+    return [es for es, _ in g.blocks()]
+
+
 def bridges(g):
-    return [b[0] for b in g.blocks() if len(b) == 1 and len(set(g.edges[b[0]])) == 2]
+    return [b[0] for b in block_edges(g) if len(b) == 1 and len(set(g.edges[b[0]])) == 2]
 
 
 def test_bridges_match_rank_definition():
@@ -158,16 +165,17 @@ def test_bridges_match_rank_definition():
 
 def test_bridges_parallel_edges_and_loops():
     # loops and bridges are blocks of one edge; parallel edges share a block
-    assert Multigraph(2, [(0, 1), (1, 0)]).blocks() == [[0, 1]]
-    assert Multigraph(3, [(0, 0), (0, 1), (1, 2), (2, 2)]).blocks() == [[0], [1], [2], [3]]
-    assert Multigraph(4, [(0, 1), (2, 3), (3, 2), (1, 0), (0, 1)]).blocks() == [
+    assert block_edges(Multigraph(2, [(0, 1), (1, 0)])) == [[0, 1]]
+    assert block_edges(Multigraph(3, [(0, 0), (0, 1), (1, 2), (2, 2)])) == [
+        [0], [1], [2], [3]]
+    assert block_edges(Multigraph(4, [(0, 1), (2, 3), (3, 2), (1, 0), (0, 1)])) == [
         [0, 3, 4], [1, 2]]
-    assert Multigraph(4, [(2, 3), (0, 1)]).blocks() == [[0], [1]]
+    assert block_edges(Multigraph(4, [(2, 3), (0, 1)])) == [[0], [1]]
     # triangles joined at vertex 2, a parallel pair at 4 with a loop at its
     # other end, and an isolated vertex
     bowtie = Multigraph(7, [(0, 1), (2, 3), (1, 2), (2, 4), (4, 5), (2, 0), (3, 4),
                             (5, 5), (4, 5)])
-    assert bowtie.blocks() == [[0, 2, 5], [1, 3, 6], [4, 8], [7]]
+    assert block_edges(bowtie) == [[0, 2, 5], [1, 3, 6], [4, 8], [7]]
     assert Multigraph(3, []).blocks() == []
 
 
@@ -187,7 +195,7 @@ def test_blocks_match_circuit_reference():
     seen = {"loop": 0, "parallel": 0, "cut vertex": 0, "isolated": 0, "components": 0}
     for _ in range(1500):
         g = random_multigraph(rng, 9, rng.randint(0, 13))
-        blocks = g.blocks()
+        blocks = block_edges(g)
         assert [tuple(b) for b in blocks] == reference_blocks(g), g
         ends = [{w for i in b for w in g.edges[i]} for b in blocks]
         touched = set().union(*ends)
@@ -200,11 +208,44 @@ def test_blocks_match_circuit_reference():
     assert min(seen.values()) >= 150, seen
 
 
-def test_restrict_keeps_edge_order_and_vertex_order():
-    g = Multigraph(6, [(5, 3), (0, 1), (3, 5), (1, 1), (4, 2), (5, 1)])
-    assert g.restrict([5, 2, 0]) == Multigraph(3, [(2, 1), (1, 2), (2, 0)])
-    assert g.restrict([3]) == Multigraph(1, [(0, 0)])
-    assert g.restrict([]) == Multigraph(0, [])
+def test_block_graphs_keep_edge_order_and_vertex_order():
+    # each block's graph keeps its edges' order and renumbers their ends in
+    # increasing order; a graph that is one block on all its vertices is its
+    # own block graph
+    g = Multigraph(7, [(5, 3), (0, 1), (3, 5), (1, 1), (4, 2), (5, 1), (1, 0), (5, 6),
+                       (6, 3)])
+    assert g.blocks() == [
+        ([0, 2, 7, 8], Multigraph(3, [(1, 0), (0, 1), (1, 2), (2, 0)])),
+        ([1, 6], Multigraph(2, [(0, 1), (1, 0)])),
+        ([3], Multigraph(1, [(0, 0)])),
+        ([4], Multigraph(2, [(1, 0)])),
+        ([5], Multigraph(2, [(1, 0)])),
+    ]
+    triangle = cycle_graph(3)
+    assert triangle.blocks()[0][1] is triangle
+    assert Multigraph(4, triangle.edges).blocks() == [([0, 1, 2], triangle)]
+    rng = random.Random(13)
+    for _ in range(500):
+        g = random_multigraph(rng, 9, 13)
+        assert [b for _, b in g.blocks()] == [restricted(g, es) for es in block_edges(g)], g
+
+
+@pytest.mark.parametrize("shape", [chord_chain, split_class])
+def test_contraction_blocks_by_union_find_match_tarjan(shape):
+    # g/X of a 2-connected g and a class or chain X can have a cut vertex only
+    # where X merges: blocks_at there gives blocks(), edges and graphs alike.
+    # A chord of a chain becomes a loop; the ends of a class that are a
+    # 2-separation become a cut vertex
+    rng = random.Random(23)
+    for _ in range(200):
+        g, x = shape(rng)
+        c = g.contract_edges(x)
+        blocks = c.blocks()
+        assert c.blocks_at(min(w for i in x for w in g.edges[i])) == blocks, (g, x)
+        if shape is chord_chain:
+            assert any(b.nverts == 1 for _, b in blocks)
+        else:
+            assert sum(len(es) > 1 for es, _ in blocks) >= 2
 
 
 def test_public_constructor_checks_edges_and_minors_stay_equal():
