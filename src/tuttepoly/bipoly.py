@@ -231,9 +231,13 @@ def _geom(p, k):
 
 def _taylor_shift(a):
     """Turn the coefficients of sum a[k] (t-1)^k, in place, into those in t."""
-    # the synthetic-division form of expanding by C(k, i) (-1)^(k-i): additions only
-    for i in range(len(a) - 1):
-        for k in range(len(a) - 2, i - 1, -1):
+    # the synthetic-division form of expanding by C(k, i) (-1)^(k-i): additions
+    # only, up to the last nonzero a[k], as the zeros above it stay zero
+    top = len(a)
+    while top and not a[top - 1]:
+        top -= 1
+    for i in range(top - 1):
+        for k in range(top - 2, i - 1, -1):
             a[k] -= a[k + 1]
     return a
 

@@ -12,7 +12,9 @@ erratum candidates, never silently corrected.
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
+from functools import cache
 from importlib import resources
 
 from . import engines as eng
@@ -32,77 +34,45 @@ CatalogEntry = namedtuple(
 
 # -- recipe language -----------------------------------------------------------
 #
-# expr := NAME '(' args ')' | integer | '[' args ']'
-# Whitelisted constructors only; no attribute access, no names as values.
+# expr := NAME '(' [expr (',' expr)*] ')' | integer | '[' [expr (',' expr)*] ']'
+# A recipe is read into a whole tree before any constructor runs, and only
+# whitelisted constructors run; integers are ASCII decimals.
+
+_TOKEN = re.compile(r"\s*(?:(-?[0-9]+)|(\w+)|(\S))")  # (integer, name, punctuation)
+_END = ("", "", "")
 
 
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+def _parse(recipe):
+    """The tree of a recipe: ("int", n), ("list", items) or ("call", name,
+    args); ParseError unless the whole text is one expression."""
+    tokens = [_END] + _TOKEN.findall(recipe)[::-1]  # next token last
 
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def expr():
+        token = tokens.pop()
+        number, name, punct = token
+        if number:
+            return ("int", int(number))
+        if punct == "[":
+            return ("list", items("]"))
+        if name and tokens[-1][2] == "(":
+            tokens.pop()
+            return ("call", name, items(")"))
+        raise ParseError(f"expected an expression in recipe, got {''.join(token)!r}")
 
-    def expect(self, ch):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r} at position {self.pos} of recipe")
-        self.pos += 1
-
-    def name(self):
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise ParseError(f"expected a name at position {start} of recipe")
-        return self.text[start:self.pos]
-
-    def integer(self):
-        self.peek()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.text[start:self.pos] in ("", "-"):
-            raise ParseError(f"expected an integer at position {start} of recipe")
-        return int(self.text[start:self.pos])
-
-
-def _parse_expr(tok):
-    ch = tok.peek()
-    if ch == "[":
-        tok.expect("[")
-        items = _parse_args(tok, "]")
-        return ("list", items)
-    if ch.isdigit() or ch == "-":
-        return ("int", tok.integer())
-    name = tok.name()
-    tok.expect("(")
-    args = _parse_args(tok, ")")
-    return ("call", name, args)
-
-
-def _parse_args(tok, closer):
-    args = []
-    if tok.peek() == closer:
-        tok.expect(closer)
-        return args
-    while True:
-        args.append(_parse_expr(tok))
-        ch = tok.peek()
-        if ch == ",":
-            tok.expect(",")
-        elif ch == closer:
-            tok.expect(closer)
-            return args
-        else:
+    def items(closer):
+        out = []
+        punct = tokens.pop()[2] if tokens[-1][2] == closer else ","
+        while punct == ",":
+            out.append(expr())
+            punct = tokens.pop()[2]
+        if punct != closer:
             raise ParseError(f"expected ',' or {closer!r} in recipe")
+        return out
+
+    tree = expr()
+    if tokens != [_END]:
+        raise ParseError("trailing input in recipe")
+    return tree
 
 
 def _graphic(builder):
@@ -129,25 +99,21 @@ _CONSTRUCTORS = {
 }
 
 
-def _eval_expr(node):
+def _eval(node):
     tag = node[0]
     if tag == "int":
         return node[1]
     if tag == "list":
-        return [_eval_expr(item) for item in node[1]]
+        return [_eval(item) for item in node[1]]
     _, name, args = node
     if name not in _CONSTRUCTORS:
         raise ParseError(f"recipe uses unknown constructor {name!r}")
-    return _CONSTRUCTORS[name](*(_eval_expr(a) for a in args))
+    return _CONSTRUCTORS[name](*map(_eval, args))
 
 
 def build_recipe(recipe):
     """Execute a recipe string; the result must be a matroid."""
-    tok = _Tokens(recipe)
-    node = _parse_expr(tok)
-    if tok.peek():
-        raise ParseError(f"trailing input in recipe at position {tok.pos}")
-    out = _eval_expr(node)
+    out = _eval(_parse(recipe))
     if not isinstance(out, mt.Matroid):
         raise ParseError("recipe did not produce a matroid")
     return out
@@ -156,30 +122,24 @@ def build_recipe(recipe):
 # -- catalog data ---------------------------------------------------------------
 
 
-_CACHE = None
-
-
+@cache
 def _load():
-    global _CACHE
-    if _CACHE is None:
-        raw = (resources.files("tuttepoly") / "data" / "catalog.json").read_text()
-        doc = json.loads(raw)
-        entries = {}
-        for item in doc["entries"]:
-            err = item.get("erratum")
-            if err is not None:
-                err = dict(err)
-                err["derived_truth"] = poly_from_obj(err["derived_truth"])
-            entries[item["name"]] = CatalogEntry(
-                name=item["name"],
-                recipe=item["recipe"],
-                ground_truth=poly_from_obj(item["ground_truth"]),
-                provenance=item["provenance"],
-                flags=item["flags"],
-                erratum=err,
-            )
-        _CACHE = entries
-    return _CACHE
+    raw = (resources.files("tuttepoly") / "data" / "catalog.json").read_text()
+    entries = {}
+    for item in json.loads(raw)["entries"]:
+        err = item.get("erratum")
+        if err is not None:
+            err = dict(err)
+            err["derived_truth"] = poly_from_obj(err["derived_truth"])
+        entries[item["name"]] = CatalogEntry(
+            name=item["name"],
+            recipe=item["recipe"],
+            ground_truth=poly_from_obj(item["ground_truth"]),
+            provenance=item["provenance"],
+            flags=item["flags"],
+            erratum=err,
+        )
+    return entries
 
 
 def names():
@@ -361,7 +321,7 @@ def _engine_routes(m):
             ("engine:activities", lambda: eng.tutte_activities(m))]
 
 
-def verify(name, engines=None):
+def verify(name):
     """Recompute one entry along every route and compare against the record.
 
     Returns a report dict: route polynomials, pairwise agreement, the
@@ -372,11 +332,6 @@ def verify(name, engines=None):
     entry = lookup(name)
     m = build_recipe(entry.recipe)
     routes = _engine_routes(m) + FORMULA_ROUTES.get(name, [])
-    if engines is not None:
-        routes = [(label, thunk) for label, thunk in routes
-                  if label in engines or label.split(":", 1)[-1] in engines]
-        if not routes:
-            raise UnknownEntry(f"no verification route matches {engines!r}")
     results = {label: thunk() for label, thunk in routes}
     polys = list(results.values())
     routes_agree = all(p == polys[0] for p in polys)

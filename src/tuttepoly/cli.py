@@ -20,25 +20,9 @@ from fractions import Fraction
 from . import engines as eng
 from . import matroids as mt
 from .bipoly import evaluate
-from .errors import (
-    GraphTooLarge,
-    GroundSetTooLarge,
-    ParseError,
-    ResourceBudgetExceeded,
-    SizeBudgetExceeded,
-    TuttepolyError,
-    UnsupportedWidth,
-)
+from .errors import BudgetExceeded, ParseError, TuttepolyError
 from .formats import parse_graph, parse_matrix, parse_matroid
 from .render import to_json, to_latex, to_text
-
-_BUDGET_ERRORS = (
-    GroundSetTooLarge,
-    GraphTooLarge,
-    ResourceBudgetExceeded,
-    SizeBudgetExceeded,
-    UnsupportedWidth,
-)
 
 # Closed-form producers reachable by name: the name of the function in
 # ``families`` (``grid`` is ``engines.transfer_grid``), with the integer
@@ -265,7 +249,7 @@ def main(argv=None):
     args = _parser().parse_args(_signed_points(argv))
     try:
         return args.func(args)
-    except _BUDGET_ERRORS as exc:
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (RecursionError, MemoryError) as exc:

@@ -209,8 +209,12 @@ def _fat_cycle(pk, sizes):
     T_1 = y^(m_1), so T_2 = B(m_1 + m_2); every term is non-negative."""
     t, path = 1 << sizes[0] * pk.y, _bond(pk, sizes[0])
     for m in sizes[1:]:
-        t = path + pk.geom(pk.y, m) * t
-        path *= _bond(pk, m)
+        if m == 1:  # B(1) = x, [1]_y = 1
+            t += path
+            path <<= pk.x
+        else:
+            t = path + pk.geom(pk.y, m) * t
+            path *= _bond(pk, m)
     return t
 
 

@@ -45,23 +45,27 @@ class PreconditionViolated(TuttepolyError):
     """A structural precondition of a construction does not hold."""
 
 
-class GroundSetTooLarge(TuttepolyError):
+class BudgetExceeded(TuttepolyError):
+    """Input beyond a documented limit or budget (CLI exit code 3)."""
+
+
+class GroundSetTooLarge(BudgetExceeded):
     """Ground set exceeds the hard limit of an exhaustive routine."""
 
 
-class GraphTooLarge(TuttepolyError):
+class GraphTooLarge(BudgetExceeded):
     """Graph exceeds the hard limit of an exhaustive routine."""
 
 
-class ResourceBudgetExceeded(TuttepolyError):
+class ResourceBudgetExceeded(BudgetExceeded):
     """A recursion expanded more nodes than its budget allows."""
 
 
-class SizeBudgetExceeded(TuttepolyError):
+class SizeBudgetExceeded(BudgetExceeded):
     """An enumeration would produce more objects than its budget allows."""
 
 
-class UnsupportedWidth(TuttepolyError):
+class UnsupportedWidth(BudgetExceeded):
     """Transfer-matrix grid width outside the supported range."""
 
 

@@ -44,7 +44,7 @@ _ONE = BiPoly.one()
 _DET = X * Y - X - Y  # (x-1)(y-1) - 1, the recurring 2-sum denominator
 
 COMPLETE_GRAPH_LIMIT = 30
-UNIFORM_LIMIT = 500  # n = 500, r = 250 takes about 0.8 s; the cost is cubic in n
+UNIFORM_LIMIT = 500
 COMPLETE_BIPARTITE_LIMIT = 64
 GEOMETRY_POINT_LIMIT = 2**16
 
@@ -58,7 +58,9 @@ def uniform(r, n):
     The subset form groups the corank-nullity sum by subset size; for
     0 < r < n it is checked against the basis-activity form
     sum_j C(n-j-1, r-1) y^j + sum_i C(n-i-1, n-r-1) x^i.  n is at most
-    UNIFORM_LIMIT: the subset form's Taylor shifts take time cubic in n.
+    UNIFORM_LIMIT.  The subset form's histogram fills one row and one column,
+    and a Taylor shift stops at its last nonzero coefficient, so its shifts
+    take O(r^2 + (n-r)^2) big-int additions.
     """
     if not 0 <= r <= n:
         raise InvalidRank(f"need 0 <= r <= n, got r={r}, n={n}")

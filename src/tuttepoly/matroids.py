@@ -201,10 +201,10 @@ class PavingPartition(Matroid):
 
 
 class BasisList(Matroid):
-    """Matroid from an explicit basis family; with check, exchange-checked,
-    and a family on more than ENUM_LIMIT elements is refused."""
+    """Matroid from an explicit basis family, exchange-checked; a family on
+    more than ENUM_LIMIT elements is refused."""
 
-    def __init__(self, r, n, bases, check=True):
+    def __init__(self, r, n, bases):
         bases = frozenset(frozenset(b) for b in bases)
         if not bases:
             raise InvalidParameters("need at least one basis")
@@ -217,39 +217,38 @@ class BasisList(Matroid):
         self.n = n
         self.bases = bases
         self._masks = masks = tuple(_mask(self, b) for b in bases)
-        if check:
-            _guard(self)
-            # each e in b1 - b2 needs an f in b2 - b1 with b1 - e + f a basis;
-            # ex[e] masks the f outside b1 that work, so some b2 fails at e
-            # iff it avoids ex[e] and e: iff bit full ^ ex[e] ^ 1 << e of up,
-            # the sets holding a basis as a 2^n-bit int, is set.  That int is
-            # built and read as little-endian bytes, set s at bit s & 7 of
-            # byte s >> 3.  Only then are b1's pairs walked for the message.
-            mask_set = set(masks)
-            full, size = (1 << n) - 1, (1 << n) + 7 >> 3
-            seed = bytearray(size)
-            for m in masks:
-                seed[m >> 3] |= 1 << (m & 7)
-            up = int.from_bytes(seed, "little")
-            for k in range(n):  # low marks the sets without k
-                run = (bytes([(0x55, 0x33, 0x0F)[k]]) if k < 3
-                       else b"\xff" * (1 << k - 3) + bytes(1 << k - 3))
-                low = int.from_bytes(run * (size // len(run)), "little")
-                up |= (up & low) << (1 << k)
-            up = up.to_bytes(size, "little")
-            for b1, m1 in zip(bases, masks):
-                ex = {e: sum(1 << f for f in range(n) if not m1 >> f & 1
-                             and (m1 ^ 1 << e) | 1 << f in mask_set) for e in b1}
-                holes = [full ^ x ^ 1 << e for e, x in ex.items()]
-                if not any(up[s >> 3] >> (s & 7) & 1 for s in holes):
-                    continue
-                for b2, m2 in zip(bases, masks):
-                    for e in b1 - b2:
-                        if not ex[e] & m2:
-                            raise InvalidParameters(
-                                "basis-exchange axiom fails "
-                                f"on {sorted(b1)}, {sorted(b2)} at {e}"
-                            )
+        _guard(self)
+        # each e in b1 - b2 needs an f in b2 - b1 with b1 - e + f a basis;
+        # ex[e] masks the f outside b1 that work, so some b2 fails at e
+        # iff it avoids ex[e] and e: iff bit full ^ ex[e] ^ 1 << e of up,
+        # the sets holding a basis as a 2^n-bit int, is set.  That int is
+        # built and read as little-endian bytes, set s at bit s & 7 of
+        # byte s >> 3.  Only then are b1's pairs walked for the message.
+        mask_set = set(masks)
+        full, size = (1 << n) - 1, (1 << n) + 7 >> 3
+        seed = bytearray(size)
+        for m in masks:
+            seed[m >> 3] |= 1 << (m & 7)
+        up = int.from_bytes(seed, "little")
+        for k in range(n):  # low marks the sets without k
+            run = (bytes([(0x55, 0x33, 0x0F)[k]]) if k < 3
+                   else b"\xff" * (1 << k - 3) + bytes(1 << k - 3))
+            low = int.from_bytes(run * (size // len(run)), "little")
+            up |= (up & low) << (1 << k)
+        up = up.to_bytes(size, "little")
+        for b1, m1 in zip(bases, masks):
+            ex = {e: sum(1 << f for f in range(n) if not m1 >> f & 1
+                         and (m1 ^ 1 << e) | 1 << f in mask_set) for e in b1}
+            holes = [full ^ x ^ 1 << e for e, x in ex.items()]
+            if not any(up[s >> 3] >> (s & 7) & 1 for s in holes):
+                continue
+            for b2, m2 in zip(bases, masks):
+                for e in b1 - b2:
+                    if not ex[e] & m2:
+                        raise InvalidParameters(
+                            "basis-exchange axiom fails "
+                            f"on {sorted(b1)}, {sorted(b2)} at {e}"
+                        )
 
     def _rank(self, mask):
         return max((mask & b).bit_count() for b in self._masks)

@@ -12,7 +12,9 @@ imply it.  ``restricted`` builds the graph on some edges as
 colourings by their monochromatic edges by brute force.  The random
 2-connected multigraphs put deletion-contraction's contraction children in
 the two shapes where their blocks need care: loops, and a cut vertex at the
-merged vertex.
+merged vertex.  ``reference_recipe_tree`` is the hand-written tokenizer and
+recursive descent the catalog once read recipes with; it also reads
+non-ASCII digits as integers.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from tuttepoly import matroids as mt
-from tuttepoly.errors import GraphTooLarge, InvalidParameters
+from tuttepoly.errors import GraphTooLarge, InvalidParameters, ParseError
 from tuttepoly.gf import GFMatrix
 from tuttepoly.graphs import Multigraph
 
@@ -293,3 +295,85 @@ def split_class(rng):
     edges = e1 + [(glued(a), glued(b)) for a, b in e2] + [(0, 1)] * rng.randint(2, 3)
     cls = {i for i, e in enumerate(edges) if set(e) == {0, 1}}
     return _shuffled(rng, n1 + n2 - 2, edges, cls)
+
+
+# -- the recipe parser the catalog once used --------------------------------------
+
+
+class _Tokens:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            raise ParseError(f"expected {ch!r} at position {self.pos} of recipe")
+        self.pos += 1
+
+    def name(self):
+        self.peek()
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+        if start == self.pos:
+            raise ParseError(f"expected a name at position {start} of recipe")
+        return self.text[start:self.pos]
+
+    def integer(self):
+        self.peek()
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] == "-":
+            self.pos += 1
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.text[start:self.pos] in ("", "-"):
+            raise ParseError(f"expected an integer at position {start} of recipe")
+        return int(self.text[start:self.pos])
+
+
+def _parse_expr(tok):
+    ch = tok.peek()
+    if ch == "[":
+        tok.expect("[")
+        items = _parse_args(tok, "]")
+        return ("list", items)
+    if ch.isdigit() or ch == "-":
+        return ("int", tok.integer())
+    name = tok.name()
+    tok.expect("(")
+    args = _parse_args(tok, ")")
+    return ("call", name, args)
+
+
+def _parse_args(tok, closer):
+    args = []
+    if tok.peek() == closer:
+        tok.expect(closer)
+        return args
+    while True:
+        args.append(_parse_expr(tok))
+        ch = tok.peek()
+        if ch == ",":
+            tok.expect(",")
+        elif ch == closer:
+            tok.expect(closer)
+            return args
+        else:
+            raise ParseError(f"expected ',' or {closer!r} in recipe")
+
+
+def reference_recipe_tree(recipe):
+    """The tree that parser reads from a recipe, as build_recipe once did
+    before it ran any constructor."""
+    tok = _Tokens(recipe)
+    node = _parse_expr(tok)
+    if tok.peek():
+        raise ParseError(f"trailing input in recipe at position {tok.pos}")
+    return node

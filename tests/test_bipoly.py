@@ -2,18 +2,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuttepoly
+from tuttepoly import bipoly
 from tuttepoly.bipoly import (
     BiPoly,
     X,
     Y,
     _from_corank_nullity,
     _Packing,
+    _taylor_shift,
     exact_div,
     subst_rational,
 )
@@ -145,6 +148,36 @@ def test_corank_nullity_expansion_matches_term_products(counts):
     for (z, nl), c in counts.items():
         expected = expected + ((X - 1) ** z * (Y - 1) ** nl).scale(c)
     assert _from_corank_nullity(counts) == expected
+
+
+def _untrimmed_shift(a):
+    for i in range(len(a) - 1):
+        for k in range(len(a) - 2, i - 1, -1):
+            a[k] -= a[k + 1]
+    return a
+
+
+@given(st.lists(coeffs, max_size=6), st.integers(min_value=0, max_value=4))
+def test_taylor_shift_of_a_zero_tail_matches_the_untrimmed_shift(head, zeros):
+    a = head + [0] * zeros
+    assert _taylor_shift(list(a)) == _untrimmed_shift(list(a))
+
+
+@given(st.dictionaries(st.tuples(exps, exps), coeffs, max_size=4))
+def test_zero_tailed_histograms_match_the_untrimmed_shift(counts):
+    # few cells in a table up to 5 x 5: most rows and columns end in zeros
+    counts[(5, 0)] = counts[(0, 5)] = 1
+    trimmed = _from_corank_nullity(counts)
+    with mock.patch.object(bipoly, "_taylor_shift", _untrimmed_shift):
+        assert _from_corank_nullity(counts) == trimmed
+
+
+def test_hash_length_truth_and_int_equality():
+    p = X + 2
+    assert hash(p) == hash(BiPoly({(0, 0): 2, (1, 0): 1})) and len({p, X + 2}) == 1
+    assert len(p) == 2 and p and not BiPoly.zero()
+    assert BiPoly.zero() == 0 and BiPoly({(0, 0): 5}) == 5
+    assert p != 2 and X != 0 and p != "x + 2"
 
 
 @pytest.mark.parametrize("bound", [1, 255, 256, 2**64, comb(60, 30)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +13,8 @@ from tuttepoly import families as fam
 from tuttepoly import matroids as mt
 from tuttepoly.bipoly import BiPoly, evaluate
 from tuttepoly.errors import ParseError, UnknownEntry
+
+from helpers import reference_recipe_tree
 
 T_F7 = BiPoly({(3, 0): 1, (2, 0): 4, (1, 0): 3, (1, 1): 7,
                (0, 1): 3, (0, 2): 6, (0, 3): 3, (0, 4): 1})
@@ -70,14 +73,92 @@ def test_recipe_errors():
         cat.build_recipe("relax(wheel_graph(3), [3,4,)")
 
 
+# pieces of random recipes: constructor names, other words, integers,
+# punctuation, Unicode space and a non-ASCII letter; no non-ASCII digit
+_PIECES = ["uniform", "dual", "a1", "_", "\u00e9", "(", ")", "[", "]", ",",
+           " ", "\t", "\u00a0", "-", "0", "7", "42", "-3", "007"]
+
+
+def _random_recipe(rng, depth=0):
+    roll = rng.random()
+    if depth > 2 or roll < 0.4:
+        return rng.choice(["0", "7", "42", "-3", "007"])
+    args = rng.choice([",", ", ", " ,\t"]).join(
+        _random_recipe(rng, depth + 1) for _ in range(rng.randint(0, 3)))
+    if roll < 0.6:
+        return f"[{args}]"
+    return rng.choice(["uniform", "dual", "a1", "_"]) + rng.choice(["", " "]) + f"({args})"
+
+
+def _random_text(rng):
+    """A random recipe with up to two random pieces spliced in, or a string
+    of random pieces."""
+    if rng.random() < 0.3:
+        return "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 12)))
+    text = _random_recipe(rng)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        k = rng.randint(0, len(text))
+        text = text[:k] + rng.choice(_PIECES) + text[k + rng.randint(0, 1):]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
+
+
+def test_recipe_parser_matches_the_reference_on_random_strings():
+    rng = random.Random(22)
+    accepted = 0
+    for _ in range(20000):
+        text = _random_text(rng)
+        tree = _outcome(cat._parse, text)
+        assert tree == _outcome(reference_recipe_tree, text), text
+        accepted += tree is not ParseError
+    assert 5000 < accepted < 15000
+
+
+def test_recipe_integers_are_ascii_decimals():
+    # the reference read a non-ASCII digit as an integer
+    assert reference_recipe_tree("dual(\u0663)") == ("call", "dual", [("int", 3)])
+    for text in ("dual(\u0663)", "uniform(2, \u00b2)", "uniform(1_0, 12)",
+                 "uniform(0x4, 5)", "uniform(2, 4,)", "uniform(+2, 4)"):
+        with pytest.raises(ParseError):
+            cat._parse(text)
+
+
+def test_every_recipe_reads_as_the_reference_does():
+    for name in cat.names():
+        recipe = cat.lookup(name).recipe
+        tree = reference_recipe_tree(recipe)
+        assert cat._parse(recipe) == tree, name
+        m, ref = cat.build(name), cat._eval(tree)
+        assert type(m) is type(ref) and m.n == ref.n, name
+        assert all(m._rank(s) == ref._rank(s) for s in range(1 << m.n)), name
+
+
+def test_malformed_recipe_runs_no_constructor(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cat, "_CONSTRUCTORS", {
+        name: lambda *args, name=name: calls.append(name)
+        for name in cat._CONSTRUCTORS})
+    for text in ("relax(uniform(2, 4), [9]) x", "relax(uniform(2, 4), [9)",
+                 "dual(dual(uniform(2, 4))"):
+        with pytest.raises(ParseError):
+            cat.build_recipe(text)
+    assert calls == []
+
+
 # -- verification ----------------------------------------------------------------
 
 
-def test_verify_q6_four_named_paths():
-    report = cat.verify(
-        "Q6", ["subset", "dc", "family:sparse-paving", "family:free-ext"]
-    )
-    assert len(report["routes"]) == 4
+def test_verify_q6_five_routes():
+    report = cat.verify("Q6")
+    assert sorted(report["routes"]) == [
+        "engine:activities", "engine:dc", "engine:subset",
+        "family:free-ext", "family:sparse-paving"]
     assert report["routes_agree"] and report["matches_truth"]
 
 
@@ -86,11 +167,6 @@ def test_verify_s8_and_u24():
         report = cat.verify(name)
         assert report["ok"] and report["matches_truth"]
         assert len(report["routes"]) >= 3
-
-
-def test_verify_unknown_engine_filter():
-    with pytest.raises(UnknownEntry):
-        cat.verify("F7", ["no-such-engine"])
 
 
 def test_equal_pairs():

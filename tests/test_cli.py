@@ -205,6 +205,24 @@ def test_exit_two_on_bad_inputs(tmp_path, capsys):
         assert err
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--matroid", '{"kind": "lattice_path", "lower": "NE", "upper": "EE"}',
+     "paths must share their endpoint"),
+    ("--matroid", '{"kind": "sparse_paving", "r": 0, "n": 3, "circuit_hyperplanes": []}',
+     "sparse paving needs 0 < r < n"),
+    ("--matroid", '{"kind": "bases", "r": 1, "n": 2, "bases": []}',
+     "need at least one basis"),
+    ("--matroid", '{"kind": "uniform",', "invalid matroid JSON"),
+    ("--graph", "p -1 0\n", "vertex and edge counts must be nonnegative"),
+    ("--matrix", "gf 2 x 3\n", "bad matrix header"),
+])
+def test_exit_two_names_the_bad_input(tmp_path, capsys, flag, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run(["compute", flag, str(path)], capsys)
+    assert code == 2 and out == "" and message in err
+
+
 def test_matrix_without_rows_keeps_its_columns(tmp_path, capsys):
     path = tmp_path / "zero.gf"
     path.write_text("gf 2 0 3\n")

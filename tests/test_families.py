@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import tuttepoly
 from tuttepoly import engines as eng
+from tuttepoly import errors
 from tuttepoly import families as fam
 from tuttepoly import graphs
 from tuttepoly import matroids as mt
@@ -228,6 +229,12 @@ def test_paving_partition_guards():
         fam.paving(fam.PavingSpec(3, 6, {1: 15}))  # blocks too small
     with pytest.raises(InvalidPartition):
         fam.paving(fam.PavingSpec(1, 6, {0: 1}))
+    with pytest.raises(InvalidPartition, match="n >= r"):
+        fam.paving(fam.PavingSpec(3, 2, {2: 1}))
+    with pytest.raises(InvalidPartition, match="negative"):
+        fam.paving(fam.PavingSpec(2, 4, {1: -1}))
+    with pytest.raises(InvalidPartition, match="exceeds ground size"):
+        fam.paving(fam.PavingSpec(2, 3, {4: 1}))
 
 
 # -- catalan ------------------------------------------------------------------
@@ -623,3 +630,38 @@ def test_no_assert_statements_in_package():
         hits += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                  if isinstance(node, ast.Assert)]
     assert hits == []
+
+
+# raises of classes outside the package's taxonomy: (module, function, class)
+OTHER_RAISES = sorted([
+    ("bipoly.py", "__init__", "TypeError"),
+    ("bipoly.py", "__init__", "ValueError"),
+    ("bipoly.py", "__pow__", "ValueError"),
+    ("bipoly.py", "exact_div", "TypeError"),
+    ("cli.py", "_rational", "ArgumentTypeError"),
+    ("formats.py", "_dec", "ValueError"),
+    ("formats.py", "_int", "TypeError"),
+    ("matroids.py", "_rank", "NotImplementedError"),
+])
+
+
+def _raised_names(node, func=None):
+    """(enclosing function, raised class name) of each raise under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield func, getattr(exc, "id", None) or getattr(exc, "attr", None)
+        yield from _raised_names(
+            child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+
+def test_every_raise_names_a_package_error():
+    # a user-triggered failure must end as a TuttepolyError with an exit code
+    others = []
+    for path in sorted(Path(tuttepoly.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, name in _raised_names(tree):
+            cls = getattr(errors, str(name), None)
+            if not (isinstance(cls, type) and issubclass(cls, errors.TuttepolyError)):
+                others.append((path.name, func, name))
+    assert sorted(others) == OTHER_RAISES

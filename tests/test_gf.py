@@ -77,3 +77,8 @@ def test_minors_do_not_test_the_modulus_again(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(NotPrimePower):
         GFMatrix(4, rows)
+
+
+def test_contracting_a_zero_column_deletes_it():
+    mat = GFMatrix(3, [[1, 0, 2], [0, 0, 1]])
+    assert mat.contract_column(1).rows == mat.delete_column(1).rows == ((1, 2), (0, 1))

@@ -257,6 +257,13 @@ def test_public_constructor_checks_edges_and_minors_stay_equal():
     assert g.contract_edges([1]) == Multigraph(4, [(0, 1), (1, 0), (2, 2), (1, 1)])
 
 
+def test_cycle_of_one_vertex_is_a_loop():
+    assert cycle_graph(1) == Multigraph(1, [(0, 0)])
+    assert tutte_dc(mt.Graphic(cycle_graph(1))) == tutte_dc(mt.Uniform(0, 1))
+    with pytest.raises(InvalidParameters):
+        cycle_graph(0)
+
+
 def test_union_keeps_the_lesser_root():
     uf = UnionFind(6)
     assert uf.union(5, 3) and uf.union(4, 5) and uf.union(2, 1)

@@ -499,6 +499,14 @@ def test_relax_fano():
         mt.relax(f7, [0, 1, 2] if frozenset([0, 1, 2]) not in f7.chs else [0, 1, 4])
     with pytest.raises(NotCircuitHyperplane):
         mt.relax(mt.Uniform(2, 4), [0, 1])
+    # {edge, loop} has rank r - 1 = 1 but the loop alone is dependent
+    with_loop = mt.Graphic(Multigraph(3, [(0, 1), (1, 2), (0, 2), (0, 0)]))
+    with pytest.raises(NotCircuitHyperplane, match="not a circuit"):
+        mt.relax(with_loop, [0, 3])
+    # a triangle of K4 whose closure also holds an edge parallel to one side
+    doubled = mt.Graphic(Multigraph(4, [*complete_graph(4).edges, (0, 1)]))
+    with pytest.raises(NotCircuitHyperplane, match="not a hyperplane"):
+        mt.relax(doubled, [0, 1, 3])
 
 
 def test_relax_generic_view():
@@ -592,6 +600,13 @@ def test_delta_sum_precondition_error():
         mt.delta_sum(k4, (0, 1, 3), c3, (0, 1, 2))
     with pytest.raises(PreconditionViolated):
         mt.delta_sum(k4, (0, 1, 2), k4, (0, 1, 3))  # not a triangle
+    # K4 over GF(3) from its signed incidence matrix: the triangle checks
+    # pass, and only the realization is missing
+    edges = complete_graph(4).edges
+    rows = [[(u == i) - (v == i) for u, v in edges] for i in range(4)]
+    k4_gf3 = mt.Linear(GFMatrix(3, rows))
+    with pytest.raises(PreconditionViolated, match="graphic or GF\\(2\\)"):
+        mt.delta_sum(k4_gf3, (0, 1, 3), k4_gf3, (0, 1, 3))
 
 
 def test_delta_sum_binary_matches_graphic():
@@ -1013,6 +1028,18 @@ def test_view_chains_match_frozenset_reference(name):
 # -- 2-sums and tensor products against the basis-pairing construction --------
 
 
+class BasisFamily(mt.Matroid):
+    """A basis family taken as given, with no exchange check: the rank of a
+    set is its largest meet with a basis."""
+
+    def __init__(self, n, bases):
+        self.n = n
+        self.masks = [sum(1 << e for e in b) for b in bases]
+
+    def _rank(self, mask):
+        return max((mask & b).bit_count() for b in self.masks)
+
+
 def ref_two_sum(m1, p1, m2, p2):
     """The 2-sum as the bases B1 - p1 | B2 - p2 of the pairs with p1 in
     exactly one of B1 and p2 in the other; ground set (E1 - p1) then
@@ -1028,7 +1055,7 @@ def ref_two_sum(m1, p1, m2, p2):
                     frozenset(map1[e] for e in b1 - {p1})
                     | frozenset(map2[e] for e in b2 - {p2})
                 )
-    return mt.BasisList(m1.full_rank + m2.full_rank - 1, m1.n + m2.n - 2, out, check=False)
+    return BasisFamily(m1.n + m2.n - 2, out)
 
 
 def ref_tensor(m, net, d):
