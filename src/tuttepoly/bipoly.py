@@ -5,7 +5,9 @@ stored sparsely as {(i, j): c}.  All Tutte computations stay in this ring;
 nothing here ever goes through floats.  One-variable work (characteristic
 polynomials, colouring counts, the rows of the coboundary conversion) stays
 in dense int lists, low degree first, through the helpers ``_shift_add``,
-``_times_linear`` and ``_div_linear``.
+``_times_linear`` and ``_times_power``.  The coboundary pair
+``tutte_from_coboundary`` / ``coboundary_from_tutte`` works on those rows,
+and ``_newton_form`` builds the coboundaries of K_n, K_{n,m}, PG and AG.
 
 Conventions: 0**0 := 1 throughout, zero coefficients are never stored, and
 every object is immutable once built.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import struct
 import sys
 from itertools import accumulate
+from math import comb
 
 from .errors import NonExactDivision
 
@@ -139,7 +142,7 @@ class BiPoly:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return (-self).__add__(other)  # NotImplemented where __add__ refuses other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -257,14 +260,76 @@ def _times_linear(p, c):
     return [a - c * b for a, b in zip([0] + p, p + [0])]
 
 
-def _div_linear(p):
-    """Dense coefficients of p(z) / (z - 1), low degree first, by synthetic
-    division: running sums from the top; NonExactDivision unless it is exact."""
-    q = list(accumulate(reversed(p)))
-    if q and q.pop():  # the last partial sum is p(1), the remainder
-        raise NonExactDivision("remainder is nonzero")
-    q.reverse()
-    return q
+def _times_power(g, k):
+    """Dense coefficients of g(t) (t - 1)^k, low degree first; for k < 0 the
+    exact quotient by synthetic division (running sums from the top), and
+    NonExactDivision unless it is exact."""
+    for _ in range(k):
+        g = _times_linear(g, 1)
+    for _ in range(-k):
+        g = list(accumulate(reversed(g)))
+        if g and g.pop():  # the last partial sum is g(1), the remainder
+            raise NonExactDivision("remainder is nonzero")
+        g.reverse()
+    return g
+
+
+def _rows(p):
+    """p as rows[i], the dense coefficient list of the y^j in x^i."""
+    rows = [[] for _ in range(p.bidegree()[0] + 1)]
+    for (i, j), c in p.items():
+        _shift_add(rows[i], (c,), j, 1)
+    return rows
+
+
+def _from_rows(rows):
+    return _wrap({(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c})
+
+
+def _rebase(rows, sign):
+    """Rows of sum_a rows[a] (v + sign)^a by powers of v: row i gains
+    C(a, i) sign^(a-i) rows[a].  Sign 1 takes x-rows to (x-1)-rows, and -1
+    takes them back."""
+    out = [[] for _ in rows]
+    for a, row in enumerate(rows):
+        for i in range(a + 1):
+            _shift_add(out[i], row, 0, comb(a, i) * sign ** (a - i))
+    return out
+
+
+def tutte_from_coboundary(cob, r):
+    """Invert the coboundary substitution for a rank-r matroid.
+
+    Writing cob = sum_a lambda^a g_a(t), the Tutte polynomial is
+    sum_a (x-1)^a g_a(y) (y-1)^(a-r): each row g_a times (t-1)^(a-r), a
+    nonzero remainder raising NonExactDivision, then rebased from
+    (x-1)-rows to x-rows.
+    """
+    return _from_rows(_rebase([_times_power(g, a - r) for a, g in enumerate(_rows(cob))], -1))
+
+
+def coboundary_from_tutte(tutte, r):
+    """Coboundary of a rank-r matroid: (t-1)^r T((lambda+t-1)/(t-1), t).
+
+    With T = sum_i x^i h_i(y) and x = 1 + lambda/(t-1), this is
+    sum_z lambda^z (t-1)^(r-z) sum_{i>=z} C(i,z) h_i(t): the x-rows
+    rebased to (x-1)-rows, row z times (t-1)^(r-z).
+    """
+    return _from_rows([_times_power(s, r - z) for z, s in enumerate(_rebase(_rows(tutte), 1))])
+
+
+def _newton_form(weights, roots):
+    """sum_m w_m(t) prod_{i<m} (lambda - roots[i]) as a BiPoly in (lambda, t),
+    where weights[m] yields the (t-exponent, coefficient) pairs of w_m:
+    Horner's rule from the top m, on one dense lambda-list per power of t."""
+    acc = {}
+    for m in reversed(range(len(weights))):
+        for j, c in weights[m]:
+            if c:
+                acc.setdefault(j, [0])[0] += c
+        if m:
+            acc = {j: _times_linear(row, roots[m - 1]) for j, row in acc.items()}
+    return _wrap({(a, j): c for j, row in acc.items() for a, c in enumerate(row) if c})
 
 
 class _Packing:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import engines as eng
 from . import matroids as mt
 from .bipoly import evaluate
-from .errors import BudgetExceeded, ParseError, TuttepolyError
+from .errors import BudgetExceeded, ParseError, SizeBudgetExceeded, TuttepolyError
 from .formats import parse_graph, parse_matrix, parse_matroid
 from .render import to_json, to_latex, to_text
 
@@ -70,7 +70,7 @@ def _read(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -129,7 +129,13 @@ def cmd_compute(args):
 
 
 def cmd_eval(args):
-    print(evaluate(_polynomial(args), args.x, args.y))
+    value = evaluate(_polynomial(args), args.x, args.y)
+    try:  # str() refuses an int of more digits than the interpreter's limit
+        text = str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise SizeBudgetExceeded(f"the value has more than {limit} digits") from None
+    print(text)
     return 0
 
 

@@ -18,9 +18,8 @@ others:
   externally active elements relative to a total order.
 - ``coboundary`` plus the substitution pair ``tutte_from_coboundary`` /
   ``coboundary_from_tutte``: the flat-indexed route, on one table of ranks;
-  the pair works row by row on dense coefficient lists, by synthetic
-  division and multiplication by t - 1 and binomial weights, with no
-  BiPoly product.
+  the pair lives in ``bipoly`` (with the closed-form coboundaries of
+  ``families`` as its other caller) and is re-exported here.
 - ``tutte_frontier``: a sweep along the edge order of a multigraph whose
   frontier stays small, over set partitions of the frontier vertices, each
   carrying its packed corank-nullity histogram;
@@ -42,12 +41,13 @@ from math import comb
 from . import matroids as mt
 from .bipoly import (
     BiPoly,
-    _div_linear,
     _from_corank_nullity,
     _Packing,
     _shift_add,
     _times_linear,
     _wrap,
+    coboundary_from_tutte,
+    tutte_from_coboundary,
 )
 from .errors import (
     GraphTooLarge,
@@ -460,60 +460,6 @@ def coboundary(m):
         for (z, nl), c in counts.items():
             terms[z, t] = terms.get((z, t), 0) + (-c if (full - rf - z + nl) % 2 else c)
     return BiPoly(terms)
-
-
-def _rows(p):
-    """p as {i: dense coefficient list of the y^j in x^i}, nonzero rows only."""
-    rows = {}
-    for (i, j), c in p.items():
-        _shift_add(rows.setdefault(i, []), (c,), j, 1)
-    return rows
-
-
-def _from_rows(rows):
-    return _wrap({(i, j): c for i, row in rows.items() for j, c in enumerate(row) if c})
-
-
-def tutte_from_coboundary(cob, r):
-    """Invert the coboundary substitution for a rank-r matroid.
-
-    Writing cob = sum_a lambda^a g_a(t), the Tutte polynomial is
-    sum_a (x-1)^a g_a(y) (y-1)^(a-r).  On dense coefficient lists, g_a is
-    divided by y - 1 r - a times by synthetic division (a nonzero remainder
-    raises NonExactDivision) or multiplied by it a - r times, then added to
-    the row of x^i with weight C(a,i) (-1)^(a-i).
-    """
-    rows = {}
-    for a, g in _rows(cob).items():
-        for _ in range(r - a):
-            g = _div_linear(g)
-        for _ in range(a - r):
-            g = _times_linear(g, 1)
-        for i in range(a + 1):
-            _shift_add(rows.setdefault(i, []), g, 0, (-1) ** (a - i) * comb(a, i))
-    return _from_rows(rows)
-
-
-def coboundary_from_tutte(tutte, r):
-    """Coboundary of a rank-r matroid: (t-1)^r T((lambda+t-1)/(t-1), t).
-
-    With T = sum_i x^i h_i(y) and x = 1 + lambda/(t-1), this is
-    sum_z lambda^z (t-1)^(r-z) sum_{i>=z} C(i,z) h_i(t), on dense
-    coefficient lists as in ``tutte_from_coboundary``.
-    """
-    h = _rows(tutte)
-    rows = {}
-    for z in range(max(h, default=-1) + 1):
-        s = []
-        for i, hi in h.items():
-            if i >= z:
-                _shift_add(s, hi, 0, comb(i, z))
-        for _ in range(z - r):
-            s = _div_linear(s)
-        for _ in range(r - z):
-            s = _times_linear(s, 1)
-        rows[z] = s
-    return _from_rows(rows)
 
 
 def tutte_via_coboundary(m):

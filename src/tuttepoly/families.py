@@ -6,8 +6,10 @@ independent computation routes that can be compared exactly.
 
 Variable conventions follow the rest of the package: the first BiPoly slot is
 x, the second is y.  Where a formula is naturally stated for the coboundary
-polynomial (complete graphs, projective and affine geometries), the first
-slot carries lambda and the second t until the final conversion.
+polynomial (complete and complete bipartite graphs, projective and affine
+geometries), the first slot carries lambda and the second t until the final
+conversion; ``bipoly._newton_form`` builds those coboundaries and
+``bipoly.tutte_from_coboundary`` converts them, so no engine is imported.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from .bipoly import (
     Y,
     _from_corank_nullity,
     _geom,
+    _newton_form,
     _shift_add,
-    _times_linear,
     exact_div,
     subst_rational,
+    tutte_from_coboundary,
 )
-from .engines import tutte_from_coboundary
 from .errors import (
     InvalidParameters,
     InvalidPartition,
@@ -236,17 +238,11 @@ def _tutte_from_partitions(parts, r):
     connected graph's vertices into k blocks by edges inside blocks.
 
     lambda cob = sum_k parts[k](t) lambda(lambda-1)...(lambda-k+1), as each
-    partition into k blocks is the colour classes of (lambda)_k colourings;
-    Horner's rule in lambda evaluates cob on t-rows of lambda-coefficients.
+    partition into k blocks is the colour classes of (lambda)_k colourings,
+    so cob is in Newton form on the roots 1, 2, 3, ...
     """
-    acc = []
-    for k in range(len(parts) - 1, 0, -1):
-        acc = [_times_linear(row, k) for row in acc]
-        acc.extend([0] for _ in range(len(parts[k]) - len(acc)))
-        for j, c in enumerate(parts[k]):
-            acc[j][0] += c
-    cob = BiPoly({(a, j): c for j, row in enumerate(acc) for a, c in enumerate(row) if c})
-    return tutte_from_coboundary(cob, r)
+    weights = [enumerate(p) for p in parts[1:]]
+    return tutte_from_coboundary(_newton_form(weights, range(1, len(parts))), r)
 
 
 def complete_graph(n):
@@ -319,10 +315,6 @@ def gaussian(m, k, q):
     return quot
 
 
-def _check_prime_power(q):
-    prime_power_root(q)
-
-
 def _check_geometry(dim, q, points):
     """dim >= 1, q a prime power and points(), the point count, at most
     GEOMETRY_POINT_LIMIT.  A geometry has at least 2^dim and at least q
@@ -331,7 +323,7 @@ def _check_geometry(dim, q, points):
     if dim < 1:
         raise InvalidParameters("need dimension >= 1")
     if dim < GEOMETRY_POINT_LIMIT.bit_length() and q <= GEOMETRY_POINT_LIMIT:
-        _check_prime_power(q)
+        prime_power_root(q)
         if points() <= GEOMETRY_POINT_LIMIT:
             return
     raise SizeBudgetExceeded(f"supported range is at most {GEOMETRY_POINT_LIMIT} points")
@@ -342,17 +334,13 @@ def projective(dim, q):
 
     Assembled from the flat-indexed polynomial: the rank-k flats number
     [r k]_q, have (q^k-1)/(q-1) points, and contract to smaller projective
-    geometries with characteristic polynomial prod (lambda - q^i).
+    geometries with characteristic polynomial prod (lambda - q^i), so the
+    coboundary is in Newton form on the roots q^i.
     """
     _check_geometry(dim, q, lambda: gaussian(dim + 1, 1, q))
     r = dim + 1
-    cob = BiPoly.zero()
-    for k in range(r + 1):
-        prod = _ONE
-        for i in range(r - k):
-            prod = prod * (X - q**i)
-        cob = cob + BiPoly.monomial(0, gaussian(k, 1, q), gaussian(r, k, q)) * prod
-    return tutte_from_coboundary(cob, r)
+    weights = [[(gaussian(r - m, 1, q), gaussian(r, r - m, q))] for m in range(r + 1)]
+    return tutte_from_coboundary(_newton_form(weights, [q**i for i in range(r)]), r)
 
 
 def affine(dim, q):
@@ -364,19 +352,12 @@ def affine(dim, q):
     geometries.
     """
     _check_geometry(dim, q, lambda: q**dim)
-    chi = BiPoly.zero()
+    chi, prod = {}, 1
     for k in range(dim + 1):
-        prod = 1
-        for i in range(k):
-            prod *= q ** (dim - i) - 1
-        term = BiPoly.monomial(dim - k, 0, prod)
-        chi = chi + (term if k % 2 == 0 else -term)
-    cob = (X - 1) * chi
-    for k in range(dim + 1):
-        prod = _ONE
-        for i in range(dim - k):
-            prod = prod * (X - q**i)
-        cob = cob + BiPoly.monomial(0, q**k, q ** (dim - k) * gaussian(dim, k, q)) * prod
+        chi[dim - k, 0] = (-1) ** k * prod
+        prod *= q ** (dim - k) - 1
+    weights = [[(q ** (dim - m), q**m * gaussian(dim, dim - m, q))] for m in range(dim + 1)]
+    cob = _newton_form(weights, [q**i for i in range(dim)]) + (X - 1) * BiPoly(chi)
     return tutte_from_coboundary(cob, dim + 1)
 
 
@@ -387,7 +368,7 @@ def q_cone(t_m, r, q):
     ((x-1)(y-1)/(y^q-1) + 1, y^q) with prefactor y (y^q-1)^r / (y-1)^(r+1),
     the second at ((x-1)/q + 1, y) with prefactor q^r (xy-x-y)/(y-1).
     """
-    _check_prime_power(q)
+    prime_power_root(q)
     if r < 1:
         raise InvalidParameters("need rank >= 1")
     yq = Y**q

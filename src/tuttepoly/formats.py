@@ -53,7 +53,7 @@ def poly_from_obj(obj):
 def parse_poly(text):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long for int()
         raise ParseError(f"invalid polynomial JSON: {exc}") from None
     return poly_from_obj(obj)
 
@@ -180,6 +180,6 @@ def matroid_from_obj(obj):
 def parse_matroid(text):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long for int()
         raise ParseError(f"invalid matroid JSON: {exc}") from None
     return matroid_from_obj(obj)

@@ -54,12 +54,9 @@ class GFMatrix:
         if not is_prime(p):
             raise NotPrimePower(f"{p} is not prime")
         rows = tuple(tuple(int(e) % p for e in row) for row in rows)
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise InvalidParameters("ragged matrix rows")
-        else:
-            w = 0
+        w = len(rows[0]) if rows else 0
+        if any(len(r) != w for r in rows):
+            raise InvalidParameters("ragged matrix rows")
         self.p = p
         self.nrows = len(rows)
         self.ncols = w
@@ -77,16 +74,6 @@ class GFMatrix:
 
     def __repr__(self):
         return f"GFMatrix(p={self.p}, {self.nrows}x{self.ncols})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GFMatrix)
-            and self.p == other.p
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.rows))
 
     def standard_form(self):
         """(basis, pos, coords), computed once: the greedy basis b_0 < b_1 <

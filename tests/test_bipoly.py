@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tuttepoly
@@ -15,6 +16,7 @@ from tuttepoly.bipoly import (
     X,
     Y,
     _from_corank_nullity,
+    _newton_form,
     _Packing,
     _taylor_shift,
     exact_div,
@@ -42,6 +44,30 @@ def test_constructor_rejects_bad_input():
         BiPoly({(-1, 0): 1})
     with pytest.raises(TypeError):
         BiPoly({(0, 0): 1.5})
+
+
+def test_cancelling_keys_and_the_zero_constant():
+    assert BiPoly([((1, 0), 2), ((0, 0), 1), ((1, 0), -2)]) == 1
+    assert BiPoly.const(0) is BiPoly.zero()
+
+
+def test_power_wants_a_nonnegative_int():
+    for n in (-1, 1.5):
+        with pytest.raises(ValueError):
+            X**n
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_foreign_operands_are_refused(op):
+    for a, b in ((X, 1.5), (1.5, X), (X, "x")):
+        with pytest.raises(TypeError):
+            op(a, b)
+
+
+def test_exact_div_wants_bipoly_arguments():
+    for p, d in ((X, 1), (1, X)):
+        with pytest.raises(TypeError):
+            exact_div(p, d)
 
 
 def test_basic_algebra():
@@ -148,6 +174,20 @@ def test_corank_nullity_expansion_matches_term_products(counts):
     for (z, nl), c in counts.items():
         expected = expected + ((X - 1) ** z * (Y - 1) ** nl).scale(c)
     assert _from_corank_nullity(counts) == expected
+
+
+@given(
+    st.lists(st.dictionaries(exps, coeffs, max_size=3), max_size=6),
+    st.lists(st.integers(min_value=-3, max_value=5), min_size=6, max_size=6),
+)
+@example([{0: 1}, {2: -3, 0: 0}, {1: 2}, {}, {0: -1}, {4: 5}], [0, 0, 2, 2, -1, 3])
+def test_newton_form_matches_bipoly_products(weights, roots):
+    # sum_m w_m(t) prod_{i<m} (lambda - roots[i]) with lambda = X and t = Y
+    expected, prod = BiPoly.zero(), BiPoly.one()
+    for w, c in zip(weights, roots):
+        expected = expected + BiPoly({(0, j): a for j, a in w.items()}) * prod
+        prod = prod * (X - c)
+    assert _newton_form([w.items() for w in weights], roots) == expected
 
 
 def _untrimmed_shift(a):

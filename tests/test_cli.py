@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 
 import pytest
@@ -215,12 +216,32 @@ def test_exit_two_on_bad_inputs(tmp_path, capsys):
     ("--matroid", '{"kind": "uniform",', "invalid matroid JSON"),
     ("--graph", "p -1 0\n", "vertex and edge counts must be nonnegative"),
     ("--matrix", "gf 2 x 3\n", "bad matrix header"),
+    pytest.param("--matroid", '{"kind": "uniform", "r": 1%s, "n": 3}' % ("0" * 5000),
+                 "invalid matroid JSON", id="--matroid-5001-digit-integer"),
 ])
 def test_exit_two_names_the_bad_input(tmp_path, capsys, flag, text, message):
     path = tmp_path / "input"
     path.write_text(text)
     code, out, err = run(["compute", flag, str(path)], capsys)
     assert code == 2 and out == "" and message in err
+
+
+def test_input_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "bytes"
+    path.write_bytes(b"\xff\xfe")
+    for flag in ("--graph", "--matroid", "--matrix"):
+        code, out, err = run(["compute", flag, str(path)], capsys)
+        assert code == 2 and out == "" and "cannot read" in err, flag
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--family", "wheel", "--n", "30", "--x", "1e200", "--y", "1"],
+    ["eval", "--family", "complete", "--n", "30", "--x", "1e20", "--y", "1e20"],
+])
+def test_value_too_long_to_print_exits_three(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
 
 def test_matrix_without_rows_keeps_its_columns(tmp_path, capsys):
@@ -335,6 +356,12 @@ def test_complete_family_exit_codes(capsys):
     assert code == 2 and out == "" and "need n >= 1" in err
     code, out, err = run(["compute", "--family", "complete", "--n", "31"], capsys)
     assert code == 3 and out == "" and "1..30" in err
+
+
+def test_geometry_of_dimension_zero_exits_two(capsys):
+    code, out, err = run(["compute", "--family", "projective", "--dim", "0", "--q", "2"],
+                         capsys)
+    assert code == 2 and out == "" and "need dimension >= 1" in err
 
 
 def test_uniform_family_size_guard(capsys):

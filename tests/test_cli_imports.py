@@ -3,11 +3,13 @@
 Every case runs ``cli.main`` in a fresh interpreter and lists which of the
 heavy optional modules ended up in ``sys.modules``.  File inputs need
 neither the closed-form families nor the catalog, and no subcommand needs
-``dataclasses``.
+``dataclasses``.  The closed-form families need no engine, and the package
+imports nothing outside itself and the standard library.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import pathlib
@@ -31,15 +33,18 @@ sys.exit(code)
 """
 
 
-def loaded_after(argv):
+def fresh(*args):
+    """A fresh interpreter run on args, with this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv), json.dumps(OPTIONAL)],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, check=False)
+
+
+def loaded_after(argv):
+    proc = fresh("-c", PROBE, json.dumps(argv), json.dumps(OPTIONAL))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -68,3 +73,22 @@ def test_catalog_verify_loads_no_dataclasses():
     assert loaded_after(["catalog", "verify", "F7"]) == [
         "tuttepoly.catalog", "tuttepoly.families",
     ]
+
+
+def test_families_load_no_engine():
+    proc = fresh("-c", "import sys, tuttepoly.families; "
+                       "print('tuttepoly.engines' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    for path in sorted((SRC / "tuttepoly").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)

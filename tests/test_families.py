@@ -665,3 +665,16 @@ def test_every_raise_names_a_package_error():
             if not (isinstance(cls, type) and issubclass(cls, errors.TuttepolyError)):
                 others.append((path.name, func, name))
     assert sorted(others) == OTHER_RAISES
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fam.gaussian(-1, 1, 2),
+    lambda: fam.gaussian(3, -1, 2),
+    lambda: fam.gaussian(3, 1, 1),
+    lambda: fam.q_cone(fam.uniform(2, 3), 0, 2),
+    lambda: fam.thicken_poly(X, 1, 0),
+    lambda: fam.stretch_poly(X, 0, 0),
+], ids=["gaussian-m", "gaussian-k", "gaussian-q", "q-cone-rank", "thicken-0", "stretch-0"])
+def test_parameters_below_their_range_are_refused(call):
+    with pytest.raises(InvalidParameters):
+        call()

@@ -253,3 +253,11 @@ def test_poly_coefficients_are_ints_or_decimal_strings():
     assert poly_from_obj({"terms": [[1, 0, 2], [0, 1, "-3"]]}) == BiPoly(
         {(1, 0): 2, (0, 1): -3}
     )
+
+
+def test_json_integers_too_long_to_read_are_parse_errors():
+    digits = "1" * 5000  # past the interpreter's limit for reading an int
+    with pytest.raises(ParseError):
+        parse_matroid('{"kind": "uniform", "r": %s, "n": 3}' % digits)
+    with pytest.raises(ParseError):
+        parse_poly('{"terms": [[0, 0, %s]]}' % digits)

@@ -9,7 +9,12 @@ import pytest
 from tuttepoly import gf
 from tuttepoly import matroids as mt
 from tuttepoly.engines import tutte_subset
-from tuttepoly.errors import NotPrimePower, SizeBudgetExceeded
+from tuttepoly.errors import (
+    ElementOutOfRange,
+    InvalidParameters,
+    NotPrimePower,
+    SizeBudgetExceeded,
+)
 from tuttepoly.gf import GFMatrix, is_prime, prime_power_root
 
 M61 = 2**61 - 1
@@ -82,3 +87,13 @@ def test_minors_do_not_test_the_modulus_again(monkeypatch):
 def test_contracting_a_zero_column_deletes_it():
     mat = GFMatrix(3, [[1, 0, 2], [0, 0, 1]])
     assert mat.contract_column(1).rows == mat.delete_column(1).rows == ((1, 2), (0, 1))
+
+
+def test_ragged_rows_and_columns_out_of_range_are_refused():
+    with pytest.raises(InvalidParameters):
+        GFMatrix(2, [[1, 0], [1]])
+    mat = GFMatrix(2, [[1, 0, 1]])
+    for j in (-1, 3):
+        for minor in (mat.delete_column, mat.contract_column):
+            with pytest.raises(ElementOutOfRange):
+                minor(j)

@@ -19,15 +19,18 @@ import pytest
 
 from tuttepoly import matroids as mt
 from tuttepoly.engines import tutte_dc
-from tuttepoly.errors import InvalidParameters
+from tuttepoly.errors import ElementOutOfRange, InvalidParameters
 from tuttepoly.graphs import (
     Multigraph,
     UnionFind,
+    bond_graph,
     canonical_key,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     grid_graph,
+    path_graph,
+    wheel_graph,
 )
 
 from helpers import chord_chain, reference_key, restricted, split_class
@@ -270,3 +273,14 @@ def test_union_keeps_the_lesser_root():
     assert [uf.find(w) for w in range(6)] == [0, 1, 1, 3, 3, 3]
     assert uf.union(4, 1) and not uf.union(3, 2)
     assert [uf.find(w) for w in range(6)] == [0, 1, 1, 1, 1, 1]
+
+
+def test_constructors_refuse_empty_shapes_and_rank_of_checks_indices():
+    for build in (lambda: path_graph(0), lambda: grid_graph(0, 3),
+                  lambda: wheel_graph(2), lambda: bond_graph(0)):
+        with pytest.raises(InvalidParameters):
+            build()
+    g = cycle_graph(3)
+    for i in (-1, 3):
+        with pytest.raises(ElementOutOfRange):
+            g.rank_of([0, i])

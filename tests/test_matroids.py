@@ -1148,3 +1148,28 @@ def test_tensor_matches_brylawski_formula():
         inp = fam.TensorInputs(tutte_dc(m), m.full_rank, m.n,
                                tutte_dc(mt.delete(net, d)), tutte_dc(mt.contract(net, d)))
         assert tutte_dc(out) == fam.tensor_poly(inp), (m, net, d)
+
+
+@pytest.mark.parametrize("exc, build", [
+    (InvalidParameters, lambda: mt.Graphic([(0, 1)])),
+    (InvalidParameters, lambda: mt.Linear([[1, 0], [0, 1]])),
+    (InvalidParameters, lambda: mt.SparsePaving(2, 4, [{0, 1, 2}])),
+    (ElementOutOfRange, lambda: mt.SparsePaving(2, 4, [{0, 4}])),
+    (InvalidRank, lambda: mt.PavingPartition(1, 3, [])),
+    (InvalidPartition, lambda: mt.PavingPartition(3, 4, [{0}])),
+    (ElementOutOfRange, lambda: mt.PavingPartition(2, 3, [{0, 3}])),
+    (InvalidParameters, lambda: mt.BasisList(2, 3, [{0, 1}, {2}])),
+    (ElementOutOfRange, lambda: mt.BasisList(2, 3, [{0, 3}])),
+    (InvalidParameters, lambda: mt.catalan_matroid(0)),
+    (InvalidParameters, lambda: mt.DirectSum([])),
+    (InvalidParameters, lambda: mt.thicken(mt.Uniform(1, 2), 0)),
+    (InvalidParameters, lambda: mt.stretch(mt.Uniform(1, 2), 0)),
+    (PreconditionViolated, lambda: mt.delta_sum(
+        mt.Graphic(complete_graph(4)), (0, 0, 1), mt.Graphic(complete_graph(4)), (0, 1, 3))),
+], ids=["graphic-type", "linear-type", "sparse-paving-size", "sparse-paving-element",
+        "paving-rank", "paving-block-size", "paving-element", "bases-size",
+        "bases-element", "catalan-0", "empty-direct-sum", "thicken-0", "stretch-0",
+        "repeated-triangle-element"])
+def test_constructors_refuse_malformed_arguments(exc, build):
+    with pytest.raises(exc):
+        build()
