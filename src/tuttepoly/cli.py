@@ -47,9 +47,17 @@ _RENDERERS = {"text": to_text, "json": to_json, "latex": to_latex}
 
 
 def _rational(text):
+    """text as a Fraction with at most sys.get_int_max_str_digits() digits
+    on each side; an exponent is read before any int is built."""
+    limit = sys.get_int_max_str_digits()
+    exp = re.fullmatch(r"(.*)[eE]([-+]?\d+(?:_\d+)*)\s*", text, re.DOTALL)
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        if limit and exp and abs(int(exp[2])) - len(re.findall(r"\d", exp[1])) >= limit:
+            raise SizeBudgetExceeded(f"more than {limit} digits")
+        value = Fraction(text)
+        str(value.numerator), str(value.denominator)  # ValueError past the limit
+        return value
+    except (ValueError, ZeroDivisionError, SizeBudgetExceeded) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 

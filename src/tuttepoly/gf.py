@@ -2,9 +2,8 @@
 
 A matrix row-reduces once, on its first rank query, to the standard form
 [I_r | A] on its greedy basis; every column rank is then read off that form
-(see ``GFMatrix.rank_of_columns``).  Deletion drops a column and contraction
-pivots one out.  Entries are stored as residues, all arithmetic is integer
-mod p, nothing ever leaves exact arithmetic.
+(see ``GFMatrix.rank_of_columns``).  Entries are stored as residues, all
+arithmetic is integer mod p, nothing ever leaves exact arithmetic.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class GFMatrix:
 
     @classmethod
     def _trusted(cls, p, rows):
-        """A minor of a checked matrix: p is prime and the rows are
+        """A matrix built from a checked one: p is prime and the rows are
         rectangular and reduced mod p, so nothing is converted or checked."""
         m = cls.__new__(cls)
         m.p, m.rows, m._std = p, tuple(map(tuple, rows)), None
@@ -131,31 +130,3 @@ class GFMatrix:
                     rank += 1
                     break
         return rank
-
-    def delete_column(self, j):
-        if not 0 <= j < self.ncols:
-            raise ElementOutOfRange(f"column {j}")
-        return GFMatrix._trusted(self.p, [r[:j] + r[j + 1 :] for r in self.rows])
-
-    def contract_column(self, j):
-        """Pivot column j out (projecting the others); a zero column is just dropped."""
-        if not 0 <= j < self.ncols:
-            raise ElementOutOfRange(f"column {j}")
-        lead = next((i for i, row in enumerate(self.rows) if row[j]), None)
-        if lead is None:
-            return self.delete_column(j)
-        p = self.p
-        inv = pow(self.rows[lead][j], p - 2, p)
-        lead_row = [(a * inv) % p for a in self.rows[lead]]
-        rows = []
-        for i, row in enumerate(self.rows):
-            if i == lead:
-                continue
-            c = row[j]
-            if c:
-                row = [(a - c * b) % p for a, b in zip(row, lead_row)]
-            rows.append(row[:j] + row[j + 1 :])
-        if not rows:
-            # keep an explicit zero row so the column count survives
-            rows = [[0] * (self.ncols - 1)]
-        return GFMatrix._trusted(p, rows)

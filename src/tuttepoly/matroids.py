@@ -10,9 +10,9 @@ direct sum, 2-sum and tensor product, and the one element-map view behind
 minors, parallel extensions and thickenings) derive the rank from a wrapped
 matroid.  No construction lists bases or circuits (the triangle sum too is
 built from ranks and standard forms), and each stays exact and checkable
-against brute-force enumeration.  It stays structural only where that
-measurably pays: on a Graphic, and for minors of a Uniform or Linear.
-Public functions take and return element sets.
+against brute-force enumeration.  Structure is kept only where an engine
+reads it, which is a Graphic: every other minor, dual and free extension is
+a rank view.  Public functions take and return element sets.
 
 Minors relabel the surviving elements to 0..n'-1 preserving order, which
 keeps recipes reproducible.
@@ -43,9 +43,9 @@ class Matroid:
 
     The mask is an int over 0..n-1 (bit e set when element e is in the
     subset).  rank(iterable) checks each element and builds the mask.
-    Minors, parallel extensions and thickenings that are not built
-    structurally (as a smaller Uniform, Graphic or Linear) are one MapView
-    whose parent is not itself a MapView.
+    Structure is kept only where an engine reads it, which is a Graphic:
+    every other minor, parallel extension or thickening is one MapView whose
+    parent is not itself a MapView.
     """
 
     n = 0
@@ -439,8 +439,6 @@ class TwoSumView(Matroid):
 def dual(m):
     if isinstance(m, DualView):
         return m.parent
-    if isinstance(m, Uniform):
-        return Uniform(m.n - m.r, m.n)
     return DualView(m)
 
 
@@ -456,25 +454,15 @@ def is_coloop(m, e):
 
 def delete(m, e):
     _check_element(m, e)
-    if isinstance(m, Uniform):
-        return Uniform(min(m.r, m.n - 1), m.n - 1)
     if isinstance(m, Graphic):
         return Graphic(m.graph.delete_edges([e]))
-    if isinstance(m, Linear):
-        return Linear(m.mat.delete_column(e))
     return _remap(m, [i for i in range(m.n) if i != e], 0)
 
 
 def contract(m, e):
     _check_element(m, e)
-    if is_loop(m, e):
-        return delete(m, e)
-    if isinstance(m, Uniform):
-        return Uniform(m.r - 1, m.n - 1)
     if isinstance(m, Graphic):
         return Graphic(m.graph.contract_edges([e]))
-    if isinstance(m, Linear):
-        return Linear(m.mat.contract_column(e))
     return _remap(m, [i for i in range(m.n) if i != e], 1 << e)
 
 
@@ -616,8 +604,6 @@ def relax(m, subset):
 
 
 def free_extension(m):
-    if isinstance(m, Uniform):
-        return Uniform(m.r, m.n + 1)
     return FreeExtView(m)
 
 

@@ -1,10 +1,12 @@
 """Shared test helpers, imported by the test modules of this directory.
 
 Besides small builders, this holds slower reference constructions.  The
-package once used and no longer uses the GF(p) cycle space read off a
-standard form, the binary triangle sum through merged cycle spaces, the
-graphic triangle sum by an explicit vertex relabelling and the bases of a
-lattice-path matroid by a depth-first walk over admissible paths.
+package once used and no longer uses the column surgery that deleted or
+contracted a GF(p) matrix column (``delete_column``, ``contract_column``),
+the GF(p) cycle space read off a standard form, the binary triangle sum
+through merged cycle spaces, the graphic triangle sum by an explicit vertex
+relabelling and the bases of a lattice-path matroid by a depth-first walk
+over admissible paths.
 ``reference_key`` is a brute-force complete canonical form of a multigraph:
 equal keys iff isomorphic, where equal ``graphs.canonical_key`` keys only
 imply it.  ``restricted`` builds the graph on some edges as
@@ -22,7 +24,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from tuttepoly import matroids as mt
-from tuttepoly.errors import GraphTooLarge, InvalidParameters, ParseError
+from tuttepoly.errors import ElementOutOfRange, GraphTooLarge, InvalidParameters, ParseError
 from tuttepoly.gf import GFMatrix
 from tuttepoly.graphs import Multigraph
 
@@ -35,6 +37,36 @@ def standard_rep(p, r, appended_columns):
         row += [col[i] for col in appended_columns]
         rows.append(row)
     return GFMatrix(p, rows)
+
+
+def delete_column(mat, j):
+    if not 0 <= j < mat.ncols:
+        raise ElementOutOfRange(f"column {j}")
+    return GFMatrix._trusted(mat.p, [r[:j] + r[j + 1 :] for r in mat.rows])
+
+
+def contract_column(mat, j):
+    """Pivot column j out (projecting the others); a zero column is just dropped."""
+    if not 0 <= j < mat.ncols:
+        raise ElementOutOfRange(f"column {j}")
+    lead = next((i for i, row in enumerate(mat.rows) if row[j]), None)
+    if lead is None:
+        return delete_column(mat, j)
+    p = mat.p
+    inv = pow(mat.rows[lead][j], p - 2, p)
+    lead_row = [(a * inv) % p for a in mat.rows[lead]]
+    rows = []
+    for i, row in enumerate(mat.rows):
+        if i == lead:
+            continue
+        c = row[j]
+        if c:
+            row = [(a - c * b) % p for a, b in zip(row, lead_row)]
+        rows.append(row[:j] + row[j + 1 :])
+    if not rows:
+        # keep an explicit zero row so the column count survives
+        rows = [[0] * (mat.ncols - 1)]
+    return GFMatrix._trusted(p, rows)
 
 
 def _cycle_space_basis(mat):

@@ -244,6 +244,18 @@ def test_value_too_long_to_print_exits_three(argv, capsys):
     assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
 
+# 10**10**7 alone takes seconds to build: only the exponent check refuses it at once;
+# 4,300 decimals put a 4,301-digit power of ten under the numerator
+@pytest.mark.parametrize("value", ["1e1000000", "1e-1000000", "1e10000000",
+                                   pytest.param("0." + "1" * 4300, id="4300-decimals")])
+def test_value_too_long_to_read_exits_two_at_once(value, capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        ["eval", "--family", "complete", "--n", "30", "--x", value, "--y", "1"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "not a rational" in err
+
+
 def test_matrix_without_rows_keeps_its_columns(tmp_path, capsys):
     path = tmp_path / "zero.gf"
     path.write_text("gf 2 0 3\n")

@@ -37,6 +37,8 @@ from tuttepoly.graphs import (
 
 from helpers import (
     _cycle_space_basis,
+    contract_column,
+    delete_column,
     delta_sum_binary_reference,
     delta_sum_graphic_reference,
     lattice_path_bases,
@@ -430,9 +432,7 @@ def test_long_lattice_path_is_uniform():
 
 
 def test_dual_structure():
-    assert isinstance(mt.dual(mt.Uniform(2, 5)), mt.Uniform)
-    d = mt.dual(mt.Uniform(2, 5))
-    assert (d.r, d.n) == (3, 5)
+    assert rank_profile(mt.dual(mt.Uniform(2, 5))) == rank_profile(mt.Uniform(3, 5))
     m = fano_sparse()
     dd = mt.dual(mt.dual(m))
     assert dd is m
@@ -461,32 +461,45 @@ def test_dual_rank_formula_and_involution(m):
     "m",
     [
         mt.Uniform(2, 5),
+        mt.Uniform(0, 3),
         mt.Graphic(Multigraph(4, [(0, 1), (1, 2), (2, 0), (2, 3), (0, 0)])),
         fano_linear(),
+        mt.Linear(GFMatrix(2, [[1, 0, 1, 0, 1], [0, 1, 1, 0, 0], [1, 1, 0, 0, 1]])),
+        # column 4 is zero, column 3 is twice column 0
+        mt.Linear(GFMatrix(3, [[1, 0, 1, 2, 0, 2], [0, 1, 1, 0, 0, 1],
+                               [0, 0, 0, 0, 0, 1]])),
         fano_sparse(),
     ],
-    ids=["U25", "graph", "F7lin", "F7sp"],
+    ids=["U25", "U03", "graph", "F7lin", "GF2", "GF3", "F7sp"],
 )
 def test_minor_rank_identities(m):
     for e in range(m.n):
-        de = mt.delete(m, e)
+        de, ce = mt.delete(m, e), mt.contract(m, e)
         keep = [x for x in range(m.n) if x != e]
+        re = m.rank([e])
         for s in subsets_upto(m.n - 1, 3):
             orig = frozenset(keep[i] for i in s)
             assert de.rank(s) == m.rank(orig)
-        if not mt.is_loop(m, e):
-            ce = mt.contract(m, e)
-            re = m.rank([e])
-            for s in subsets_upto(m.n - 1, 3):
-                orig = frozenset(keep[i] for i in s)
-                assert ce.rank(s) == m.rank(orig | {e}) - re
+            assert ce.rank(s) == m.rank(orig | {e}) - re
+        # the structural minors the package once built
+        if isinstance(m, mt.Linear):
+            refs = mt.Linear(delete_column(m.mat, e)), mt.Linear(contract_column(m.mat, e))
+        elif isinstance(m, mt.Uniform):  # a rank-0 uniform has only loops
+            refs = mt.Uniform(min(m.r, m.n - 1), m.n - 1), mt.Uniform(max(m.r - 1, 0), m.n - 1)
+        else:
+            continue
+        assert rank_profile(de) == rank_profile(refs[0]), e
+        assert rank_profile(ce) == rank_profile(refs[1]), e
 
 
-def test_contract_loop_equals_delete():
-    g = Multigraph(2, [(0, 1), (0, 0)])
-    m = mt.Graphic(g)
-    c = mt.contract(m, 1)
-    assert c.n == 1 and c.full_rank == 1
+@pytest.mark.parametrize("m, loop", [
+    (mt.Graphic(Multigraph(2, [(0, 1), (0, 0)])), 1),
+    (mt.Linear(GFMatrix(3, [[1, 0, 2], [0, 0, 1]])), 1),
+], ids=["graph-loop", "zero-column"])
+def test_contract_loop_equals_delete(m, loop):
+    c = mt.contract(m, loop)
+    assert c.n == m.n - 1 and c.full_rank == m.full_rank
+    assert rank_profile(c) == rank_profile(mt.delete(m, loop))
 
 
 def test_relax_fano():
@@ -536,7 +549,7 @@ def test_relax_of_relax_is_one_view():
 
 def test_free_extension():
     u = mt.free_extension(mt.Uniform(2, 5))
-    assert isinstance(u, mt.Uniform) and (u.r, u.n) == (2, 6)
+    assert rank_profile(u) == rank_profile(mt.Uniform(2, 6))
     g = mt.Graphic(cycle_graph(3))
     f = mt.free_extension(g)
     assert f.n == 4
