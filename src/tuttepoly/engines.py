@@ -12,8 +12,9 @@ others:
   one-way canonical key (equal keys imply isomorphic blocks) computed only
   for blocks that share a cheap invariant, each split once on an edge set
   X as T = w_d T(G\\X) + w_c T(G/X); on both, a fat cycle (a circuit
-  whose elements are bundles of parallel ones) is a closed form; every
-  value is one packed int (``bipoly._Packing``).
+  whose elements are bundles of parallel ones) is a closed form, and on
+  masks so is every minor of rank or corank at most 2, from its class
+  sizes; every value is one packed int (``bipoly._Packing``).
 - ``tutte_activities``: sum of x^i y^j over bases with i internally and j
   externally active elements relative to a total order.
 - ``coboundary`` plus the substitution pair ``tutte_from_coboundary`` /
@@ -140,24 +141,26 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     and contracting raises r_m(C) by a rank the parent has tested.  Loops
     (factor y) are stripped only after a contraction and coloops (factor x)
     only after a deletion: a deletion creates no loops and a contraction no
-    coloops (Oxley, Matroid Theory, 3.1).  A single parallel class is
-    U(1,k), with T = B(k) = x + y + ... + y^(k-1).  k parallel classes of
-    rank k - 1 are a fat cycle (``_fat_cycle``) when their lowest elements
-    form a circuit: k rank calls, paid only at that rank, find no coloop
-    among them.  Otherwise the largest parallel class X (p = |X|, lowest
-    element e) that is not a cocircuit
-    splits as T = T(M\\X) + (y^(p-1)+...+1) T(M/e\\(X-e)), the largest
-    series class X that is not a circuit as T = (x^(p-1)+...+1) T(M\\X) +
-    T(M/X), and failing both the highest live element e as T = T(M\\e) +
-    T(M/e).  M/e\\(X-e) and M\\X of a series class X strip nothing: neither
-    has a loop or a coloop.  The parallel classes of M\\X and the series
-    classes of M/X are M's restricted to what is left, since their circuits,
-    resp. cocircuits, are those of M that avoid X (Oxley, 2.2 and 3.1): a
-    node hands its parallel partition to its deletion children and its
-    series partition to its contraction children, so it builds at most one
-    of the two itself (the root both).  In the split on e, M\\e's coloops
-    are e's series class less e and M/e's loops its parallel class less e,
-    so neither child strips anything.
+    coloops (Oxley, Matroid Theory, 3.1).  A minor of rank r <= 2 is closed
+    from the sizes of its parallel classes (``_line``; at r = 1 it is U(1,k),
+    T = B(k) = x + y + ... + y^(k-1)).  k parallel classes of rank k - 1 are a
+    fat cycle (``_fat_cycle``) when their lowest elements form a circuit: k
+    rank calls, paid only at that rank, find no coloop among them.  A minor
+    of corank at most 2 is closed by ``_line`` from its series classes, as
+    T(M; x, y) = T(M*; y, x) (Brylawski & Oxley, 1992).  Otherwise the
+    largest parallel class X (p = |X|, lowest element e) that is not a
+    cocircuit splits as T = T(M\\X) + (y^(p-1)+...+1) T(M/e\\(X-e)), the
+    largest series class X that is not a circuit as T = (x^(p-1)+...+1)
+    T(M\\X) + T(M/X), and failing both the highest live element e as
+    T = T(M\\e) + T(M/e).  M/e\\(X-e) and M\\X of a series class X strip
+    nothing: neither has a loop or a coloop.  The parallel classes of M\\X
+    and the series classes of M/X are M's restricted to what is left, since
+    their circuits, resp. cocircuits, are those of M that avoid X (Oxley, 2.2
+    and 3.1): a node hands its parallel partition to its deletion children
+    and its series partition to its contraction children, so it builds at
+    most one of the two itself (the root both).  In the split on e, M\\e's
+    coloops are e's series class less e and M/e's loops its parallel class
+    less e, so neither child strips anything.
     Graphic inputs instead recurse on multigraphs.  T is multiplicative over
     one-point joins and disjoint unions, so a graph's T is the product over
     its blocks (``Multigraph.blocks``): a bond on k edges gives B(k), a
@@ -215,6 +218,21 @@ def _fat_cycle(pk, sizes):
         else:
             t = path + pk.geom(pk.y, m) * t
             path *= _bond(pk, m)
+    return t
+
+
+def _line(sx, sy, r, sizes):
+    """T at x = 1 << sx, y = 1 << sy of a loopless rank-r matroid, r = 1 or 2,
+    with parallel classes of m_i = sizes[i] elements: r(A) = 1 exactly when A
+    is a nonempty subset of one class, and sum_A (y-1)^|A| = y^n, so T =
+    (x-1)^r + (x-1)^(r-1) sum [m_i]_y + [r = 2] (y^n - 1 - sum (y^(m_i) - 1))
+    / (y-1)^2, [m]_y = 1 + ... + y^(m-1) (B(n) at r = 1); the divisions are
+    exact.  Swapping sx and sy closes a coloop-free corank-r matroid."""
+    x1, y1 = (1 << sx) - 1, (1 << sy) - 1
+    low = sum((1 << m * sy) - 1 for m in sizes)
+    t = x1**r + x1 ** (r - 1) * (low // y1)
+    if r == 2:
+        t += ((1 << sum(sizes) * sy) - 1 - low) // (y1 * y1)
     return t
 
 
@@ -360,12 +378,12 @@ def _dc_generic(rank, live, con, rc, full, strip, par, ser, pk, budget):
     if not live:
         return 1 << coloops * pk.x + loops * pk.y
     par = _classes(live, par, lambda pair: rank(con | pair) == rc + 1)
-    big = _largest(par)
-    if big == live:  # U(1,n)
-        poly = _bond(pk, live.bit_count())
+    big, nullity = _largest(par), live.bit_count() - full + rc
+    if full - rc <= 2:  # a point or a line
+        poly = _line(pk.x, pk.y, full - rc, [cl.bit_count() for cl in par])
     elif full - rc == len(par) - 1 and _is_circuit(rank, con, par, full):  # fat cycle
         poly = _fat_cycle(pk, [cl.bit_count() for cl in par])
-    elif big and rank(con | (live ^ big)) == full:  # not a cocircuit
+    elif nullity > 2 and big and rank(con | (live ^ big)) == full:  # not a cocircuit
         rest = live ^ big  # M/e has no coloops, and its loops are big - e
         poly = _dc_generic(rank, rest, con, rc, full, 2, par, None, pk, budget) + pk.geom(
             pk.y, big.bit_count()
@@ -374,7 +392,9 @@ def _dc_generic(rank, live, con, rc, full, strip, par, ser, pk, budget):
         ser = _classes(live, ser, lambda pair: rank(con | (live ^ pair)) == full - 1)
         big = _largest(ser)
         p = big.bit_count()
-        if big and rank(con | big) - rc == p:  # not a circuit
+        if nullity <= 2:  # dually, a point or a line
+            poly = _line(pk.y, pk.x, nullity, [cl.bit_count() for cl in ser])
+        elif big and rank(con | big) - rc == p:  # not a circuit
             rest = live ^ big  # dually, M\X has no loops and no coloops
             poly = pk.geom(pk.x, p) * _dc_generic(
                 rank, rest, con, rc, full - p + 1, 0, par, None, pk, budget

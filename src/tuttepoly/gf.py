@@ -1,9 +1,9 @@
 """Matrices over prime fields GF(p), enough for linear matroids.
 
 A matrix row-reduces once, on its first rank query, to the standard form
-[I_r | A] on its greedy basis; every column rank is then read off that form
-(see ``GFMatrix.rank_of_columns``).  Entries are stored as residues, all
-arithmetic is integer mod p, nothing ever leaves exact arithmetic.
+[I_r | A] on its greedy basis; the rank of a column set is then read off that
+form from its bitmask (``GFMatrix.rank_of_mask``).  Entries are residues,
+all arithmetic is integer mod p, nothing ever leaves exact arithmetic.
 """
 
 from __future__ import annotations
@@ -97,27 +97,30 @@ class GFMatrix:
             for i, j in enumerate(basis):
                 pos[j] = i
             top = rows[: len(basis)]
-            self._std = (basis, pos, [tuple(r[j] for r in top) for j in range(self.ncols)])
-        return self._std
+            coords = [tuple(r[j] for r in top) for j in range(self.ncols)]
+            self._std = (basis, pos, coords, sum(1 << j for j in basis))
+        return self._std[:3]
 
-    def rank_of_columns(self, cols):
-        """Rank of the columns S: on the standard form, |S & B| plus the rank
-        of A on the columns S - B and the rows that S & B leaves uncovered,
-        eliminated until it reaches full rank."""
-        basis, pos, coords = self._std or self.standard_form()
-        n, covered, rest = self.ncols, 0, []  # covered: rows i with b_i in S
-        for j in cols:
-            if not 0 <= j < n:
-                raise ElementOutOfRange(f"column {j}")
-            i = pos[j]
-            if i < 0:
-                rest.append(j)
-            else:
-                covered |= 1 << i
-        p, rank, pivots = self.p, covered.bit_count(), []
-        for j in rest:
-            if rank == len(basis):
-                break
+    def rank_of_mask(self, mask):
+        """Rank of the column bitmask S (no bit past the last column): |S & B|
+        plus the rank of A on the columns S - B and the rows that S & B leaves
+        uncovered, eliminated until it reaches full rank."""
+        if self._std is None:
+            self.standard_form()
+        basis, pos, coords, in_basis = self._std
+        both = mask & in_basis
+        rank, full = both.bit_count(), len(basis)
+        if rank == full:
+            return rank
+        rest, covered = mask ^ both, 0  # covered: rows i with b_i in S
+        while both:
+            j = both.bit_length() - 1
+            both ^= 1 << j
+            covered |= 1 << pos[j]
+        p, pivots = self.p, []
+        while rest and rank < full:
+            j = rest.bit_length() - 1
+            rest ^= 1 << j
             v = coords[j]
             for lead, pv in pivots:
                 c = v[lead]
@@ -130,3 +133,13 @@ class GFMatrix:
                     rank += 1
                     break
         return rank
+
+    def rank_of_columns(self, cols):
+        """Rank of the columns cols, indices in any order with repeats: each
+        is checked, and their mask is read by ``rank_of_mask``."""
+        n, mask = self.ncols, 0
+        for j in cols:
+            if not 0 <= j < n:
+                raise ElementOutOfRange(f"column {j}")
+            mask |= 1 << j
+        return self.rank_of_mask(mask)

@@ -101,7 +101,7 @@ class Linear(Matroid):
         self.n = mat.ncols
 
     def _rank(self, mask):
-        return self.mat.rank_of_columns(_bits(mask))
+        return self.mat.rank_of_mask(mask)
 
 
 class SparsePaving(Matroid):

@@ -383,9 +383,10 @@ GF3_4X13 = [
 # root rank calls of generic DC now, keyed by the calls when every node
 # re-ranked C, L | C and every loop and coloop test; with those ranks
 # inherited but the parallel and series classes rebuilt at every node they
-# were 191 / 489 / 1,058 / 7,353, and before fat cycles were a closed form
-# 125 / 272 / 631 / 3,516
-ROOT_RANK_CALLS = {282: 109, 721: 261, 1641: 592, 10540: 3282}
+# were 191 / 489 / 1,058 / 7,353, before fat cycles were a closed form
+# 125 / 272 / 631 / 3,516, and before minors of rank or corank at most 2
+# were a closed form 109 / 261 / 592 / 3,282
+ROOT_RANK_CALLS = {282: 94, 721: 200, 1641: 496, 10540: 2487}
 
 
 @pytest.mark.parametrize(
@@ -669,6 +670,63 @@ def test_dc_fat_cycle_near_misses_match_subset():
     ):
         assert tutte_dc(m) == tutte_subset(m), m
     assert tutte_dc(mt.Linear(deficit_gf3)) == cycle(3) * uniform(1, 2)
+
+
+@st.composite
+def lines(draw):
+    """A loopless minor of rank at most 2 after DC strips its root: a GF(p)
+    matrix of two rows with zero, repeated and scaled columns; a direct sum
+    of two bonds (a line with two classes); or U(2,k) with uneven parallel
+    extensions."""
+    kind = draw(st.sampled_from(["gf", "bonds", "extended"]))
+    if kind == "bonds":
+        return mt.direct_sum([mt.Uniform(1, draw(st.integers(1, 5))) for _ in range(2)])
+    if kind == "extended":
+        m = mt.Uniform(2, draw(st.integers(2, 5)))
+        for e in draw(st.lists(st.integers(0, m.n - 1), max_size=6)):
+            m = mt.parallel_extension(m, e)
+        return m
+    p = draw(st.sampled_from([2, 3, 5, 101]))
+    cols = []
+    for _ in range(draw(st.integers(1, 11))):
+        kind = draw(st.sampled_from(["fresh", "zero", "scaled"]))
+        if kind == "scaled" and cols:
+            c = draw(st.integers(1, p - 1))
+            cols.append([a * c % p for a in draw(st.sampled_from(cols))])
+        elif kind == "zero":
+            cols.append([0, 0])
+        else:
+            cols.append(draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2)))
+    return mt.Linear(GFMatrix(p, [list(row) for row in zip(*cols)]))
+
+
+@given(lines())
+@settings(max_examples=150, deadline=None)
+def test_dc_lines_and_their_duals_match_subset(m):
+    # a line by the rank closed form, its dual by the corank one
+    assert m.full_rank <= 2
+    for root in (m, mt.dual(m)):
+        assert tutte_dc(root) == tutte_subset(root), root
+    if isinstance(m, mt.DirectSum):
+        a, b = (part.n for part in m.parts)
+        assert tutte_dc(m) == uniform(1, a) * uniform(1, b)
+
+
+def test_line_and_its_dual_are_one_node(monkeypatch):
+    cols = [(1, 0)] * 3 + [(0, 2)] + [(1, 1), (2, 2)] * 2 + [(1, 2)]  # classes of 3, 1, 4, 1
+    line = mt.Linear(GFMatrix(3, [list(row) for row in zip(*cols)]))
+    roots = [mt.Uniform(2, 500), mt.Uniform(498, 500), line, mt.dual(line)]
+    expected = [uniform(2, 500), uniform(498, 500), tutte_subset(line),
+                tutte_subset(mt.dual(line))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form of a line ran another engine")
+
+    for name in ("tutte_subset", "_corank_nullity_counts", "tutte_activities",
+                 "tutte_frontier"):
+        monkeypatch.setattr(engines, name, refuse)
+    for m, t in zip(roots, expected):
+        assert tutte_dc(m, budget_nodes=1) == t, m
 
 
 def test_dc_budget_below_one_is_refused():

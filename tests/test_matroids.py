@@ -165,6 +165,25 @@ def test_rank_of_columns_matches_elimination(mat, data):
 
 
 @given(gf_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+@example(GFMatrix(2, [[0] * 5] * 3), None)
+@example(GFMatrix(7, []), None)
+def test_linear_rank_reads_the_mask(mat, data):
+    # every mask for n <= 8; above, drawn masks, each also with the whole
+    # basis added (the early return) and with every basis column taken out
+    n, m = mat.ncols, mt.Linear(mat)
+    assert m._rank((1 << n) - 1) == eliminated_rank(mat, range(n))  # reduces first
+    basis = sum(1 << j for j in mat.standard_form()[0])
+    if n <= 8:
+        masks = range(1 << n)
+    else:
+        drawn = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+        masks = [x for mask in drawn for x in (mask, mask | basis, mask & ~basis)]
+    for mask in masks:
+        assert m._rank(mask) == eliminated_rank(mat, list(mt._bits(mask)))
+
+
+@given(gf_matrices(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_rank_of_columns_checks_every_index(mat, data):
     n = mat.ncols
