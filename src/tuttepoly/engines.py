@@ -11,10 +11,11 @@ others:
   recurse on multigraphs as a product over their blocks, memoized on a
   one-way canonical key (equal keys imply isomorphic blocks) computed only
   for blocks that share a cheap invariant, each split once on an edge set
-  X as T = w_d T(G\\X) + w_c T(G/X); on both, a fat cycle (a circuit
-  whose elements are bundles of parallel ones) is a closed form, and on
-  masks so is every minor of rank or corank at most 2, from its class
-  sizes; every value is one packed int (``bipoly._Packing``).
+  X as T = w_d T(G\\X) + w_c T(G/X), and the dual of a graph takes its
+  graph's T with x and y swapped; on both, a fat cycle (a circuit whose
+  elements are bundles of parallel ones) is a closed form, and on masks so
+  is every minor of rank or corank at most 2, from its class sizes; every
+  value is one packed int (``bipoly._Packing``).
 - ``tutte_activities``: sum of x^i y^j over bases with i internally and j
   externally active elements relative to a total order.
 - ``coboundary`` plus the substitution pair ``tutte_from_coboundary`` /
@@ -36,7 +37,6 @@ polynomial.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import comb
 
 from . import matroids as mt
@@ -187,9 +187,13 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     product over blocks costs one of budget_nodes.  Values are ints packed
     by ``bipoly._Packing``: y-degree at most n - r, coefficients at most
     T(1,1) <= C(n, r) (each, times its path weight, is part of T).
+    The dual of a Graphic runs graph DC on the graph, under the same
+    budget, and swaps x and y: T(M*; x, y) = T(M; y, x).
     """
     if budget_nodes < 1:
         raise InvalidParameters(f"node budget must be at least 1, not {budget_nodes}")
+    if isinstance(m, mt.DualView) and isinstance(m.parent, mt.Graphic):
+        return tutte_dc(m.parent, budget_nodes).swap()
     budget = _Budget(budget_nodes)
     r = m.full_rank
     pk = _Packing(m.n - r, comb(m.n, r))
@@ -415,9 +419,11 @@ def _dc_generic(rank, live, con, rc, full, strip, par, ser, pk, budget):
 # -- basis activities ---------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
 def _basis_mask_set(m):
-    return frozenset(mt._basis_masks(m))
+    """The basis masks of m, kept on m as ``full_rank`` keeps its rank."""
+    if not hasattr(m, "_bases"):
+        m._bases = frozenset(mt._basis_masks(m))
+    return m._bases
 
 
 def tutte_activities(m, order=None):

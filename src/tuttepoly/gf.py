@@ -8,7 +8,7 @@ all arithmetic is integer mod p, nothing ever leaves exact arithmetic.
 
 from __future__ import annotations
 
-from .errors import ElementOutOfRange, InvalidParameters, NotPrimePower, SizeBudgetExceeded
+from .errors import InvalidParameters, NotPrimePower, SizeBudgetExceeded
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981  # the least strong pseudoprime to them all
@@ -133,13 +133,3 @@ class GFMatrix:
                     rank += 1
                     break
         return rank
-
-    def rank_of_columns(self, cols):
-        """Rank of the columns cols, indices in any order with repeats: each
-        is checked, and their mask is read by ``rank_of_mask``."""
-        n, mask = self.ncols, 0
-        for j in cols:
-            if not 0 <= j < n:
-                raise ElementOutOfRange(f"column {j}")
-            mask |= 1 << j
-        return self.rank_of_mask(mask)

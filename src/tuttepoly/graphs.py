@@ -1,9 +1,10 @@
 """Multigraphs with the operations the graphic-matroid machinery needs.
 
 Edges are indexed 0..m-1 in insertion order and may repeat endpoint pairs
-(parallel edges) or join a vertex to itself (loops).  Deletion and
-contraction of an edge set return new graphs whose edges keep their
-relative order, so element labels stay aligned with matroid minors; the
+(parallel edges) or join a vertex to itself (loops).  ``rank_of_mask``,
+``contract_edges`` and ``blocks_at`` share one union-find, ``_find``.
+Deletion and contraction of an edge set return new graphs whose edges keep
+their relative order, so element labels stay aligned with matroid minors; the
 one split of deletion-contraction on graphs, on a parallel class, a
 degree-2 chain or one edge, is ``delete_edges`` against ``contract_edges``
 of that set.  ``blocks`` splits a graph into its biconnected components,
@@ -22,29 +23,12 @@ from __future__ import annotations
 from .errors import ElementOutOfRange, InvalidParameters
 
 
-class UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a, b):
-        """Join the sets of a and b under the lesser root; False if one set."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra < rb:
-            self.parent[rb] = ra
-        else:
-            self.parent[ra] = rb
-        return True
+def _find(parent, a):
+    """The root of a's set in the union-find forest parent, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
 
 
 class Multigraph:
@@ -89,20 +73,32 @@ class Multigraph:
 
     # -- matroid rank ---------------------------------------------------
 
-    def rank_of(self, edge_indices):
-        """|V| - #components of the spanning subgraph on those edges."""
-        uf = UnionFind(self.nverts)
-        rank = 0
-        for i in edge_indices:
-            if not 0 <= i < len(self.edges):
-                raise ElementOutOfRange(f"edge index {i}")
-            u, v = self.edges[i]
-            if uf.union(u, v):
+    def rank_of_mask(self, mask):
+        """|V| - #components of the spanning subgraph on the edges of the
+        bitmask (none past the last), by union-find, stopping at |V| - 1."""
+        parent = list(range(self.nverts))
+        edges, rank, top = self.edges, 0, self.nverts - 1
+        while mask and rank < top:
+            low = mask & -mask
+            mask ^= low
+            u, v = edges[low.bit_length() - 1]
+            u, v = _find(parent, u), _find(parent, v)
+            if u != v:
+                parent[u] = v
                 rank += 1
         return rank
 
+    def rank_of(self, edge_indices):
+        """``rank_of_mask`` of the edges, each index checked."""
+        mask = 0
+        for i in edge_indices:
+            if not 0 <= i < len(self.edges):
+                raise ElementOutOfRange(f"edge index {i}")
+            mask |= 1 << i
+        return self.rank_of_mask(mask)
+
     def full_rank(self):
-        return self.rank_of(range(len(self.edges)))
+        return self.rank_of_mask((1 << len(self.edges)) - 1)
 
     # -- minors ----------------------------------------------------------
 
@@ -118,12 +114,14 @@ class Multigraph:
         are numbered in increasing order, as successive single contractions
         that merge the greater end into the lesser one would number them."""
         drop = set(drop)
-        uf = UnionFind(self.nverts)
-        for i in drop:
-            uf.union(*self.edges[i])
+        parent = list(range(self.nverts))
+        for i in drop:  # the lesser root stays a root
+            u, v = self.edges[i]
+            u, v = _find(parent, u), _find(parent, v)
+            parent[max(u, v)] = min(u, v)
         label = []
         kept = 0
-        for w, p in enumerate(uf.parent):  # p < w unless w is its set's root
+        for w, p in enumerate(parent):  # p < w unless w is its set's root
             label.append(label[p] if p < w else kept)
             kept += p == w
         edges = [
@@ -195,13 +193,13 @@ class Multigraph:
         """``blocks`` of a connected graph in which no vertex but hinge is a
         cut vertex, from one union-find pass over the graph less hinge: each
         loop is a block, and so is each component with its edges to hinge."""
-        uf = UnionFind(self.nverts)
+        parent = list(range(self.nverts))
         for u, v in self.edges:
             if u != hinge and v != hinge:
-                uf.union(u, v)
+                parent[_find(parent, u)] = _find(parent, v)
         pieces = {}  # by component root, or ~i for loop i; in edge order
         for i, (u, v) in enumerate(self.edges):
-            root = ~i if u == v else uf.find(v if u == hinge else u)
+            root = ~i if u == v else _find(parent, v if u == hinge else u)
             pieces.setdefault(root, []).append(i)
         return self._pieces(pieces.values(), True)
 

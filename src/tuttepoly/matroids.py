@@ -11,8 +11,10 @@ minors, parallel extensions and thickenings) derive the rank from a wrapped
 matroid.  No construction lists bases or circuits (the triangle sum too is
 built from ranks and standard forms), and each stays exact and checkable
 against brute-force enumeration.  Structure is kept only where an engine
-reads it, which is a Graphic: every other minor, dual and free extension is
-a rank view.  Public functions take and return element sets.
+reads it, which is a Graphic: ``_remap``, behind every minor, parallel
+extension and thickening, maps a Graphic's graph, and every other minor,
+dual and free extension is a rank view.  Public functions take and return
+element sets.
 
 Minors relabel the surviving elements to 0..n'-1 preserving order, which
 keeps recipes reproducible.
@@ -43,9 +45,9 @@ class Matroid:
 
     The mask is an int over 0..n-1 (bit e set when element e is in the
     subset).  rank(iterable) checks each element and builds the mask.
-    Structure is kept only where an engine reads it, which is a Graphic:
-    every other minor, parallel extension or thickening is one MapView whose
-    parent is not itself a MapView.
+    Structure is kept only where an engine reads it, which is a Graphic: a
+    minor, parallel extension or thickening of a Graphic is a Graphic, and
+    of any other matroid one MapView whose parent is not itself a MapView.
     """
 
     n = 0
@@ -90,7 +92,7 @@ class Graphic(Matroid):
         self.n = graph.nedges
 
     def _rank(self, mask):
-        return self.graph.rank_of(_bits(mask))
+        return self.graph.rank_of_mask(mask)
 
 
 class Linear(Matroid):
@@ -315,13 +317,14 @@ class DualView(Matroid):
 
 
 class MapView(Matroid):
-    """Element i is parent element image[i], with the parent mask contracted
-    contracted.
+    """Element i is parent element image[i], and the parent elements in the
+    mask contracted are contracted.
 
     rank(A) = r_parent(image(A) | contracted) - r_parent(contracted).  An
     injective image gives a minor; a repeated parent element gives parallel
     copies (parallel extension, thickening).  Operations on a MapView
-    compose onto its parent (see _remap), so views never stack.
+    compose onto its parent (see _remap), so views never stack; a Graphic
+    is never a parent, as _remap maps its graph instead.
     """
 
     def __init__(self, parent, image, contracted):
@@ -454,22 +457,25 @@ def is_coloop(m, e):
 
 def delete(m, e):
     _check_element(m, e)
-    if isinstance(m, Graphic):
-        return Graphic(m.graph.delete_edges([e]))
     return _remap(m, [i for i in range(m.n) if i != e], 0)
 
 
 def contract(m, e):
     _check_element(m, e)
-    if isinstance(m, Graphic):
-        return Graphic(m.graph.contract_edges([e]))
     return _remap(m, [i for i in range(m.n) if i != e], 1 << e)
 
 
 def _remap(m, image, contracted):
-    """MapView whose element i is m's element image[i], with the mask
-    contracted of m's elements contracted.  A MapView m is not wrapped: the
-    maps compose onto its parent, so views never stack."""
+    """The matroid whose element i is m's element image[i], with the mask
+    contracted of m's elements contracted.  A Graphic m gives a Graphic: its
+    graph with the contracted edges contracted, edges picked by image.  A
+    MapView m is not wrapped: the maps compose onto its parent, so views
+    never stack.  Any other m gives a MapView over it."""
+    if isinstance(m, Graphic):
+        g = m.graph.contract_edges(_bits(contracted))
+        # m's edge i, not contracted, is g's edge i - |contracted below i|
+        edges = [g.edges[i - (contracted & (1 << i) - 1).bit_count()] for i in image]
+        return Graphic(Multigraph._trusted(g.nverts, edges))
     if isinstance(m, MapView):
         pc = m.contracted
         for e in _bits(contracted):
@@ -716,11 +722,6 @@ def _delta_sum_binary(m1, t1, m2, t2):
 def thicken(m, k):
     if k < 1:
         raise InvalidParameters("need k >= 1")
-    if isinstance(m, Graphic):
-        edges = []
-        for e in m.graph.edges:
-            edges.extend([e] * k)
-        return Graphic(Multigraph(m.graph.nverts, edges))
     return _remap(m, [e for e in range(m.n) for _ in range(k)], 0)
 
 

@@ -10,7 +10,8 @@ over admissible paths.
 ``reference_key`` is a brute-force complete canonical form of a multigraph:
 equal keys iff isomorphic, where equal ``graphs.canonical_key`` keys only
 imply it.  ``restricted`` builds the graph on some edges as
-``Multigraph.blocks`` relabels a block, and ``bad_colouring`` counts
+``Multigraph.blocks`` relabels a block, ``contract_one`` contracts one edge
+by an explicit vertex relabelling, and ``bad_colouring`` counts
 colourings by their monochromatic edges by brute force.  The random
 2-connected multigraphs put deletion-contraction's contraction children in
 the two shapes where their blocks need care: loops, and a cut vertex at the
@@ -251,6 +252,18 @@ def restricted(g, edge_indices):
     verts = sorted({w for e in picked for w in e})
     idx = {w: k for k, w in enumerate(verts)}
     return Multigraph(len(verts), [(idx[u], idx[v]) for u, v in picked])
+
+
+def contract_one(g, i):
+    """Reference single contraction: a loop is deleted, else the greater end
+    merges into the lesser and the higher vertices shift down by one."""
+    u, v = g.edges[i]
+    rest = [e for k, e in enumerate(g.edges) if k != i]
+    if u == v:
+        return Multigraph(g.nverts, rest)
+    a, b = min(u, v), max(u, v)
+    relabel = [w if w < b else (a if w == b else w - 1) for w in range(g.nverts)]
+    return Multigraph(g.nverts - 1, [(relabel[x], relabel[y]) for x, y in rest])
 
 
 _COLOURING_CAP = 12

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from math import prod
 
 import pytest
@@ -45,7 +47,7 @@ from tuttepoly.graphs import (
     wheel_graph,
 )
 
-from helpers import bad_colouring, chord_chain, split_class, standard_rep
+from helpers import bad_colouring, chord_chain, contract_one, split_class, standard_rep
 
 # frozen expected polynomials, written as {(x-exp, y-exp): coeff}
 T_U25 = BiPoly({(2, 0): 1, (1, 0): 3, (0, 1): 3, (0, 2): 2, (0, 3): 1})
@@ -240,8 +242,10 @@ def circuit_hyperplane_masks(m):
 
 @st.composite
 def views(draw, view):
-    """A view of the given class over a drawn matroid, on at most 12 elements."""
-    m = draw(base_matroids(draw(st.sampled_from(BASE_KINDS))))
+    """A view of the given class over a drawn matroid, on at most 12 elements;
+    a MapView is drawn over no Graphic, as a Graphic's maps are Graphics."""
+    kinds = [k for k in BASE_KINDS if view != "MapView" or k != "Graphic"]
+    m = draw(base_matroids(draw(st.sampled_from(kinds))))
     if view == "DualView":
         return mt.DualView(m)
     if view == "FreeExtView":
@@ -421,6 +425,33 @@ def test_dc_generic_splits_whole_classes():
 def test_dc_whirl_parallel_extension():
     # adding an element parallel to a rim element of the rank-3 whirl
     assert tutte_dc(mt.parallel_extension(whirl3(), 3)) == T_WHIRL3_PLUS
+
+
+# a loop (edge 3), a bridge (edge 6), a parallel pair and an isolated vertex
+LOOP_BRIDGE_PAIR = Multigraph(6, [(0, 1), (1, 0), (1, 2), (2, 2), (2, 3), (3, 1), (3, 4)])
+
+
+def test_graph_maps_and_duals_stay_on_graphs(monkeypatch):
+    # a Graphic's minors, parallel extensions and thickenings are Graphics,
+    # and its dual runs graph DC: none builds a MapView or runs generic DC
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph left the graph route")
+
+    monkeypatch.setattr(engines, "_dc_generic", refuse)
+    monkeypatch.setattr(mt.MapView, "__init__", refuse)
+    m = mt.Graphic(LOOP_BRIDGE_PAIR)
+    made = [mt.delete(m, 0), mt.contract(m, 1), mt.contract(m, 3), mt.thicken(m, 2),
+            mt.parallel_extension(m, 6)]
+    assert all(type(x) is mt.Graphic for x in made)
+    for x in made + [mt.dual(m)]:
+        assert tutte_dc(x) == tutte_subset(x), x
+    assert tutte_dc(mt.dual(m)) == tutte_dc(m).swap()
+
+
+def test_dc_on_the_dual_of_a_graph_keeps_the_budget():
+    assert tutte_dc(mt.dual(mt.Graphic(grid_graph(3, 8)))) == transfer_grid(3, 8).swap()
+    with pytest.raises(ResourceBudgetExceeded):
+        tutte_dc(mt.dual(mt.Graphic(grid_graph(4, 8))), budget_nodes=10)
 
 
 def test_dc_disconnected_graph_multiplies():
@@ -793,6 +824,24 @@ def test_activities_order_invariance():
         order = list(range(8))
         rng.shuffle(order)
         assert tutte_activities(p8, order) == T_P8
+
+
+def test_activities_keep_the_bases_on_the_matroid():
+    # a second run on the same object asks its oracle nothing
+    m = fano()
+    assert tutte_activities(m) == T_F7
+    calls = count_rank_calls(m)
+    assert tutte_activities(m, order=range(6, -1, -1)) == T_F7
+    assert calls == []
+
+
+def test_activities_leave_no_reference_to_the_matroid():
+    m = mt.Uniform(3, 8)
+    ref = weakref.ref(m)
+    tutte_activities(m)
+    del m
+    gc.collect()
+    assert ref() is None
 
 
 def test_activities_guards():
@@ -1183,18 +1232,6 @@ def multigraphs(draw):
     return Multigraph(nv, edges)
 
 
-def contract_one(g, i):
-    """Reference single contraction: a loop is deleted, else the greater end
-    merges into the lesser and the higher vertices shift down by one."""
-    u, v = g.edges[i]
-    rest = [e for k, e in enumerate(g.edges) if k != i]
-    if u == v:
-        return Multigraph(g.nverts, rest)
-    a, b = min(u, v), max(u, v)
-    relabel = [w if w < b else (a if w == b else w - 1) for w in range(g.nverts)]
-    return Multigraph(g.nverts - 1, [(relabel[x], relabel[y]) for x, y in rest])
-
-
 @given(multigraphs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_contract_edges_matches_single_contractions(g, data):
@@ -1204,6 +1241,20 @@ def test_contract_edges_matches_single_contractions(g, data):
     for i in reversed(drop):
         expected = contract_one(expected, i)
     assert g.contract_edges(drop) == expected
+
+
+@given(multigraphs(), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+@example(LOOP_BRIDGE_PAIR, 2)
+def test_dc_on_graph_maps_and_duals_matches_subset(g, e):
+    # the dual by graph DC and the Graphic that a parallel extension or a
+    # thickening gives, against the subset sweep on the same object
+    m = mt.Graphic(g)
+    made = [mt.dual(m), mt.thicken(m, 2)]
+    if g.nedges:
+        made.append(mt.parallel_extension(m, e % g.nedges))
+    for x in made:
+        assert tutte_dc(x) == tutte_subset(x), (g, x)
 
 
 @given(multigraphs())

@@ -85,7 +85,7 @@ def test_minors_do_not_test_the_modulus_again(monkeypatch):
 def test_ragged_rows_and_columns_out_of_range_are_refused():
     with pytest.raises(InvalidParameters):
         GFMatrix(2, [[1, 0], [1]])
-    mat = GFMatrix(2, [[1, 0, 1]])
+    m = mt.Linear(GFMatrix(2, [[1, 0, 1]]))
     for j in (-1, 3):
         with pytest.raises(ElementOutOfRange):
-            mat.rank_of_columns([j])
+            m.rank([j])

@@ -8,7 +8,9 @@ symmetric graphs, and, where two labellings of a regular graph get different
 keys, for deletion-contraction agreeing on both.  ``blocks`` is checked
 against the blocks read off the circuits and its block graphs against
 ``helpers.restricted``; ``blocks_at`` against ``blocks`` on the contraction
-children deletion-contraction makes.
+children deletion-contraction makes.  The rank of an edge mask is checked
+against a component count by search, and ``contract_edges`` against
+single contractions taken one at a time in random order.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from tuttepoly.engines import tutte_dc
 from tuttepoly.errors import ElementOutOfRange, InvalidParameters
 from tuttepoly.graphs import (
     Multigraph,
-    UnionFind,
     bond_graph,
     canonical_key,
     complete_bipartite_graph,
@@ -33,7 +34,7 @@ from tuttepoly.graphs import (
     wheel_graph,
 )
 
-from helpers import chord_chain, reference_key, restricted, split_class
+from helpers import chord_chain, contract_one, reference_key, restricted, split_class
 
 
 def random_multigraph(rng, max_verts, max_edges):
@@ -267,12 +268,56 @@ def test_cycle_of_one_vertex_is_a_loop():
         cycle_graph(0)
 
 
-def test_union_keeps_the_lesser_root():
-    uf = UnionFind(6)
-    assert uf.union(5, 3) and uf.union(4, 5) and uf.union(2, 1)
-    assert [uf.find(w) for w in range(6)] == [0, 1, 1, 3, 3, 3]
-    assert uf.union(4, 1) and not uf.union(3, 2)
-    assert [uf.find(w) for w in range(6)] == [0, 1, 1, 1, 1, 1]
+def test_contract_edges_is_successive_single_contractions():
+    # contracting X at once numbers the vertices as contracting its edges one
+    # at a time, in any order, each merging its greater end into its lesser;
+    # an edge's index drops by one for each edge before it contracted first
+    rng = random.Random(29)
+    for _ in range(1000):
+        g = random_multigraph(rng, 8, 12)
+        drop = [i for i in range(g.nedges) if rng.random() < 0.4]
+        expected, left = g, list(range(g.nedges))  # left[k]: g's index of edge k
+        for i in rng.sample(drop, len(drop)):
+            k = left.index(i)
+            expected = contract_one(expected, k)
+            del left[k]
+        assert g.contract_edges(drop) == expected, (g, drop)
+
+
+def reference_rank(g, mask):
+    """|V| minus the number of components of the spanning subgraph on the
+    edges of mask, found by depth-first search."""
+    adj = [[] for _ in range(g.nverts)]
+    for i, (u, v) in enumerate(g.edges):
+        if mask >> i & 1:
+            adj[u].append(v)
+            adj[v].append(u)
+    seen, components = [False] * g.nverts, 0
+    for start in range(g.nverts):
+        if seen[start]:
+            continue
+        components += 1
+        seen[start], stack = True, [start]
+        while stack:
+            for z in adj[stack.pop()]:
+                if not seen[z]:
+                    seen[z] = True
+                    stack.append(z)
+    return g.nverts - components
+
+
+def test_mask_rank_matches_component_count():
+    rng = random.Random(31)
+    seen = {"loop": 0, "parallel": 0, "isolated": 0}
+    for _ in range(50):
+        g = random_multigraph(rng, 8, 10)
+        m = mt.Graphic(g)
+        for mask in range(1 << g.nedges):
+            assert m._rank(mask) == reference_rank(g, mask), (g, mask)
+        seen["loop"] += any(u == v for u, v in g.edges)
+        seen["parallel"] += len(set(g.edges)) < g.nedges
+        seen["isolated"] += len({w for e in g.edges for w in e}) < g.nverts
+    assert min(seen.values()) >= 10, seen
 
 
 def test_constructors_refuse_empty_shapes_and_rank_of_checks_indices():

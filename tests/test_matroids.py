@@ -97,11 +97,11 @@ def test_linear_fano_rank():
     assert f.rank([0, 1, 3]) == 2
 
 
-def test_rank_of_columns_checks_columns_past_full_row_rank():
-    mat = GFMatrix(3, [[1, 0, 2], [0, 1, 1]])
-    assert mat.rank_of_columns([0, 1, 2]) == 2
+def test_linear_rank_checks_columns_past_full_row_rank():
+    m = mt.Linear(GFMatrix(3, [[1, 0, 2], [0, 1, 1]]))
+    assert m.rank([0, 1, 2]) == 2
     with pytest.raises(ElementOutOfRange):
-        mat.rank_of_columns([0, 1, 99])  # columns 0 and 1 already span
+        m.rank([0, 1, 99])  # columns 0 and 1 already span
 
 
 def eliminated_rank(mat, cols):
@@ -145,18 +145,19 @@ def gf_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @example(GFMatrix(2, [[0] * 5] * 3), None)
 @example(GFMatrix(7, []), None)
-def test_rank_of_columns_matches_elimination(mat, data):
-    # every mask for n <= 8; above, drawn masks and index lists in any
-    # order, with repeats
+def test_rank_of_mask_matches_elimination(mat, data):
+    # every mask for n <= 8; above, drawn masks, and through the public rank
+    # drawn index lists in any order, with repeats
     n = mat.ncols
     if n <= 8:
-        picks = [list(mt._bits(mask)) for mask in range(1 << n)]
+        masks, picks = range(1 << n), []
     else:
         masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
-        picks = [list(mt._bits(mask)) for mask in masks]
-        picks += data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=20), max_size=10))
+        picks = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=20), max_size=10))
+    for mask in masks:
+        assert mat.rank_of_mask(mask) == eliminated_rank(mat, list(mt._bits(mask)))
     for cols in picks:
-        assert mat.rank_of_columns(cols) == eliminated_rank(mat, cols)
+        assert mt.Linear(mat).rank(cols) == eliminated_rank(mat, cols)
     # the kernel read off the standard form: n - r independent null vectors
     kernel = _cycle_space_basis(mat)
     assert len(kernel) == n - eliminated_rank(mat, range(n))
@@ -185,13 +186,13 @@ def test_linear_rank_reads_the_mask(mat, data):
 
 @given(gf_matrices(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_rank_of_columns_checks_every_index(mat, data):
+def test_linear_rank_checks_every_index(mat, data):
     n = mat.ncols
     cols = data.draw(st.lists(st.integers(0, n - 1), max_size=10)) if n else []
     bad = data.draw(st.sampled_from([-1, n, n + 7]))
     at = data.draw(st.integers(0, len(cols)))
     with pytest.raises(ElementOutOfRange):
-        mat.rank_of_columns(cols[:at] + [bad] + cols[at:])
+        mt.Linear(mat).rank(cols[:at] + [bad] + cols[at:])
 
 
 def test_fano_sparse_matches_linear_on_all_subsets():
