@@ -11,11 +11,10 @@ others:
   recurse on multigraphs as a product over their blocks, memoized on a
   one-way canonical key (equal keys imply isomorphic blocks) computed only
   for blocks that share a cheap invariant, each split once on an edge set
-  X as T = w_d T(G\\X) + w_c T(G/X), and the dual of a graph takes its
-  graph's T with x and y swapped; on both, a fat cycle (a circuit whose
-  elements are bundles of parallel ones) is a closed form, and on masks so
-  is every minor of rank or corank at most 2, from its class sizes; every
-  value is one packed int (``bipoly._Packing``).
+  X as T = w_d T(G\\X) + w_c T(G/X), and a dual takes its parent's T with
+  x and y swapped; on both, a fat cycle (a circuit whose elements are
+  bundles of parallel ones) is a closed form, and on masks so is every
+  minor of rank or corank at most 2, from its class sizes.
 - ``tutte_activities``: sum of x^i y^j over bases with i internally and j
   externally active elements relative to a total order.
 - ``coboundary`` plus the substitution pair ``tutte_from_coboundary`` /
@@ -24,14 +23,15 @@ others:
   ``families`` as its other caller) and is re-exported here.
 - ``tutte_frontier``: a sweep along the edge order of a multigraph whose
   frontier stays small, over set partitions of the frontier vertices, each
-  carrying its packed corank-nullity histogram;
-  ``transfer_grid`` runs it on the m x n grid.  ``transfer_wheel`` is the
-  transfer matrix of the wheel bad-colouring polynomials, stepped on dense
-  coefficient lists.
+  carrying its corank-nullity histogram; ``transfer_grid`` runs it on the
+  m x n grid.  ``transfer_wheel`` is the transfer matrix of the wheel
+  bad-colouring polynomials, stepped on one int per colour.
 
-The one-variable results (``char_poly``, ``transfer_wheel``) are dense int
-lists, low degree first, with no trailing zeros, so [] is the zero
-polynomial.
+The subset sweep, DC, the frontier sweep and the wheel transfer matrix
+keep each polynomial or histogram as one int (``bipoly._Packing``, by
+Kronecker substitution), decoded once.  The one-variable results
+(``char_poly``, ``transfer_wheel``) are dense int lists, low degree first,
+with no trailing zeros, so [] is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from .bipoly import (
     BiPoly,
     _from_corank_nullity,
     _Packing,
-    _shift_add,
-    _times_linear,
     _wrap,
     coboundary_from_tutte,
     tutte_from_coboundary,
@@ -68,27 +66,30 @@ DEFAULT_BUDGET = 10_000_000
 
 
 def _corank_nullity_counts(rank, live, con, rc, full):
-    """Histogram of (r - r(A), |A| - r(A)) over the subsets A of live in the
-    root's minor on live with con contracted, r(A) = rank(A | con) - rc; the
-    caller passes rc = rank(con) and full = rank(live | con).  A node is (U
-    undecided, A, rank(A | con), rank(A | U | con)); when U lies in the
-    closure of A or is independent over A, the 2^|U| sets A | S are counted
-    at once by |S|, else each child inherits one rank and costs one call."""
-    counts = {}
+    """Histogram {(z, nl): count} of z = r - r(A), nl = |A| - r(A) over the
+    subsets A of live in the root's minor on live with con contracted, r(A)
+    = rank(A | con) - rc; the caller passes rc = rank(con) and full =
+    rank(live | con).  A node is (U undecided, A, rank(A | con), rank(A | U
+    | con)); the 2^|U| sets A | S add x^z y^nl (1 + y)^|U| when U lies in
+    the closure of A, x^(z-|U|) y^nl (1 + x)^|U| when U is independent over
+    A, each one packed int (y-degree the minor's nullity, counts up to
+    2^|live|); else each child inherits one rank and costs one call."""
+    pk = _Packing(live.bit_count() - full + rc, 1 << live.bit_count())
+    acc = 0
     stack = [(live, 0, rc, full)]  # (U, A, rank(A | con), rank(A | U | con))
     while stack:
         rest, a, ra, rau = stack.pop()
         u = rest.bit_count()
-        if not rest or rau == ra or rau == ra + u:  # S adds only nullity, or only rank
-            z, nl, spans = full - ra, a.bit_count() - ra + rc, rau == ra
-            for s in range(u + 1):
-                key = (z, nl + s) if spans else (z - s, nl)
-                counts[key] = counts.get(key, 0) + comb(u, s)
+        at = (full - ra) * pk.x + (a.bit_count() - ra + rc) * pk.y
+        if rau == ra:  # S adds only nullity
+            acc += ((1 << pk.y) + 1) ** u << at
+        elif rau == ra + u:  # S adds only rank
+            acc += ((1 << pk.x) + 1) ** u << at - u * pk.x
         else:
             b = rest & -rest
             stack.append((rest ^ b, a | b, rank(con | a | b), rau))
             stack.append((rest ^ b, a, ra, rank(con | a | rest ^ b)))
-    return counts
+    return pk.unpack(acc)
 
 
 def tutte_subset(m):
@@ -187,12 +188,12 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     product over blocks costs one of budget_nodes.  Values are ints packed
     by ``bipoly._Packing``: y-degree at most n - r, coefficients at most
     T(1,1) <= C(n, r) (each, times its path weight, is part of T).
-    The dual of a Graphic runs graph DC on the graph, under the same
-    budget, and swaps x and y: T(M*; x, y) = T(M; y, x).
+    A ``DualView`` runs DC on its parent, whose nodes count against
+    budget_nodes, and swaps x and y: T(M*; x, y) = T(M; y, x).
     """
     if budget_nodes < 1:
         raise InvalidParameters(f"node budget must be at least 1, not {budget_nodes}")
-    if isinstance(m, mt.DualView) and isinstance(m.parent, mt.Graphic):
+    if isinstance(m, mt.DualView):
         return tutte_dc(m.parent, budget_nodes).swap()
     budget = _Budget(budget_nodes)
     r = m.full_rank
@@ -581,23 +582,23 @@ def transfer_wheel(n, colors):
     with entry t^([i=j] + [j=first colour]); the trace imposes the periodic
     boundary condition that closes the rim.  D = (J + (t-1) I) diag(t^[j=0]),
     so a row vector steps as v_j <- t^[j=0] ((t-1) v_j + sum v), and (row a
-    of D^n)[a] is n such steps from the unit vector e_a.  Each step raises
-    the degree by at most 2, and t^(2n) has coefficient colours.
+    of D^n)[a] is n such steps from the unit vector e_a, each v_j one int
+    packed by ``bipoly._Packing``: every entry of D^n is non-negative, of
+    degree at most 2n, and the coefficients of the result sum to
+    colours^(n+1); t^(2n) has coefficient colours.
     """
     if n < 3:
         raise InvalidParameters("wheel needs n >= 3 rim vertices")
     if colors < 1:
         raise InvalidParameters("need at least one colour")
-    total = []
+    pk = _Packing(2 * n, colors ** (n + 1))
+    total = 0
     for a in range(colors):
-        v = [[int(j == a)] for j in range(colors)]
+        v = [int(j == a) for j in range(colors)]
         for _ in range(n):
-            s = []
-            for p in v:
-                _shift_add(s, p, 0, 1)
-            v = [_times_linear(p, 1) for p in v]
-            for p in v:
-                _shift_add(p, s, 0, 1)
-            v[0].insert(0, 0)
-        _shift_add(total, v[a], 0, colors)
-    return total
+            s = sum(v)
+            v = [(p << pk.y) - p + s for p in v]
+            v[0] <<= pk.y
+        total += v[a]
+    coeffs = pk.unpack(colors * total)
+    return [coeffs.get((0, j), 0) for j in range(2 * n + 1)]

@@ -733,9 +733,6 @@ def stretch(m, k):
         edges = []
         nxt = g.nverts
         for u, v in g.edges:
-            if k == 1:
-                edges.append((u, v))
-                continue
             prev = u
             for step in range(k - 1):
                 edges.append((prev, nxt))

@@ -12,7 +12,9 @@ equal keys iff isomorphic, where equal ``graphs.canonical_key`` keys only
 imply it.  ``restricted`` builds the graph on some edges as
 ``Multigraph.blocks`` relabels a block, ``contract_one`` contracts one edge
 by an explicit vertex relabelling, and ``bad_colouring`` counts
-colourings by their monochromatic edges by brute force.  The random
+colourings by their monochromatic edges by brute force.
+``transfer_wheel_lists`` is the wheel transfer matrix as the package once
+stepped it, on dense coefficient lists.  The random
 2-connected multigraphs put deletion-contraction's contraction children in
 the two shapes where their blocks need care: loops, and a cut vertex at the
 merged vertex.  ``reference_recipe_tree`` is the hand-written tokenizer and
@@ -25,6 +27,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from tuttepoly import matroids as mt
+from tuttepoly.bipoly import _shift_add, _times_linear
 from tuttepoly.errors import ElementOutOfRange, GraphTooLarge, InvalidParameters, ParseError
 from tuttepoly.gf import GFMatrix
 from tuttepoly.graphs import Multigraph
@@ -284,6 +287,28 @@ def bad_colouring(g, colors):
     for sigma in product(range(colors), repeat=g.nverts):
         counts[sum(sigma[u] == sigma[v] for u, v in g.edges)] += 1
     return counts
+
+
+def transfer_wheel_lists(n, colors):
+    """``engines.transfer_wheel`` on dense coefficient lists: colours *
+    trace(D^n), each row vector stepped as v_j <- t^[j=0] ((t-1) v_j + sum v)."""
+    if n < 3:
+        raise InvalidParameters("wheel needs n >= 3 rim vertices")
+    if colors < 1:
+        raise InvalidParameters("need at least one colour")
+    total = []
+    for a in range(colors):
+        v = [[int(j == a)] for j in range(colors)]
+        for _ in range(n):
+            s = []
+            for p in v:
+                _shift_add(s, p, 0, 1)
+            v = [_times_linear(p, 1) for p in v]
+            for p in v:
+                _shift_add(p, s, 0, 1)
+            v[0].insert(0, 0)
+        _shift_add(total, v[a], 0, colors)
+    return total
 
 
 def two_connected_edges(rng, n, ears):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from tuttepoly import engines
 from tuttepoly import matroids as mt
-from tuttepoly.catalog import build
-from tuttepoly.bipoly import BiPoly, X, Y, exact_div, subst_rational
+from tuttepoly.catalog import build, names
+from tuttepoly.bipoly import BiPoly, X, Y, _Packing, exact_div, subst_rational
 from tuttepoly.engines import (
     _corank_nullity_counts,
     char_poly,
@@ -47,7 +47,14 @@ from tuttepoly.graphs import (
     wheel_graph,
 )
 
-from helpers import bad_colouring, chord_chain, contract_one, split_class, standard_rep
+from helpers import (
+    bad_colouring,
+    chord_chain,
+    contract_one,
+    split_class,
+    standard_rep,
+    transfer_wheel_lists,
+)
 
 # frozen expected polynomials, written as {(x-exp, y-exp): coeff}
 T_U25 = BiPoly({(2, 0): 1, (1, 0): 3, (0, 1): 3, (0, 2): 2, (0, 3): 1})
@@ -312,6 +319,32 @@ def test_routes_match_subset_on_every_view(view, data):
     check_routes(data.draw(views(view)))
 
 
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_contracted_sweep_matches_flat_loop(data):
+    # M/C on E - C: r(A) = r(A | C) - r(C), over the subsets A of E - C
+    kind = data.draw(st.sampled_from(BASE_KINDS + VIEWS + ["catalog"]))
+    if kind == "catalog":
+        m = build(data.draw(st.sampled_from(names())))
+    elif kind in VIEWS:
+        m = data.draw(views(kind))
+    else:
+        m = data.draw(base_matroids(kind))
+    ground = (1 << m.n) - 1
+    con = data.draw(st.integers(0, ground))
+    if data.draw(st.booleans()):  # a flat
+        con = mt._closure(m.n, m._rank, con)
+    rc, full = m._rank(con), m.full_rank
+    want = {}
+    for a in range(1 << m.n):
+        if a & con:
+            continue
+        r = m._rank(a | con)
+        key = (full - r, a.bit_count() - r + rc)
+        want[key] = want.get(key, 0) + 1
+    assert _corank_nullity_counts(m._rank, ground ^ con, con, rc, full) == want
+
+
 def test_sweep_counts_whole_subtrees_of_uniform_matroids():
     m = mt.Uniform(6, 18)
     calls = count_rank_calls(m)
@@ -452,6 +485,23 @@ def test_dc_on_the_dual_of_a_graph_keeps_the_budget():
     assert tutte_dc(mt.dual(mt.Graphic(grid_graph(3, 8)))) == transfer_grid(3, 8).swap()
     with pytest.raises(ResourceBudgetExceeded):
         tutte_dc(mt.dual(mt.Graphic(grid_graph(4, 8))), budget_nodes=10)
+
+
+def test_dc_on_a_dual_runs_on_its_parent(monkeypatch):
+    roots = [
+        mt.dual(mt.Linear(GFMatrix(3, GF3_4X13))),
+        mt.dual(mt.SparsePaving(3, 7, FANO_LINES[:4])),
+        mt.dual(whirl3()),
+    ]
+    expected = [tutte_subset(m) for m in roots]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("DC asked a dual's rank")
+
+    monkeypatch.setattr(mt.DualView, "_rank", refuse)
+    assert isinstance(roots[2].parent, mt.RelaxView)
+    for m, t in zip(roots, expected):
+        assert tutte_dc(m) == t, m
 
 
 def test_dc_disconnected_graph_multiplies():
@@ -734,9 +784,10 @@ def lines(draw):
 @given(lines())
 @settings(max_examples=150, deadline=None)
 def test_dc_lines_and_their_duals_match_subset(m):
-    # a line by the rank closed form, its dual by the corank one
+    # a line by the rank closed form; its dual runs DC on the line itself,
+    # so the same dual as a MapView takes the corank closed form
     assert m.full_rank <= 2
-    for root in (m, mt.dual(m)):
+    for root in (m, mt.dual(m), mt.thicken(mt.dual(m), 1)):
         assert tutte_dc(root) == tutte_subset(root), root
     if isinstance(m, mt.DirectSum):
         a, b = (part.n for part in m.parts)
@@ -1142,6 +1193,26 @@ def test_transfer_wheel_eigenvalue_identity(n, colors):
     closed = p_cur + (lam - 2) * (X - 1) ** n
     expected = lam * closed
     assert transfer_wheel(n, colors) == [expected.coeff(k, 0) for k in range(2 * n + 1)]
+
+
+# colours^(n+1) bounds every coefficient, so these take slots of 1 to 9
+# and 14 bytes: every width unpacked by a native cast, and the slicing path
+WHEEL_SLOTS = [(3, 2), (7, 3), (10, 4), (12, 4), (15, 4), (17, 5), (20, 5), (24, 5),
+               (27, 5), (30, 5), (40, 6)]
+
+
+def test_wheel_slot_widths_span_every_cast():
+    widths = {_Packing(2 * n, c ** (n + 1)).y // 8 for n, c in WHEEL_SLOTS}
+    assert set(range(1, 10)) <= widths and max(widths) > 9
+
+
+@pytest.mark.parametrize("n, colors", WHEEL_SLOTS + [(3, 1), (17, 1), (40, 1)])
+def test_transfer_wheel_matches_the_list_reference(n, colors):
+    # every colouring once, and all 2n edges bad in one colour: one colour
+    # gives t^(2n) alone
+    out = transfer_wheel(n, colors)
+    assert out == transfer_wheel_lists(n, colors)
+    assert sum(out) == colors ** (n + 1) and out[-1] == colors
 
 
 def test_transfer_wheel_guards():
