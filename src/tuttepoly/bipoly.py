@@ -3,11 +3,11 @@
 BiPoly is the workhorse: a polynomial in x and y with int coefficients,
 stored sparsely as {(i, j): c}.  All Tutte computations stay in this ring;
 nothing here ever goes through floats.  One-variable work (the rows of the
-coboundary conversion and of the Newton form, the set-partition counts of
-``families``) stays in dense int lists, low degree first, through
-``_shift_add``, ``_times_linear`` and ``_times_power``.  The coboundary pair
-``tutte_from_coboundary`` / ``coboundary_from_tutte`` works on those rows,
-and ``_newton_form`` builds the coboundaries of K_n, K_{n,m}, PG and AG.
+coboundary conversion and of the Newton form) stays in dense int lists, low
+degree first, through ``_shift_add``, ``_times_linear`` and ``_times_power``.
+``tutte_from_coboundary`` / ``coboundary_from_tutte`` work on those rows, and
+``_newton_form`` builds the coboundaries of PG and AG; ``families`` counts the
+set partitions of K_n and K_{n,m} on ``_Packing`` ints instead.
 
 Conventions: 0**0 := 1 throughout, zero coefficients are never stored, and
 every object is immutable once built.

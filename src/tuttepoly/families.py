@@ -5,11 +5,12 @@ running the general engines, so that family formulas and engines form two
 independent computation routes that can be compared exactly.
 
 Variable conventions follow the rest of the package: the first BiPoly slot is
-x, the second is y.  Where a formula is naturally stated for the coboundary
-polynomial (complete and complete bipartite graphs, projective and affine
-geometries), the first slot carries lambda and the second t until the final
-conversion; ``bipoly._newton_form`` builds those coboundaries and
-``bipoly.tutte_from_coboundary`` converts them, so no engine is imported.
+x, the second is y.  Projective and affine geometries build their coboundary
+polynomials with lambda in the first slot and t in the second
+(``bipoly._newton_form``) and convert them (``bipoly.tutte_from_coboundary``),
+so no engine is imported.  K_n, K_{n,m}, wheels, whirls and 2 x n grids compute
+on ints packed as ``tutte_dc`` packs T (``bipoly._Packing``); packing is a ring
+homomorphism, so values on the way may go negative, and only T must fit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .bipoly import (
     _from_corank_nullity,
     _geom,
     _newton_form,
-    _shift_add,
+    _Packing,
+    _wrap,
     exact_div,
     subst_rational,
     tutte_from_coboundary,
@@ -48,6 +50,7 @@ _DET = X * Y - X - Y  # (x-1)(y-1) - 1, the recurring 2-sum denominator
 COMPLETE_GRAPH_LIMIT = 30
 UNIFORM_LIMIT = 500
 COMPLETE_BIPARTITE_LIMIT = 64
+RECURRENCE_LIMIT = 250  # wheel, whirl and grid2
 GEOMETRY_POINT_LIMIT = 2**16
 
 
@@ -210,39 +213,46 @@ def catalan(n):
 def grid2(n):
     """Tutte polynomial of the 2 x n grid by the coupled recurrence.
 
-    L_1 = x, Q_1 = 1, then L_k = (x^2+x+1) L_{k-1} + y Q_{k-1} and
-    Q_k = (x+1) L_{k-1} + y Q_{k-1}.
+    L_1 = x, Q_1 = 1, L_k = (x^2+x+1) L_{k-1} + y Q_{k-1}, Q_k = (x+1) L_{k-1}
+    + y Q_{k-1}, packed as T (slots up to C(3n-2, 2n-1)); n <= RECURRENCE_LIMIT.
     """
     if n < 1:
         raise InvalidSize("need n >= 1")
-    ell, q = X, _ONE
+    if n > RECURRENCE_LIMIT:
+        raise SizeBudgetExceeded(f"supported range is n <= {RECURRENCE_LIMIT}")
+    pk = _Packing(n - 1, comb(3 * n - 2, 2 * n - 1))
+    ell, q = 1 << pk.x, 1
     for _ in range(n - 1):
-        ell, q = (X * X + X + 1) * ell + Y * q, (X + 1) * ell + Y * q
-    return ell
+        xl, yq = (ell << pk.x) + ell, q << pk.y  # (x+1) L, y Q
+        ell, q = (xl << pk.x) + ell + yq, xl + yq
+    return _wrap(pk.unpack(ell))
 
 
 # -- complete and complete bipartite graphs ------------------------------------
 
 
-def _add_block(row, src, edges, weight):
-    """row[k+1] += weight t^edges src[k]: one more block, with edges inside
-    it, on each set partition counted by src (t-coefficient lists by the
-    number k of blocks)."""
+def _add_block(row, src, shift, weight):
+    """row[k+1] += weight t^edges src[k], shift = edges * pk.y: one more block."""
     for k, p in enumerate(src):
-        if p:
-            _shift_add(row[k + 1], p, edges, weight)
+        row[k + 1] += weight * p << shift
 
 
-def _tutte_from_partitions(parts, r):
-    """T from parts[k], the t-coefficient list of the set partitions of a
-    connected graph's vertices into k blocks by edges inside blocks.
+def _tutte_from_partitions(parts, r, pk):
+    """T of a connected graph from parts[k], its set partitions into k blocks.
 
     lambda cob = sum_k parts[k](t) lambda(lambda-1)...(lambda-k+1), as each
-    partition into k blocks is the colour classes of (lambda)_k colourings,
-    so cob is in Newton form on the roots 1, 2, 3, ...
+    partition into k blocks is the colour classes of (lambda)_k colourings;
+    Horner's rule gives its lambda-rows g_a, and T = sum_a (x-1)^a g_a(y) (y-1)^(a-r).
     """
-    weights = [enumerate(p) for p in parts[1:]]
-    return tutte_from_coboundary(_newton_form(weights, range(1, len(parts))), r)
+    rows, acc = [0], 0
+    for k in reversed(range(1, len(parts))):  # times (lambda - k), plus P_k
+        rows = [a - k * b for a, b in zip([parts[k]] + rows, rows + [0])]
+    for a in reversed(range(r + 1)):
+        h, rem = divmod(rows[a], ((1 << pk.y) - 1) ** (r - a))
+        if rem:
+            raise NonExactDivision("remainder is nonzero")
+        acc = (acc << pk.x) - acc + h
+    return _wrap(pk.unpack(acc))
 
 
 def complete_graph(n):
@@ -251,49 +261,51 @@ def complete_graph(n):
     lambda cob = sum over set partitions pi of the vertices of
     t^(edges inside blocks) (lambda)_|pi|.  Counted by the block of the last
     vertex, P_{m,k}(t) = sum_s C(m-1,s-1) t^C(s,2) P_{m-s,k-1} for
-    partitions of m vertices into k blocks; the standard substitution turns
-    cob into the Tutte polynomial.
+    partitions of m vertices into k blocks, each one int packed as T (slots up
+    to C(|E|, n-1), n <= COMPLETE_GRAPH_LIMIT); substitution turns cob into T.
     """
     if n < 1:
         raise InvalidParameters("need n >= 1")
     if n > COMPLETE_GRAPH_LIMIT:
         raise SizeBudgetExceeded(f"supported range is 1..{COMPLETE_GRAPH_LIMIT}")
-    table = [[[1]]]  # table[m][k] = P_{m,k}; P_{0,0} = 1
+    pk = _Packing((n - 1) * (n - 2) // 2, comb(comb(n, 2), n - 1))  # rank n - 1
+    table = [[1]]  # table[m][k] = P_{m,k}; P_{0,0} = 1
     for m in range(1, n + 1):
-        row = [[] for _ in range(m + 1)]
+        row = [0] * (m + 1)
         for s in range(1, m + 1):
-            _add_block(row, table[m - s], comb(s, 2), comb(m - 1, s - 1))
+            _add_block(row, table[m - s], comb(s, 2) * pk.y, comb(m - 1, s - 1))
         table.append(row)
-    return _tutte_from_partitions(table[n], n - 1)
+    return _tutte_from_partitions(table[n], n - 1, pk)
 
 
 def complete_bipartite(n, m):
     """Tutte polynomial of K_{n,m} by the set-partition expansion.
 
-    As for K_n, with a block of a left and b right vertices holding a*b
-    edges.  For i >= 1 left vertices the block of the last one, a >= 1 left
-    and b right vertices, weighs C(i-1,a-1) C(j,b) t^(ab); with no left
-    vertex, a block of b right vertices weighs C(j-1,b-1).
+    As for K_n (packed, slots up to C(nm, n+m-1)), with a block of a left and b
+    right vertices holding a*b edges.  For i >= 1 left vertices the block of the
+    last one, a >= 1 left and b right vertices, weighs C(i-1,a-1) C(j,b) t^(ab);
+    with no left vertex, a block of b right vertices weighs C(j-1,b-1).
     """
     if n < 1 or m < 1:
         raise InvalidParameters("need n, m >= 1")
     if n * m > COMPLETE_BIPARTITE_LIMIT:
         raise SizeBudgetExceeded(f"supported range is n*m <= {COMPLETE_BIPARTITE_LIMIT}")
     n, m = sorted((n, m))  # K_{n,m} = K_{m,n}; fewer left vertices is cheaper
-    table = {(0, 0): [[1]]}  # table[i, j][k]: partitions of K_{i,j} into k blocks
+    pk = _Packing((n - 1) * (m - 1), comb(n * m, n + m - 1))  # rank n + m - 1
+    table = {(0, 0): [1]}  # table[i, j][k]: partitions of K_{i,j} into k blocks
     for i in range(n + 1):
         for j in range(m + 1):
             if i or j:
-                row = table[i, j] = [[] for _ in range(i + j + 1)]
+                row = table[i, j] = [0] * (i + j + 1)
                 if i:
                     for a in range(1, i + 1):
                         for b in range(j + 1):
-                            _add_block(row, table[i - a, j - b], a * b,
+                            _add_block(row, table[i - a, j - b], a * b * pk.y,
                                        comb(i - 1, a - 1) * comb(j, b))
                 else:
                     for b in range(1, j + 1):
                         _add_block(row, table[0, j - b], 0, comb(j - 1, b - 1))
-    return _tutte_from_partitions(table[n, m], n + m - 1)
+    return _tutte_from_partitions(table[n, m], n + m - 1, pk)
 
 
 # -- projective and affine geometries ------------------------------------------
@@ -387,27 +399,30 @@ def q_cone(t_m, r, q):
 # -- wheels and whirls ----------------------------------------------------------
 
 
-def _power_sums(n):
-    """p_k = (1+x+y) p_{k-1} - xy p_{k-2} with p_0 = 2, p_1 = 1+x+y."""
-    s = 1 + X + Y
-    prev, cur = BiPoly.const(2), s
+def _power_sums(n, extra):
+    """p_n + extra for p_k = (1+x+y) p_{k-1} - xy p_{k-2}, p_0 = 2, p_1 = 1+x+y,
+    packed as the rank-n wheel's T (slots up to C(2n, n)); n <= RECURRENCE_LIMIT."""
+    if n > RECURRENCE_LIMIT:
+        raise SizeBudgetExceeded(f"supported range is n <= {RECURRENCE_LIMIT}")
+    pk = _Packing(n, comb(2 * n, n))
+    prev, cur = 2, 1 + (1 << pk.x) + (1 << pk.y)
     for _ in range(n - 1):
-        prev, cur = cur, s * cur - X * Y * prev
-    return cur if n >= 1 else prev
+        prev, cur = cur, cur + (cur << pk.x) + (cur << pk.y) - (prev << pk.x + pk.y)
+    return _wrap(pk.unpack(cur + extra.eval(1 << pk.x, 1 << pk.y)))
 
 
 def wheel(n):
     """Tutte polynomial of the rank-n wheel: p_n + xy - x - y - 1."""
     if n < 3:
         raise InvalidSize("wheel needs n >= 3")
-    return _power_sums(n) + _DET - 1
+    return _power_sums(n, _DET - 1)
 
 
 def whirl(n):
     """Tutte polynomial of the rank-n whirl: p_n - 1."""
     if n < 2:
         raise InvalidSize("whirl needs n >= 2")
-    return _power_sums(n) - 1
+    return _power_sums(n, BiPoly.const(-1))
 
 
 # -- sums and splitting ----------------------------------------------------------

@@ -14,7 +14,13 @@ imply it.  ``restricted`` builds the graph on some edges as
 by an explicit vertex relabelling, and ``bad_colouring`` counts
 colourings by their monochromatic edges by brute force.
 ``transfer_wheel_lists`` is the wheel transfer matrix as the package once
-stepped it, on dense coefficient lists.  The random
+stepped it, on dense coefficient lists.  The closed forms of ``families``
+once built K_n and K_{n,m} from set-partition counts on dense t-lists
+(``complete_graph_partition_lists``, ``complete_bipartite_partition_lists``,
+converted by ``tutte_from_partition_lists``) and stepped the wheel, whirl and
+2 x n grid recurrences by sparse BiPoly products (``power_sums_bipoly``,
+``grid2_bipoly``, which yield every term of the sequence, so that one call
+serves every size).  The random
 2-connected multigraphs put deletion-contraction's contraction children in
 the two shapes where their blocks need care: loops, and a cut vertex at the
 merged vertex.  ``reference_recipe_tree`` is the hand-written tokenizer and
@@ -25,9 +31,18 @@ non-ASCII digits as integers.
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import comb
 
 from tuttepoly import matroids as mt
-from tuttepoly.bipoly import _shift_add, _times_linear
+from tuttepoly.bipoly import (
+    BiPoly,
+    X,
+    Y,
+    _newton_form,
+    _shift_add,
+    _times_linear,
+    tutte_from_coboundary,
+)
 from tuttepoly.errors import ElementOutOfRange, GraphTooLarge, InvalidParameters, ParseError
 from tuttepoly.gf import GFMatrix
 from tuttepoly.graphs import Multigraph
@@ -309,6 +324,76 @@ def transfer_wheel_lists(n, colors):
             v[0].insert(0, 0)
         _shift_add(total, v[a], 0, colors)
     return total
+
+
+def _add_block_lists(row, src, edges, weight):
+    """row[k+1] += weight t^edges src[k]: one more block, with edges inside
+    it, on each set partition counted by src (t-coefficient lists by the
+    number k of blocks)."""
+    for k, p in enumerate(src):
+        if p:
+            _shift_add(row[k + 1], p, edges, weight)
+
+
+def tutte_from_partition_lists(parts, r):
+    """T from parts[k], the t-coefficient list of the set partitions of a
+    connected graph's vertices into k blocks by edges inside blocks, through
+    the coboundary's Newton form on the roots 1, 2, 3, ..."""
+    weights = [enumerate(p) for p in parts[1:]]
+    return tutte_from_coboundary(_newton_form(weights, range(1, len(parts))), r)
+
+
+def complete_graph_partition_lists(n):
+    """table[m][k], the t-coefficient list of P_{m,k} for m <= n: set
+    partitions of K_m into k blocks by edges inside blocks."""
+    table = [[[1]]]  # table[m][k] = P_{m,k}; P_{0,0} = 1
+    for m in range(1, n + 1):
+        row = [[] for _ in range(m + 1)]
+        for s in range(1, m + 1):
+            _add_block_lists(row, table[m - s], comb(s, 2), comb(m - 1, s - 1))
+        table.append(row)
+    return table
+
+
+def complete_bipartite_partition_lists(n, m):
+    """table[i, j][k] for i <= n, j <= m: the set partitions of K_{i,j}
+    into k blocks as t-coefficient lists."""
+    table = {(0, 0): [[1]]}  # table[i, j][k]: partitions of K_{i,j} into k blocks
+    for i in range(n + 1):
+        for j in range(m + 1):
+            if i or j:
+                row = table[i, j] = [[] for _ in range(i + j + 1)]
+                if i:
+                    for a in range(1, i + 1):
+                        for b in range(j + 1):
+                            _add_block_lists(row, table[i - a, j - b], a * b,
+                                             comb(i - 1, a - 1) * comb(j, b))
+                else:
+                    for b in range(1, j + 1):
+                        _add_block_lists(row, table[0, j - b], 0, comb(j - 1, b - 1))
+    return table
+
+
+def power_sums_bipoly(n):
+    """p_0, ..., p_n for p_k = (1+x+y) p_{k-1} - xy p_{k-2} with p_0 = 2,
+    p_1 = 1+x+y, by sparse BiPoly products."""
+    s = 1 + X + Y
+    prev, cur = BiPoly.const(2), s
+    yield from (prev, cur)
+    for _ in range(n - 1):
+        prev, cur = cur, s * cur - X * Y * prev
+        yield cur
+
+
+def grid2_bipoly(n):
+    """L_1, ..., L_n, the Tutte polynomials of the 2 x k grids: L_1 = x,
+    Q_1 = 1, L_k = (x^2+x+1) L_{k-1} + y Q_{k-1} and
+    Q_k = (x+1) L_{k-1} + y Q_{k-1}, by sparse BiPoly products."""
+    ell, q = X, BiPoly.one()
+    yield ell
+    for _ in range(n - 1):
+        ell, q = (X * X + X + 1) * ell + Y * q, (X + 1) * ell + Y * q
+        yield ell
 
 
 def two_connected_edges(rng, n, ears):

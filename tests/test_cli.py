@@ -370,6 +370,16 @@ def test_complete_family_exit_codes(capsys):
     assert code == 3 and out == "" and "1..30" in err
 
 
+@pytest.mark.parametrize("family", ["wheel", "whirl", "grid2"])
+def test_recurrence_family_size_guard(family, capsys):
+    # past RECURRENCE_LIMIT the packed recurrences would allocate gigabytes
+    start = time.perf_counter()
+    code, out, err = run(["compute", "--family", family, "--n", "1000000"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert f"supported range is n <= {fam.RECURRENCE_LIMIT}" in err
+
+
 def test_geometry_of_dimension_zero_exits_two(capsys):
     code, out, err = run(["compute", "--family", "projective", "--dim", "0", "--q", "2"],
                          capsys)

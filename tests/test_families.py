@@ -18,7 +18,7 @@ from tuttepoly import errors
 from tuttepoly import families as fam
 from tuttepoly import graphs
 from tuttepoly import matroids as mt
-from tuttepoly.bipoly import BiPoly, X, Y
+from tuttepoly.bipoly import BiPoly, X, Y, _Packing
 from tuttepoly.errors import (
     InvalidParameters,
     InvalidPartition,
@@ -30,7 +30,14 @@ from tuttepoly.errors import (
 )
 from tuttepoly.gf import GFMatrix
 
-from helpers import standard_rep
+from helpers import (
+    complete_bipartite_partition_lists,
+    complete_graph_partition_lists,
+    grid2_bipoly,
+    power_sums_bipoly,
+    standard_rep,
+    tutte_from_partition_lists,
+)
 
 
 def bp(d):
@@ -287,6 +294,48 @@ def test_grid2_order_two_recurrence():
 def test_grid2_guard():
     with pytest.raises(InvalidSize):
         fam.grid2(0)
+    for n in (fam.RECURRENCE_LIMIT + 1, 10**6):
+        with pytest.raises(SizeBudgetExceeded):
+            fam.grid2(n)
+
+
+def _slot_bytes(edges, rank):
+    """Slot width in bytes of the packing for T of |E| = edges, rank r."""
+    return _Packing(edges - rank, comb(edges, rank)).y // 8
+
+
+def test_grid2_matches_the_bipoly_reference():
+    for n, ell in enumerate(grid2_bipoly(80), 1):
+        assert fam.grid2(n) == ell, n
+    # slots of 1 to 9 bytes: every cast width of _Packing.unpack, and slicing
+    assert set(range(1, 10)) <= {_slot_bytes(3 * n - 2, 2 * n - 1) for n in range(1, 81)}
+
+
+def _lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def _ladder_bases(n):
+    """Spanning trees of the 2 x n grid: 1, 4, then a_n = 4 a_{n-1} - a_{n-2}."""
+    a, b = 1, 4
+    for _ in range(n - 1):
+        a, b = b, 4 * b - a
+    return a
+
+
+@pytest.mark.parametrize("n", [fam.RECURRENCE_LIMIT - 1, fam.RECURRENCE_LIMIT])
+def test_recurrences_at_the_size_limit(n):
+    # slot widths no reference reaches in tier-1 time: basis counts by Lucas
+    # numbers and the ladder recurrence, and all 2^|E| edge subsets
+    wheel, whirl, ladder = fam.wheel(n), fam.whirl(n), fam.grid2(n)
+    assert wheel.eval(1, 1) == _lucas(2 * n) - 2
+    assert whirl.eval(1, 1) == _lucas(2 * n) - 1
+    assert ladder.eval(1, 1) == _ladder_bases(n)
+    assert wheel.eval(2, 2) == whirl.eval(2, 2) == 2 ** (2 * n)
+    assert ladder.eval(2, 2) == 2 ** (3 * n - 2)
 
 
 # -- complete and complete bipartite graphs -----------------------------------
@@ -332,6 +381,27 @@ def test_complete_bipartite_matches_dc():
     for n, m in [(2, 3), (2, 4), (3, 4), (4, 4)]:
         g = mt.Graphic(graphs.complete_bipartite_graph(n, m))
         assert fam.complete_bipartite(n, m) == eng.tutte_dc(g)
+
+
+def test_complete_graph_matches_the_list_reference():
+    table = complete_graph_partition_lists(fam.COMPLETE_GRAPH_LIMIT)
+    for n in range(1, fam.COMPLETE_GRAPH_LIMIT + 1):
+        assert fam.complete_graph(n) == tutte_from_partition_lists(table[n], n - 1), n
+    # slots of 1 to 9 bytes: every cast width of _Packing.unpack, and slicing
+    assert set(range(1, 10)) <= {_slot_bytes(comb(n, 2), n - 1) for n in range(1, 31)}
+
+
+def test_complete_bipartite_matches_the_list_reference():
+    # one table per left size a holds every K_{a,b} with b <= 64 // a
+    for a in range(1, 9):
+        table = complete_bipartite_partition_lists(a, fam.COMPLETE_BIPARTITE_LIMIT // a)
+        for b in range(a, fam.COMPLETE_BIPARTITE_LIMIT // a + 1):
+            ref = tutte_from_partition_lists(table[a, b], a + b - 1)
+            assert fam.complete_bipartite(a, b) == ref, (a, b)
+            assert fam.complete_bipartite(b, a) == ref, (b, a)
+    # every cast width of _Packing.unpack, 1, 2, 4 and 8 bytes
+    pairs = [(a, b) for a in range(1, 9) for b in range(a, 64 // a + 1)]
+    assert set(range(1, 9)) <= {_slot_bytes(a * b, a + b - 1) for a, b in pairs}
 
 
 def test_complete_bipartite_guards():
@@ -469,6 +539,21 @@ def test_wheel_whirl_guards():
         fam.wheel(2)
     with pytest.raises(InvalidSize):
         fam.whirl(1)
+    for n in (fam.RECURRENCE_LIMIT + 1, 10**6):
+        with pytest.raises(SizeBudgetExceeded):
+            fam.wheel(n)
+        with pytest.raises(SizeBudgetExceeded):
+            fam.whirl(n)
+
+
+def test_wheel_whirl_match_the_bipoly_reference():
+    for n, p in enumerate(power_sums_bipoly(80)):
+        if n >= 2:
+            assert fam.whirl(n) == p - 1, n
+        if n >= 3:
+            assert fam.wheel(n) == p + X * Y - X - Y - 1, n
+    # slots of 1 to 9 bytes: every cast width of _Packing.unpack, and slicing
+    assert set(range(1, 10)) <= {_slot_bytes(2 * n, n) for n in range(2, 81)}
 
 
 # -- sums ---------------------------------------------------------------------
