@@ -23,9 +23,10 @@ others:
   ``families`` as its other caller) and is re-exported here.
 - ``tutte_frontier``: a sweep along the edge order of a multigraph whose
   frontier stays small, over set partitions of the frontier vertices, each
-  carrying its corank-nullity histogram; ``transfer_grid`` runs it on the
-  m x n grid.  ``transfer_wheel`` is the transfer matrix of the wheel
-  bad-colouring polynomials, stepped on one int per colour.
+  carrying its corank-nullity histogram, one pass over the states per edge
+  through transition tables built during the call; ``transfer_grid`` runs
+  it on the m x n grid.  ``transfer_wheel`` is the transfer matrix of the
+  wheel bad-colouring polynomials, stepped on one int per colour.
 
 The subset sweep, DC, the frontier sweep and the wheel transfer matrix
 keep each polynomial or histogram as one int (``bipoly._Packing``, by
@@ -503,6 +504,17 @@ def _relabel(blocks):
     return tuple(seen.setdefault(b, len(seen)) for b in blocks)
 
 
+def _transition(s, joins, i, j, keep):
+    """The move of the state s over one edge of ``tutte_frontier``: joins new
+    singleton blocks, the edge between frontier positions i and j skipped or
+    taken, then only the positions keep stay.  Returns (skip target, take
+    target, whether taking merges two blocks)."""
+    s += tuple(range(len(s), len(s) + joins))  # labels no block has yet
+    a, b = s[i], s[j]
+    take = [a if t == b else t for t in s]
+    return _relabel(s[p] for p in keep), _relabel(take[p] for p in keep), a != b
+
+
 def tutte_frontier(g):
     """Tutte polynomial of a multigraph by a frontier sweep over g.edges.
 
@@ -512,10 +524,15 @@ def tutte_frontier(g):
     count} of those edge sets, packed by ``bipoly._Packing`` with counts up
     to 2^|E|.  Skipping an edge keeps the state; taking it merges two blocks
     (corank - 1, a right shift: no set in the state spans) or stays inside
-    one (nullity + 1).  The one final histogram is the corank-nullity
-    expansion of T, so no polynomial is multiplied.  Orders whose frontier
-    exceeds _FRONTIER_CAP vertices raise GraphTooLarge before the sweep
-    (Sekine, Imai & Tani, ISAAC 1995).
+    one (nullity + 1).  Each edge is one pass over the states.  Its step
+    pattern (how many vertices join before it, its ends' frontier positions,
+    the positions that stay after it) has a table, kept for this call only,
+    that maps a state to its skip and take targets with the joins and the
+    retirements folded in (``_transition``), built at the state's first
+    visit.  The one final histogram is the corank-nullity expansion of T, so
+    no polynomial is multiplied.  Orders whose frontier exceeds _FRONTIER_CAP
+    vertices raise GraphTooLarge before any state exists (Sekine, Imai &
+    Tani, ISAAC 1995).
     """
     first, last = {}, {}
     for k, (u, v) in enumerate(g.edges):
@@ -530,32 +547,23 @@ def tutte_frontier(g):
         raise GraphTooLarge(f"edge order has a frontier above {_FRONTIER_CAP} vertices")
     full = g.full_rank()
     pk = _Packing(len(g.edges) - full, 1 << len(g.edges))
-    front, states = [], {(): 1 << full * pk.x}
+    front, states, tables = [], {(): 1 << full * pk.x}, {}
     for k, (u, v) in enumerate(g.edges):
-        ends = dict.fromkeys((u, v))
-        for w in ends:
-            if first[w] == k:
-                front.append(w)
-                states = {s + (max(s, default=-1) + 1,): h for s, h in states.items()}
-        i, j = front.index(u), front.index(v)
-        nxt = dict(states)  # the edge skipped
+        joins = [w for w in dict.fromkeys((u, v)) if first[w] == k]
+        front += joins
+        keep = tuple(p for p, w in enumerate(front) if last[w] > k)
+        step = (len(joins), front.index(u), front.index(v), keep)
+        front = [front[p] for p in keep]
+        table = tables.setdefault(step, {})  # state -> (skip, take, merges)
+        nxt = {}
         for s, h in states.items():
-            a, b = s[i], s[j]
-            if a == b:
-                nxt[s] += h << pk.y
-            else:
-                merged = _relabel(a if t == b else t for t in s)
-                nxt[merged] = nxt.get(merged, 0) + (h >> pk.x)
+            move = table.get(s)
+            if move is None:
+                move = table[s] = _transition(s, *step)
+            skip, take, merges = move
+            nxt[skip] = nxt.get(skip, 0) + h
+            nxt[take] = nxt.get(take, 0) + (h >> pk.x if merges else h << pk.y)
         states = nxt
-        for w in ends:
-            if last[w] == k:
-                p = front.index(w)
-                del front[p]
-                nxt = {}
-                for s, h in states.items():
-                    t = _relabel(s[:p] + s[p + 1 :])
-                    nxt[t] = nxt.get(t, 0) + h
-                states = nxt
     return _from_corank_nullity(pk.unpack(states[()]))
 
 

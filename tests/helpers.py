@@ -14,7 +14,9 @@ imply it.  ``restricted`` builds the graph on some edges as
 by an explicit vertex relabelling, and ``bad_colouring`` counts
 colourings by their monochromatic edges by brute force.
 ``transfer_wheel_lists`` is the wheel transfer matrix as the package once
-stepped it, on dense coefficient lists.  The closed forms of ``families``
+stepped it, on dense coefficient lists, and ``tutte_frontier_three_pass``
+the frontier sweep as it once ran, with one pass per vertex that joins or
+leaves besides the one for the edge.  The closed forms of ``families``
 once built K_n and K_{n,m} from set-partition counts on dense t-lists
 (``complete_graph_partition_lists``, ``complete_bipartite_partition_lists``,
 converted by ``tutte_from_partition_lists``) and stepped the wheel, whirl and
@@ -30,6 +32,7 @@ non-ASCII digits as integers.
 
 from __future__ import annotations
 
+import itertools
 from itertools import permutations, product
 from math import comb
 
@@ -38,11 +41,14 @@ from tuttepoly.bipoly import (
     BiPoly,
     X,
     Y,
+    _from_corank_nullity,
     _newton_form,
+    _Packing,
     _shift_add,
     _times_linear,
     tutte_from_coboundary,
 )
+from tuttepoly.engines import _FRONTIER_CAP
 from tuttepoly.errors import ElementOutOfRange, GraphTooLarge, InvalidParameters, ParseError
 from tuttepoly.gf import GFMatrix
 from tuttepoly.graphs import Multigraph
@@ -324,6 +330,69 @@ def transfer_wheel_lists(n, colors):
             v[0].insert(0, 0)
         _shift_add(total, v[a], 0, colors)
     return total
+
+
+def _relabel(blocks):
+    """Block labels renumbered in order of first appearance."""
+    seen = {}
+    return tuple(seen.setdefault(b, len(seen)) for b in blocks)
+
+
+def tutte_frontier_three_pass(g):
+    """``engines.tutte_frontier`` as the package once swept: up to three passes
+    over the states per edge, a state relabelled again at each visit.
+
+    A vertex joins the frontier at its first edge and leaves after its last.
+    A state is the partition of the frontier into the blocks that the edges
+    taken so far connect, and it carries the histogram {(corank, nullity):
+    count} of those edge sets, packed by ``bipoly._Packing`` with counts up
+    to 2^|E|.  Skipping an edge keeps the state; taking it merges two blocks
+    (corank - 1, a right shift: no set in the state spans) or stays inside
+    one (nullity + 1).  The one final histogram is the corank-nullity
+    expansion of T, so no polynomial is multiplied.  Orders whose frontier
+    exceeds _FRONTIER_CAP vertices raise GraphTooLarge before the sweep
+    (Sekine, Imai & Tani, ISAAC 1995).
+    """
+    first, last = {}, {}
+    for k, (u, v) in enumerate(g.edges):
+        for w in (u, v):
+            first.setdefault(w, k)
+            last[w] = k
+    change = [0] * (len(g.edges) + 1)  # frontier size steps, edge by edge
+    for w, k in first.items():
+        change[k] += 1
+        change[last[w] + 1] -= 1
+    if max(itertools.accumulate(change)) > _FRONTIER_CAP:
+        raise GraphTooLarge(f"edge order has a frontier above {_FRONTIER_CAP} vertices")
+    full = g.full_rank()
+    pk = _Packing(len(g.edges) - full, 1 << len(g.edges))
+    front, states = [], {(): 1 << full * pk.x}
+    for k, (u, v) in enumerate(g.edges):
+        ends = dict.fromkeys((u, v))
+        for w in ends:
+            if first[w] == k:
+                front.append(w)
+                states = {s + (max(s, default=-1) + 1,): h for s, h in states.items()}
+        i, j = front.index(u), front.index(v)
+        nxt = dict(states)  # the edge skipped
+        for s, h in states.items():
+            a, b = s[i], s[j]
+            if a == b:
+                nxt[s] += h << pk.y
+            else:
+                merged = _relabel(a if t == b else t for t in s)
+                nxt[merged] = nxt.get(merged, 0) + (h >> pk.x)
+        states = nxt
+        for w in ends:
+            if last[w] == k:
+                p = front.index(w)
+                del front[p]
+                nxt = {}
+                for s, h in states.items():
+                    t = _relabel(s[:p] + s[p + 1 :])
+                    nxt[t] = nxt.get(t, 0) + h
+                states = nxt
+    return _from_corank_nullity(pk.unpack(states[()]))
 
 
 def _add_block_lists(row, src, edges, weight):

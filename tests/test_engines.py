@@ -54,6 +54,7 @@ from helpers import (
     split_class,
     standard_rep,
     transfer_wheel_lists,
+    tutte_frontier_three_pass,
 )
 
 # frozen expected polynomials, written as {(x-exp, y-exp): coeff}
@@ -1363,6 +1364,59 @@ def test_dc_one_point_join_multiplies(parts):
 @settings(max_examples=150, deadline=None)
 def test_frontier_matches_dc_on_random_graphs(g):
     assert tutte_frontier(g) == tutte_dc(mt.Graphic(g))
+
+
+@st.composite
+def reordered_multigraphs(draw):
+    """A draw of ``multigraphs()`` with its edges listed in a drawn order."""
+    g = draw(multigraphs())
+    return Multigraph(g.nverts, draw(st.permutations(g.edges)))
+
+
+def _grid_by_rows(m, n):
+    """The m x n grid with its edges listed row by row: a row's edges along
+    it, then those down to the next row."""
+    g = grid_graph(m, n)  # vertex col * m + row; each edge from its lower end
+    return Multigraph(g.nverts, sorted(
+        g.edges, key=lambda e: (e[0] % m, e[0] % m != e[1] % m, e[0] // m)
+    ))
+
+
+@given(reordered_multigraphs())
+@settings(max_examples=150, deadline=None)
+@example(Multigraph(0, []))
+@example(Multigraph(1, []))
+@example(Multigraph(3, [(0, 1), (2, 2), (0, 1)]))  # 2 joins and retires at its loop
+@example(Multigraph(4, [(0, 1), (3, 2), (0, 1)]))  # 3 and 2 join and retire at once
+@example(Multigraph(3, [(0, 1), (1, 2), (0, 1)]))  # the second copy retires 0 and 1
+@example(_grid_by_rows(3, 6))
+@example(wheel_graph(9))  # spokes first: all ten vertices on the frontier
+def test_frontier_matches_the_three_pass_reference(g):
+    try:
+        expected = tutte_frontier_three_pass(g)
+    except GraphTooLarge:
+        with pytest.raises(GraphTooLarge):
+            tutte_frontier(g)
+        return
+    assert tutte_frontier(g) == expected
+    if g.nedges <= 12:
+        assert expected == tutte_subset(mt.Graphic(g))
+
+
+def test_frontier_tables_live_for_one_call(monkeypatch):
+    # every column of a grid meets the same step patterns and states, so the
+    # transitions a call builds do not grow with n; an identical second call
+    # builds them all again, as no table outlives its call
+    built = []
+    build = engines._transition
+    monkeypatch.setattr(engines, "_transition", lambda *a: built.append(a) or build(*a))
+    for m in (2, 3, 4):
+        counts = []
+        for n in (8, 30, 30):
+            built.clear()
+            transfer_grid(m, n)
+            counts.append(len(built))
+        assert counts[0] == counts[1] == counts[2] > 0, (m, counts)
 
 
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))
