@@ -7,7 +7,8 @@ others:
   T(x,y) = sum over A of (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)).
 - ``tutte_dc``: deletion-contraction with loop/coloop stripping and
   parallel- and series-class shortcuts, on masks of the input's rank oracle,
-  each child inheriting the ranks and the classes its parent knows; graphs
+  each child inheriting the ranks and the class partitions its parent knows,
+  and a node that knows none testing only the classes it splits on; graphs
   recurse on multigraphs as a product over their blocks, memoized on a
   one-way canonical key (equal keys imply isomorphic blocks) computed only
   for blocks that share a cheap invariant, each split once on an edge set
@@ -71,25 +72,35 @@ def _corank_nullity_counts(rank, live, con, rc, full):
     subsets A of live in the root's minor on live with con contracted, r(A)
     = rank(A | con) - rc; the caller passes rc = rank(con) and full =
     rank(live | con).  A node is (U undecided, A, rank(A | con), rank(A | U
-    | con)); the 2^|U| sets A | S add x^z y^nl (1 + y)^|U| when U lies in
-    the closure of A, x^(z-|U|) y^nl (1 + x)^|U| when U is independent over
-    A, each one packed int (y-degree the minor's nullity, counts up to
-    2^|live|); else each child inherits one rank and costs one call."""
+    | con), f); its 2^|U| sets A | S add f x^z y^nl (1 + y)^|U| when U lies
+    in the closure of A, f x^(z-|U|) y^nl (1 + x)^|U| when U is independent
+    over A, each one packed int (y-degree the minor's nullity, counts up to
+    2^|live|).  Else the lowest b of U in cl(A), which ranks A + b + S as A
+    + S, keeps the skip child with f (1 + y); a coloop b of A | U over A
+    keeps the take child with f (1 + x); else each child costs one call."""
     pk = _Packing(live.bit_count() - full + rc, 1 << live.bit_count())
+    x1, y1 = (1 << pk.x) + 1, (1 << pk.y) + 1
     acc = 0
-    stack = [(live, 0, rc, full)]  # (U, A, rank(A | con), rank(A | U | con))
+    stack = [(live, 0, rc, full, 1)]  # (U, A, rank(A | con), rank(A | U | con), f)
     while stack:
-        rest, a, ra, rau = stack.pop()
+        rest, a, ra, rau, f = stack.pop()
         u = rest.bit_count()
         at = (full - ra) * pk.x + (a.bit_count() - ra + rc) * pk.y
         if rau == ra:  # S adds only nullity
-            acc += ((1 << pk.y) + 1) ** u << at
+            acc += f * y1**u << at
         elif rau == ra + u:  # S adds only rank
-            acc += ((1 << pk.x) + 1) ** u << at - u * pk.x
+            acc += f * x1**u << at - u * pk.x
         else:
             b = rest & -rest
-            stack.append((rest ^ b, a | b, rank(con | a | b), rau))
-            stack.append((rest ^ b, a, ra, rank(con | a | rest ^ b)))
+            rest ^= b
+            rab = rank(con | a | b)
+            if rab == ra:
+                stack.append((rest, a, ra, rau, f * y1))
+            elif rank(con | a | rest) < rau:
+                stack.append((rest, a | b, rab, rau, f * x1))
+            else:
+                stack.append((rest, a | b, rab, rau, f))
+                stack.append((rest, a, ra, rau, f))
     return pk.unpack(acc)
 
 
@@ -145,24 +156,26 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     only after a deletion: a deletion creates no loops and a contraction no
     coloops (Oxley, Matroid Theory, 3.1).  A minor of rank r <= 2 is closed
     from the sizes of its parallel classes (``_line``; at r = 1 it is U(1,k),
-    T = B(k) = x + y + ... + y^(k-1)).  k parallel classes of rank k - 1 are a
-    fat cycle (``_fat_cycle``) when their lowest elements form a circuit: k
-    rank calls, paid only at that rank, find no coloop among them.  A minor
+    T = B(k) = x + y + ... + y^(k-1)).  k known parallel classes of rank
+    k - 1 are a fat cycle (``_fat_cycle``) when their lowest elements form a
+    circuit: k rank calls, paid only at that rank, find no coloop.  A minor
     of corank at most 2 is closed by ``_line`` from its series classes, as
-    T(M; x, y) = T(M*; y, x) (Brylawski & Oxley, 1992).  Otherwise the
-    largest parallel class X (p = |X|, lowest element e) that is not a
-    cocircuit splits as T = T(M\\X) + (y^(p-1)+...+1) T(M/e\\(X-e)), the
-    largest series class X that is not a circuit as T = (x^(p-1)+...+1)
-    T(M\\X) + T(M/X), and failing both the highest live element e as
-    T = T(M\\e) + T(M/e).  M/e\\(X-e) and M\\X of a series class X strip
-    nothing: neither has a loop or a coloop.  The parallel classes of M\\X
-    and the series classes of M/X are M's restricted to what is left, since
-    their circuits, resp. cocircuits, are those of M that avoid X (Oxley, 2.2
-    and 3.1): a node hands its parallel partition to its deletion children
-    and its series partition to its contraction children, so it builds at
-    most one of the two itself (the root both).  In the split on e, M\\e's
-    coloops are e's series class less e and M/e's loops its parallel class
-    less e, so neither child strips anything.
+    T(M; x, y) = T(M*; y, x) (Brylawski & Oxley, 1992).  Otherwise a
+    parallel class X (p = |X|, lowest element e) that is not a cocircuit
+    splits as T = T(M\\X) + (y^(p-1)+...+1) T(M/e\\(X-e)), a series class X
+    that is not a circuit as T = (x^(p-1)+...+1) T(M\\X) + T(M/X), and
+    failing both the highest live element e as T = T(M\\e) + T(M/e); X is
+    the largest class where the node knows the partition, else e's class.
+    M/e\\(X-e) and M\\X of a series class X strip nothing: neither has a
+    loop or a coloop.  The parallel classes of M\\X and the series classes
+    of M/X are M's restricted to what is left, since their circuits, resp.
+    cocircuits, are those of M that avoid X (Oxley, 2.2 and 3.1): a node
+    hands the parallel partition it knows to its deletion children and the
+    series one to its contraction children.  Only the root builds both, and
+    other nodes one only for a closed form of rank or corank at most 2;
+    else e's classes cost about 2|L| rank calls, not |L|^2 / 2.  In the
+    split on e, M\\e's coloops are e's series class less e and M/e's loops
+    its parallel class less e, so neither child strips anything.
     Graphic inputs instead recurse on multigraphs.  T is multiplicative over
     one-point joins and disjoint unions, so a graph's T is the product over
     its blocks (``Multigraph.blocks``): a bond on k edges gives B(k), a
@@ -331,22 +344,27 @@ def _dc_block(g, pairs, pk, budget, memo):
     )
 
 
-def _classes(live, known, joined):
-    """The classes of the live elements (masks): known, a partition of a
-    superset, restricted to live; or when known is None, each element joins
-    the first class whose lowest element it is joined to: joined(pair)."""
+def _classes(rank, base, target, live, known):
+    """The classes (masks) of the live elements: known restricted to live, or
+    when known is None, each element joins the first class whose lowest
+    element it is joined to, rank(base ^ pair) == target."""
     if known is not None:
         return [cl & live for cl in known if cl & live]
     classes = []
     for e in mt._bits(live):
         b = 1 << e
         for i, cl in enumerate(classes):
-            if joined((cl & -cl) | b):
+            if rank(base ^ (cl & -cl) ^ b) == target:
                 classes[i] = cl | b
                 break
         else:
             classes.append(b)
     return classes
+
+
+def _class_of(rank, base, target, live, e):
+    """The class of the live element e, joined as in ``_classes``."""
+    return e | sum(1 << f for f in mt._bits(live ^ e) if rank(base ^ e ^ 1 << f) == target)
 
 
 def _largest(classes):
@@ -368,11 +386,13 @@ def _dc_generic(rank, live, con, rc, full, strip, par, ser, pk, budget):
     contracted, ranked by r(A) = rank(A | con) - rc with rc = rank(con), full
     = rank(live | con); strip has bit 1 to strip loops and bit 2 coloops.
     par and ser are the parent's parallel and series partitions (lists of
-    masks) when a deletion, resp. a contraction, made this minor, else None;
-    restricted to live they are this minor's."""
+    masks) when a deletion, resp. a contraction, made this minor and the
+    parent knew them, else None; restricted to live they are this minor's.
+    A missing one is built only at the root (strip = 3) or for a closed
+    form; elsewhere the highest live element e's class stands for it."""
     budget.tick()
     loops = coloops = 0
-    for e in mt._bits(live):
+    for e in mt._bits(live if strip else 0):
         b = 1 << e
         if strip & 1 and rank(con | b) == rc:
             live ^= b
@@ -383,11 +403,15 @@ def _dc_generic(rank, live, con, rc, full, strip, par, ser, pk, budget):
             coloops += 1
     if not live:
         return 1 << coloops * pk.x + loops * pk.y
-    par = _classes(live, par, lambda pair: rank(con | pair) == rc + 1)
-    big, nullity = _largest(par), live.bit_count() - full + rc
-    if full - rc <= 2:  # a point or a line
-        poly = _line(pk.x, pk.y, full - rc, [cl.bit_count() for cl in par])
-    elif full - rc == len(par) - 1 and _is_circuit(rank, con, par, full):  # fat cycle
+    e = 1 << (live.bit_length() - 1)
+    r, nullity = full - rc, live.bit_count() - full + rc
+    if par is not None or strip == 3 or r <= 2:
+        par = _classes(rank, con, rc + 1, live, par)
+    pcls = par or [_class_of(rank, con, rc + 1, live, e) if nullity > 2 else e]
+    big = _largest(pcls)
+    if r <= 2:  # a point or a line
+        poly = _line(pk.x, pk.y, r, [cl.bit_count() for cl in par])
+    elif par and r == len(par) - 1 and _is_circuit(rank, con, par, full):  # fat cycle
         poly = _fat_cycle(pk, [cl.bit_count() for cl in par])
     elif nullity > 2 and big and rank(con | (live ^ big)) == full:  # not a cocircuit
         rest = live ^ big  # M/e has no coloops, and its loops are big - e
@@ -395,8 +419,10 @@ def _dc_generic(rank, live, con, rc, full, strip, par, ser, pk, budget):
             pk.y, big.bit_count()
         ) * _dc_generic(rank, rest, con | (big & -big), rc + 1, full, 0, None, ser, pk, budget)
     else:
-        ser = _classes(live, ser, lambda pair: rank(con | (live ^ pair)) == full - 1)
-        big = _largest(ser)
+        if ser is not None or strip == 3 or nullity <= 2:
+            ser = _classes(rank, con | live, full - 1, live, ser)
+        scls = ser or [_class_of(rank, con | live, full - 1, live, e)]
+        big = _largest(scls)
         p = big.bit_count()
         if nullity <= 2:  # dually, a point or a line
             poly = _line(pk.y, pk.x, nullity, [cl.bit_count() for cl in ser])
@@ -406,9 +432,8 @@ def _dc_generic(rank, live, con, rc, full, strip, par, ser, pk, budget):
                 rank, rest, con, rc, full - p + 1, 0, par, None, pk, budget
             ) + _dc_generic(rank, rest, con | big, rc + p, full, 1, None, ser, pk, budget)
         else:  # M\e's coloops are e's series class - e, M/e's loops
-            e = 1 << (live.bit_length() - 1)  # are e's parallel class - e
-            se = next(cl for cl in ser if cl & e)
-            pe = next(cl for cl in par if cl & e)
+            se = next(cl for cl in scls if cl & e)  # are e's parallel class - e
+            pe = next(cl for cl in pcls if cl & e)
             k, j = se.bit_count() - 1, pe.bit_count() - 1
             poly = (_dc_generic(
                 rank, live ^ se, con, rc, full - k, 0, par, None, pk, budget

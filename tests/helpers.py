@@ -16,7 +16,8 @@ colourings by their monochromatic edges by brute force.
 ``transfer_wheel_lists`` is the wheel transfer matrix as the package once
 stepped it, on dense coefficient lists, and ``tutte_frontier_three_pass``
 the frontier sweep as it once ran, with one pass per vertex that joins or
-leaves besides the one for the edge.  The closed forms of ``families``
+leaves besides the one for the edge, and ``corank_nullity_counts_unfactored``
+the subset sweep as it once ran, with both children at every inner node.  The closed forms of ``families``
 once built K_n and K_{n,m} from set-partition counts on dense t-lists
 (``complete_graph_partition_lists``, ``complete_bipartite_partition_lists``,
 converted by ``tutte_from_partition_lists``) and stepped the wheel, whirl and
@@ -393,6 +394,36 @@ def tutte_frontier_three_pass(g):
                     nxt[t] = nxt.get(t, 0) + h
                 states = nxt
     return _from_corank_nullity(pk.unpack(states[()]))
+
+
+def corank_nullity_counts_unfactored(rank, live, con, rc, full):
+    """``engines._corank_nullity_counts`` as the package once swept it: both
+    children of every node that is not a leaf, one rank call each.
+
+    Histogram {(z, nl): count} of z = r - r(A), nl = |A| - r(A) over the
+    subsets A of live in the root's minor on live with con contracted, r(A)
+    = rank(A | con) - rc; the caller passes rc = rank(con) and full =
+    rank(live | con).  A node is (U undecided, A, rank(A | con), rank(A | U
+    | con)); the 2^|U| sets A | S add x^z y^nl (1 + y)^|U| when U lies in
+    the closure of A, x^(z-|U|) y^nl (1 + x)^|U| when U is independent over
+    A, each one packed int (y-degree the minor's nullity, counts up to
+    2^|live|); else each child inherits one rank and costs one call."""
+    pk = _Packing(live.bit_count() - full + rc, 1 << live.bit_count())
+    acc = 0
+    stack = [(live, 0, rc, full)]  # (U, A, rank(A | con), rank(A | U | con))
+    while stack:
+        rest, a, ra, rau = stack.pop()
+        u = rest.bit_count()
+        at = (full - ra) * pk.x + (a.bit_count() - ra + rc) * pk.y
+        if rau == ra:  # S adds only nullity
+            acc += ((1 << pk.y) + 1) ** u << at
+        elif rau == ra + u:  # S adds only rank
+            acc += ((1 << pk.x) + 1) ** u << at - u * pk.x
+        else:
+            b = rest & -rest
+            stack.append((rest ^ b, a | b, rank(con | a | b), rau))
+            stack.append((rest ^ b, a, ra, rank(con | a | rest ^ b)))
+    return pk.unpack(acc)
 
 
 def _add_block_lists(row, src, edges, weight):

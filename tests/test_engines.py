@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from tuttepoly import engines
 from tuttepoly import matroids as mt
 from tuttepoly.catalog import build, names
-from tuttepoly.bipoly import BiPoly, X, Y, _Packing, exact_div, subst_rational
+from tuttepoly.bipoly import (
+    BiPoly,
+    X,
+    Y,
+    _from_corank_nullity,
+    _Packing,
+    exact_div,
+    subst_rational,
+)
 from tuttepoly.engines import (
     _corank_nullity_counts,
     char_poly,
@@ -51,6 +59,7 @@ from helpers import (
     bad_colouring,
     chord_chain,
     contract_one,
+    corank_nullity_counts_unfactored,
     split_class,
     standard_rep,
     transfer_wheel_lists,
@@ -365,6 +374,46 @@ def test_sweep_reaches_the_enumeration_limit():
     assert len(calls) < 10_000
 
 
+@st.composite
+def gf_columns(draw):
+    """A GF(p) matrix, p in {2, 3, 5}, of up to 4 rows and 10 columns, with
+    zero columns and columns repeated up to a scalar."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    r = draw(st.integers(1, 4))
+    cols = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat"]))
+        if kind == "repeat" and cols:
+            c = draw(st.integers(1, p - 1))
+            cols.append([a * c % p for a in draw(st.sampled_from(cols))])
+        elif kind == "zero":
+            cols.append([0] * r)
+        else:
+            cols.append(draw(st.lists(st.integers(0, p - 1), min_size=r, max_size=r)))
+    return mt.Linear(GFMatrix(p, [[col[i] for col in cols] for i in range(r)]))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_factored_sweep_matches_the_unfactored_reference(data):
+    # a closure element and a coloop over A each keep one child, so the sweep
+    # asks no more ranks than the one that kept both; con as coboundary
+    # passes it is a flat
+    kind = data.draw(st.sampled_from(["gf", *VIEWS]))
+    m = data.draw(gf_columns() if kind == "gf" else views(kind))
+    ground = (1 << m.n) - 1
+    con = data.draw(st.integers(0, ground))
+    if data.draw(st.booleans()):
+        con = mt._closure(m.n, m._rank, con)
+    rc, full = m._rank(con), m.full_rank
+    calls = count_rank_calls(m)
+    want = corank_nullity_counts_unfactored(m._rank, ground ^ con, con, rc, full)
+    before = len(calls)
+    calls.clear()
+    assert _corank_nullity_counts(m._rank, ground ^ con, con, rc, full) == want
+    assert len(calls) <= before
+
+
 # -- deletion-contraction -----------------------------------------------------
 
 
@@ -423,8 +472,10 @@ GF3_4X13 = [
 # inherited but the parallel and series classes rebuilt at every node they
 # were 191 / 489 / 1,058 / 7,353, before fat cycles were a closed form
 # 125 / 272 / 631 / 3,516, and before minors of rank or corank at most 2
-# were a closed form 109 / 261 / 592 / 3,282
-ROOT_RANK_CALLS = {282: 94, 721: 200, 1641: 496, 10540: 2487}
+# were a closed form 109 / 261 / 592 / 3,282, and before a node without an
+# inherited partition tested only the classes of the element it splits on
+# 94 / 200 / 496 / 2,487
+ROOT_RANK_CALLS = {282: 84, 721: 160, 1641: 396, 10540: 1619}
 
 
 @pytest.mark.parametrize(
@@ -454,6 +505,94 @@ def test_dc_generic_splits_whole_classes():
     stretched = mt.dual(mt.thicken(mt.dual(k4), 5))
     assert tutte_dc(thick, budget_nodes=200) == tutte_dc(mt.thicken(g, 5))
     assert tutte_dc(stretched, budget_nodes=500) == tutte_dc(mt.stretch(g, 5))
+
+
+def test_dc_generic_builds_partitions_only_at_the_root_and_closed_forms(monkeypatch):
+    # a node with no inherited partition builds one only at the root or to
+    # close a minor of rank or corank at most 2; elsewhere it tests the
+    # classes of the element it splits on
+    roots = [
+        mt.relax(fano(), {0, 1, 3}),
+        mt.Linear(GFMatrix(3, GF3_4X13)),
+        mt.relax(build("S5_6_12"), {0, 2, 3, 5, 6, 11}),
+        mt.thicken(mt.BasisList(3, 6, mt.bases(mt.Graphic(complete_graph(4)))), 3),
+    ]
+    expected = [tutte_subset(m) for m in roots]
+    dc, classes = engines._dc_generic, engines._classes
+    path, builds = [], []
+
+    def node(rank, live, con, *args):
+        path.append(con)
+        try:
+            return dc(rank, live, con, *args)
+        finally:
+            path.pop()
+
+    def partition(rank, base, target, live, known):
+        if known is None:
+            builds.append((len(path), path[-1], live))
+        return classes(rank, base, target, live, known)
+
+    monkeypatch.setattr(engines, "_dc_generic", node)
+    monkeypatch.setattr(engines, "_classes", partition)
+    for m, t in zip(roots, expected):
+        builds.clear()
+        assert tutte_dc(m) == t, m
+        below = 0
+        for depth, con, live in builds:
+            if depth > 1:
+                r = m._rank(con | live) - m._rank(con)
+                assert min(r, live.bit_count() - r) <= 2, (m, depth)
+                below += 1
+        assert below, m
+
+
+@st.composite
+def heavy_low_classes(draw):
+    """A matroid on at most 12 elements whose low elements are thickened or
+    extended in parallel, its highest ones left single; then maybe its dual,
+    a relaxation of it, or its direct sum with loops and coloops."""
+    kinds = [k for k in BASE_KINDS if k != "Graphic"]
+    m = draw(base_matroids(draw(st.sampled_from(kinds))))
+    assume(m.n >= 2)
+    low = draw(st.integers(1, m.n - 1))
+    if draw(st.booleans()):  # thicken the low elements
+        k = draw(st.integers(2, 3))
+        image = [e for e in range(low) for _ in range(k)]
+    else:  # parallel extensions of low elements, beside their originals
+        image = sorted([*range(low), *draw(st.lists(st.integers(0, low - 1), max_size=5))])
+    image += range(low, m.n)
+    assume(len(image) <= 12)
+    m = mt._remap(m, image, 0)
+    how = draw(st.sampled_from(["as is", "dual", "relax", "sum"]))
+    if how == "dual":
+        m = mt.dual(m)
+    elif how == "relax":
+        chs = circuit_hyperplane_masks(m)
+        assume(chs)
+        m = mt.relax(m, mt._set(draw(st.sampled_from(chs))))
+    elif how == "sum":
+        loops, coloops = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        parts = [m, mt.Uniform(0, loops), mt.Uniform(coloops, coloops)]
+        m = mt.direct_sum(draw(st.permutations([p for p in parts if p.n])))
+    return m
+
+
+@given(heavy_low_classes())
+@example(mt._remap(mt.Uniform(3, 6), [0, 0, 0, 1, 1, 1, 2, 3, 4, 5], 0))
+@example(mt.dual(mt._remap(mt.Uniform(3, 6), [0, 0, 0, 1, 1, 1, 2, 3, 4, 5], 0)))
+@example(mt._remap(whirl3(), [0, 0, 0, 1, 1, 2, 3, 4, 5], 0))
+@example(mt.relax(mt._remap(fano(), [0, 0, 0, 1, 1, 2, 3, 4, 5, 6], 0), {6, 7, 8}))
+@example(mt.direct_sum([mt.Uniform(1, 1), mt._remap(fano(), [0, 0, 0, 1, 2, 3, 4, 5, 6], 0),
+                        mt.Uniform(0, 2)]))
+@settings(max_examples=150, deadline=None)
+def test_dc_splitting_on_single_elements_matches_subset(m):
+    # below the root, nodes that know no partition split on single high
+    # elements beside large classes that they never build
+    t = tutte_subset(m)
+    assert tutte_dc(m) == t
+    ref = corank_nullity_counts_unfactored(m._rank, (1 << m.n) - 1, 0, 0, m.full_rank)
+    assert _from_corank_nullity(ref) == t
 
 
 def test_dc_whirl_parallel_extension():
