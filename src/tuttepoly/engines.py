@@ -9,13 +9,15 @@ others:
   parallel- and series-class shortcuts, on masks of the input's rank oracle,
   each child inheriting the ranks and the class partitions its parent knows,
   and a node that knows none testing only the classes it splits on; graphs
-  recurse on multigraphs as a product over their blocks, memoized on a
-  one-way canonical key (equal keys imply isomorphic blocks) computed only
-  for blocks that share a cheap invariant, each split once on an edge set
-  X as T = w_d T(G\\X) + w_c T(G/X), and a dual takes its parent's T with
-  x and y swapped; on both, a fat cycle (a circuit whose elements are
-  bundles of parallel ones) is a closed form, and on masks so is every
-  minor of rank or corank at most 2, from its class sizes.
+  recurse on multigraphs as a product over their blocks, a block with no
+  K4 minor closed by series and parallel steps on Brylawski's pointed
+  pairs (f, g) and every other one memoized on a one-way canonical key
+  (equal keys imply isomorphic blocks) computed only for blocks that share
+  a cheap invariant, each split once on an edge set X as T = w_d T(G\\X) +
+  w_c T(G/X), and a dual takes its parent's T with x and y swapped; on
+  both, a fat cycle (a circuit whose elements are bundles of parallel
+  ones) is a closed form, and on masks so is every minor of rank or
+  corank at most 2, from its class sizes.
 - ``tutte_activities``: sum of x^i y^j over bases with i internally and j
   externally active elements relative to a total order.
 - ``coboundary`` plus the substitution pair ``tutte_from_coboundary`` /
@@ -176,15 +178,22 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     else e's classes cost about 2|L| rank calls, not |L|^2 / 2.  In the
     split on e, M\\e's coloops are e's series class less e and M/e's loops
     its parallel class less e, so neither child strips anything.
-    Graphic inputs instead recurse on multigraphs.  T is multiplicative over
-    one-point joins and disjoint unions, so a graph's T is the product over
-    its blocks (``Multigraph.blocks``): a bond on k edges gives B(k), a
-    bridge x, a loop y, a block on n >= 3 vertices with n distinct end pairs
-    is a fat cycle (a 2-connected simple graph with n edges is a cycle), and
-    every other block is memoized, so isomorphic blocks reached along
-    different branches are expanded once (Haggard, Pearce & Royle,
-    "Computing Tutte polynomials", ACM TOMS 37, 2010).  The lookup takes a labelled repeat
-    of a block as it stands; else the block joins its class under a cheap
+    Graphic inputs instead recurse on multigraphs, their isolated vertices
+    dropped.  T is multiplicative over one-point joins and disjoint unions,
+    so a graph's T is the product over its blocks (``Multigraph.blocks``):
+    a bond on k edges gives B(k), a bridge x, a loop y, a block on n >= 3
+    vertices with n distinct end pairs is a fat cycle (a 2-connected simple
+    graph with n edges is a cycle), and a block with no K4 minor is closed
+    by series and parallel steps (``_series_parallel``) on the pointed pair
+    (f, g) of each end pair's subgraph H, (x-1) f + g = T(H) and f + (y-1) g
+    = T(H with the pair's ends merged), as ``families.tensor_poly`` solves:
+    k parallel edges give (1, [k]_y), two pairs in series (f1 g2 + g1 f2 +
+    (x-1) f1 f2, g1 g2), in parallel (f1 f2, f1 g2 + g1 f2 + (y-1) g1 g2),
+    and the last pair (x-1) f + g (Brylawski, Trans. AMS 171, 1972; Oxley,
+    Matroid Theory, 7.1).  Every other block is memoized, so isomorphic
+    blocks reached along different branches are expanded once (Haggard,
+    Pearce & Royle, ACM TOMS 37, 2010).  A labelled repeat of any block is
+    looked up as it stands; else the block joins its class under a cheap
     invariant (vertex count, sorted end degrees and multiplicity of each end
     pair, read from one table of its edges per end pair), and
     ``graphs.canonical_key``, whose equal keys imply isomorphic blocks, is
@@ -209,6 +218,8 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
         raise InvalidParameters(f"node budget must be at least 1, not {budget_nodes}")
     if isinstance(m, mt.DualView):
         return tutte_dc(m.parent, budget_nodes).swap()
+    if isinstance(m, mt.Graphic):  # isolated vertices change no rank: drop them
+        m = mt.Graphic(m.graph._pieces([range(m.n)], False)[0][1])
     budget = _Budget(budget_nodes)
     r = m.full_rank
     pk = _Packing(m.n - r, comb(m.n, r))
@@ -270,7 +281,7 @@ def _dc_graph(blocks, pk, budget, memo):
         pairs = {}  # vertex pair -> the edges joining it
         for i, (u, v) in enumerate(block.edges):
             pairs.setdefault((u, v) if u < v else (v, u), []).append(i)
-        if len(pairs) == block.nverts:  # n end pairs on n vertices
+        if len(pairs) == block.nverts:  # a fat cycle, closed faster than by _series_parallel
             acc *= _fat_cycle(pk, [len(es) for es in pairs.values()])
         else:
             acc *= _memo_block(block, pairs, pk, budget, memo)
@@ -278,41 +289,80 @@ def _dc_graph(blocks, pk, budget, memo):
 
 
 def _memo_block(block, pairs, pk, budget, memo):
-    """T of a block, neither a bond nor a fat cycle, through the memo
-    (labelled, classes); pairs lists its edges per vertex pair.  A class is
-    (first block, T) until it becomes {canonical_key: T}.  A block's
-    descendants have fewer edges, so they never reach its class while it is
-    expanded."""
+    """T of a block, neither a bond nor a fat cycle, by ``_series_parallel``
+    or through the memo (labelled, which holds every block's T, and
+    classes); pairs lists its edges per vertex pair.  A class is (first
+    block, T) until it becomes {canonical_key: T}.  A block's descendants
+    have fewer edges, so they never reach its class while it is expanded."""
     labelled, classes = memo
     poly = labelled.get(block)
     if poly is not None:
         return poly
-    deg = [0] * block.nverts
-    for (u, v), es in pairs.items():
-        deg[u] += len(es)
-        deg[v] += len(es)
-    inv = (block.nverts, tuple(sorted(
-        (deg[u], deg[v], len(es)) if deg[u] <= deg[v] else (deg[v], deg[u], len(es))
-        for (u, v), es in pairs.items()
-    )))
-    cls = classes.get(inv)
-    if cls is None:
-        poly = _dc_block(block, pairs, pk, budget, memo)
-        classes[inv] = (block, poly)
-    else:
-        if isinstance(cls, tuple):
-            first, first_poly = cls
-            cls = classes[inv] = {canonical_key(first): first_poly}
-        key = canonical_key(block)
-        poly = cls.get(key)
-        if poly is None:
-            poly = cls[key] = _dc_block(block, pairs, pk, budget, memo)
+    poly = _series_parallel(block.nverts, pairs, pk)
+    if poly is None:
+        deg = [0] * block.nverts
+        for (u, v), es in pairs.items():
+            deg[u] += len(es)
+            deg[v] += len(es)
+        inv = (block.nverts, tuple(sorted(
+            (deg[u], deg[v], len(es)) if deg[u] <= deg[v] else (deg[v], deg[u], len(es))
+            for (u, v), es in pairs.items()
+        )))
+        cls = classes.get(inv)
+        if cls is None:
+            poly = _dc_block(block, pairs, pk, budget, memo)
+            classes[inv] = (block, poly)
+        else:
+            if isinstance(cls, tuple):
+                first, first_poly = cls
+                cls = classes[inv] = {canonical_key(first): first_poly}
+            key = canonical_key(block)
+            poly = cls.get(key)
+            if poly is None:
+                poly = cls[key] = _dc_block(block, pairs, pk, budget, memo)
     labelled[block] = poly
     return poly
 
 
+def _series_parallel(n, pairs, pk):
+    """T, packed by pk, of a 2-connected graph on n vertices whose edges
+    pairs lists per end pair, by ``tutte_dc``'s pointed pairs; None when it
+    has a K4 minor: more than 2n - 3 end pairs, or more than two vertices
+    left once the degree-2 vertices of its simple graph are removed, each
+    a series step (and a parallel one when its neighbours were adjacent)."""
+    if len(pairs) > 2 * n - 3:
+        return None
+    nbrs = [0] * n  # neighbour masks
+    for u, v in pairs:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    steps, todo = [], [w for w in range(n) if nbrs[w].bit_count() == 2]
+    while todo and len(steps) < n - 2:
+        w = todo.pop()
+        m = nbrs[w]
+        if m.bit_count() == 2:
+            a, b = (m & -m).bit_length() - 1, m.bit_length() - 1
+            par = nbrs[a] >> b & 1
+            nbrs[w], nbrs[a], nbrs[b] = 0, nbrs[a] ^ 1 << w | 1 << b, nbrs[b] ^ 1 << w | 1 << a
+            todo += [z for z in (a, b) if par and nbrs[z].bit_count() == 2]
+            steps.append((w, a, b, par))
+    if len(steps) < n - 2:
+        return None
+    fg = {p: (1, pk.geom(pk.y, len(es))) for p, es in pairs.items()}
+    for w, a, b, par in steps:  # a < b
+        f1, g1 = fg.pop((a, w) if a < w else (w, a))
+        f2, g2 = fg.pop((b, w) if b < w else (w, b))
+        f, g = f1 * ((f2 << pk.x) - f2 + g2) + g1 * f2, g1 * g2
+        if par:
+            f2, g2 = fg.pop((a, b))
+            f, g = f * f2, g * ((g2 << pk.y) - g2 + f2) + f * g2
+        fg[a, b] = f, g
+    (f, g), = fg.values()
+    return (f << pk.x) - f + g
+
+
 def _dc_block(g, pairs, pk, budget, memo):
-    """T of a 2-connected g on at least 3 vertices, not a fat cycle, whose
+    """T of a 2-connected g with a K4 minor (so on at least 4 vertices), whose
     edges pairs lists per end pair, by one split on an edge set X of size p:
     T = w_d T(g\\X) + w_c T(g/X).  X is the largest parallel class (w_d = 1,
     w_c = [p]_y = 1 + y + ... + y^(p-1)), else the maximal degree-2 chain

@@ -26,7 +26,9 @@ converted by ``tutte_from_partition_lists``) and stepped the wheel, whirl and
 serves every size).  The random
 2-connected multigraphs put deletion-contraction's contraction children in
 the two shapes where their blocks need care: loops, and a cut vertex at the
-merged vertex.  ``reference_recipe_tree`` is the hand-written tokenizer and
+merged vertex; the random series-parallel ones have no block with a K4
+minor, and ``spanning_forests`` is Kirchhoff's count of T(1,1), exact at
+any size.  ``reference_recipe_tree`` is the hand-written tokenizer and
 recursive descent the catalog once read recipes with; it also reads
 non-ASCII digits as integers.
 """
@@ -496,14 +498,85 @@ def grid2_bipoly(n):
         yield ell
 
 
-def two_connected_edges(rng, n, ears):
+def series_parallel_multigraph(rng, nedges):
+    """A random multigraph on nedges edges none of whose blocks has a K4
+    minor: one to three components, each grown from one edge, then edges
+    subdivided (series), doubled (parallel, or a second loop), hung from a
+    vertex (pendant trees) or looped, up to two isolated vertices, and the
+    labels and edge order shuffled."""
+    comps = rng.randint(1, min(3, nedges))
+    edges = [(2 * k, 2 * k + 1) for k in range(comps)]
+    n = 2 * comps
+    while len(edges) < nedges:
+        i = rng.randrange(len(edges))
+        u, v = edges[i]
+        step = rng.random()
+        if step < 0.4:
+            edges[i] = (u, n)
+            edges.append((n, v))
+        elif step < 0.7:
+            edges.append((u, v))
+            continue
+        elif step < 0.9:
+            edges.append((rng.choice((u, v)), n))
+        else:
+            edges.append((u, u))
+            continue
+        n += 1
+    return _shuffled(rng, n + rng.randint(0, 2), edges, set())[0]
+
+
+def spanning_forests(g):
+    """T(1,1) of a multigraph by Kirchhoff: its maximal spanning forests, the
+    product over its components of a Laplacian cofactor, each by Bareiss's
+    fraction-free elimination.  Loops do not enter the Laplacian and
+    parallel edges add their multiplicity; the cofactor is positive
+    definite, so no pivot is zero."""
+    parent = list(range(g.nverts))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for u, v in g.edges:
+        parent[find(u)] = find(v)
+    comps = {}
+    for w in range(g.nverts):
+        comps.setdefault(find(w), []).append(w)
+    total = 1
+    for verts in comps.values():
+        index = {w: k for k, w in enumerate(verts[1:])}  # drop the first row
+        size = len(index)
+        lap = [[0] * size for _ in range(size)]
+        for u, v in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if a != b and a in index:
+                    lap[index[a]][index[a]] += 1
+                    if b in index:
+                        lap[index[a]][index[b]] -= 1
+        prev = 1
+        for k in range(size - 1):
+            for i in range(k + 1, size):
+                for j in range(k + 1, size):
+                    lap[i][j] = (lap[i][j] * lap[k][k] - lap[i][k] * lap[k][j]) // prev
+            prev = lap[k][k]
+        total *= lap[-1][-1] if size else 1
+    return total
+
+
+def two_connected_edges(rng, n, ears, k4=False):
     """(vertex count, edges) of a random 2-connected loopless multigraph: a
-    cycle through n >= 3 vertices, then ears between two distinct vertices
-    already placed, each one edge (maybe parallel) or a path through one new
-    vertex."""
+    cycle through n >= 3 vertices, with k4 also a hub joined to three of
+    them (a subdivided K4, so that graph deletion-contraction splits the
+    graph), then ears between two distinct vertices already placed, each
+    one edge (maybe parallel) or a path through one new vertex."""
     order = list(range(n))
     rng.shuffle(order)
     edges = [(order[k], order[k - 1]) for k in range(n)]
+    if k4:
+        edges += [(w, n) for w in rng.sample(range(n), 3)]
+        n += 1
     for _ in range(ears):
         a, b = rng.sample(range(n), 2)
         if rng.random() < 0.3:
@@ -525,10 +598,11 @@ def _shuffled(rng, n, edges, marked):
     return g, sorted(k for k, i in enumerate(order) if i in marked)
 
 
-def chord_chain(rng):
-    """(g, X): a random 2-connected multigraph and a maximal degree-2 chain X
-    of it whose ends are also joined directly, so g/X has loops."""
-    n, edges = two_connected_edges(rng, rng.randint(3, 5), rng.randint(0, 3))
+def chord_chain(rng, k4=False):
+    """(g, X): a random 2-connected multigraph (with k4, one with a K4
+    minor) and a maximal degree-2 chain X of it whose ends are also joined
+    directly, so g/X has loops."""
+    n, edges = two_connected_edges(rng, rng.randint(3, 5), rng.randint(0, 3), k4)
     a, b = edges[rng.randrange(len(edges))]
     path = [a, *range(n, n + rng.randint(1, 3)), b]
     chain = range(len(edges), len(edges) + len(path) - 1)
@@ -536,13 +610,13 @@ def chord_chain(rng):
     return _shuffled(rng, path[-2] + 1, edges, set(chain))
 
 
-def split_class(rng):
-    """(g, X): two random 2-connected multigraphs glued at two vertices u
-    and v and joined by 2 or 3 more u-v edges, with X the class of all u-v
-    edges, so {u, v} is a 2-separation of g and the vertex g/X merges X into
-    is a cut vertex."""
-    n1, e1 = two_connected_edges(rng, 3, rng.randint(0, 1))
-    n2, e2 = two_connected_edges(rng, rng.randint(3, 4), rng.randint(0, 1))
+def split_class(rng, k4=False):
+    """(g, X): two random 2-connected multigraphs (with k4, each with a K4
+    minor) glued at two vertices u and v and joined by 2 or 3 more u-v
+    edges, with X the class of all u-v edges, so {u, v} is a 2-separation
+    of g and the vertex g/X merges X into is a cut vertex."""
+    n1, e1 = two_connected_edges(rng, 3, rng.randint(0, 1), k4)
+    n2, e2 = two_connected_edges(rng, rng.randint(3, 4), rng.randint(0, 1), k4)
 
     def glued(w):  # the second graph's vertices 0 and 1 are the first's
         return w if w < 2 else w + n1 - 2

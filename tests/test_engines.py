@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 from math import prod
 
@@ -60,6 +63,8 @@ from helpers import (
     chord_chain,
     contract_one,
     corank_nullity_counts_unfactored,
+    series_parallel_multigraph,
+    spanning_forests,
     split_class,
     standard_rep,
     transfer_wheel_lists,
@@ -650,13 +655,16 @@ def test_dc_disconnected_graph_multiplies():
     assert tutte_dc(mt.Graphic(g)) == t3 * t3
 
 
-@pytest.mark.parametrize("g, nodes", [(grid_graph(3, 12), 2359), (complete_graph(8), 711)],
+@pytest.mark.parametrize("g, nodes", [(grid_graph(3, 12), 2121), (complete_graph(8), 569)],
                          ids=["grid3x12", "K8"])
 def test_dc_graph_node_counts(g, nodes):
     # one node per product over blocks: the exact count passes, one less does
-    # not; before fat cycles were a closed form they were 2,365 and 763
+    # not; before fat cycles were a closed form they were 2,365 and 763, and
+    # before every block with no K4 minor was, 2,359 and 711
     m = mt.Graphic(g)
-    assert tutte_dc(m, budget_nodes=nodes) == tutte_frontier(g)
+    t = tutte_dc(m, budget_nodes=nodes)
+    assert t == tutte_frontier(g)
+    assert t.eval(1, 1) == spanning_forests(g)
     with pytest.raises(ResourceBudgetExceeded):
         tutte_dc(m, budget_nodes=nodes - 1)
 
@@ -725,7 +733,8 @@ def test_dc_contraction_children_blocks(monkeypatch, shape, case):
     # the vertex the split merged; on every child it makes of these graphs
     # they are Tarjan's blocks, and T is the subset sum's.  Chains whose ends
     # are joined directly contract to loops; parallel classes whose ends are
-    # a 2-separation contract to a cut vertex
+    # a 2-separation contract to a cut vertex.  Each graph has a K4 minor, so
+    # that DC splits it rather than closing it by series and parallel steps
     seen = {"loops": 0, "cut vertex": 0}
     blocks_at = Multigraph.blocks_at
 
@@ -739,15 +748,16 @@ def test_dc_contraction_children_blocks(monkeypatch, shape, case):
     monkeypatch.setattr(Multigraph, "blocks_at", checked)
     rng = random.Random(17)
     for _ in range(30):
-        m = mt.Graphic(shape(rng)[0])
+        m = mt.Graphic(shape(rng, k4=True)[0])
         assert tutte_dc(m) == tutte_subset(m), m.graph
     assert seen[case] >= 10, seen
 
 
 # canonical forms per tutte_dc call; when every memoized block was keyed
-# they were 2,401 and 677, and with fat cycles memoized and an invariant
-# blind to edge multiplicities 1,261 and 280
-@pytest.mark.parametrize("g, keys", [(grid_graph(3, 12), 1207), (complete_graph(8), 208)],
+# they were 2,401 and 677, with fat cycles memoized and an invariant blind
+# to edge multiplicities 1,261 and 280, and with blocks that have no K4
+# minor memoized 1,207 and 208
+@pytest.mark.parametrize("g, keys", [(grid_graph(3, 12), 969), (complete_graph(8), 130)],
                          ids=["grid3x12", "K8"])
 def test_dc_graph_key_counts(monkeypatch, g, keys):
     calls = count_key_calls(monkeypatch)
@@ -864,9 +874,80 @@ def test_fat_cycle_is_one_node_and_no_key(monkeypatch):
     for m, t in zip(roots, expected):
         assert tutte_dc(m, budget_nodes=1) == t, m
     assert calls == []
-    chord = Multigraph(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 2)])
+    # a near miss: the pentagon with two crossing chords has a K4 minor
+    chords = Multigraph(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 2), (1, 3)])
     with pytest.raises(ResourceBudgetExceeded):
-        tutte_dc(mt.Graphic(chord), budget_nodes=1)
+        tutte_dc(mt.Graphic(chords), budget_nodes=1)
+
+
+@st.composite
+def series_parallel_graphs(draw):
+    """A random multigraph of at most 24 edges none of whose blocks has a K4
+    minor (``helpers.series_parallel_multigraph``)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return series_parallel_multigraph(rng, draw(st.integers(1, 24)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_parallel_graphs())
+def test_dc_closes_series_parallel_blocks(g):
+    # every block is a loop, a bridge, a bond, a fat cycle or closed by
+    # series and parallel steps, so the root is the only node; a K4 glued
+    # along a non-loop edge u-v puts its block past the closed form, and DC
+    # splits it
+    m = mt.Graphic(g)
+    assert tutte_dc(m, budget_nodes=1) == tutte_subset(m)
+    ends = next(((u, v) for u, v in g.edges if u != v), None)
+    if ends is not None and g.nedges <= 19:
+        (u, v), n = ends, g.nverts
+        k4 = [(u, n), (v, n), (u, n + 1), (v, n + 1), (n, n + 1)]
+        glued = mt.Graphic(Multigraph(n + 2, list(g.edges) + k4))
+        assert tutte_dc(glued) == tutte_subset(glued)
+        with pytest.raises(ResourceBudgetExceeded):
+            tutte_dc(glued, budget_nodes=1)
+
+
+def test_ladder_is_one_node_and_no_key(monkeypatch):
+    # the 2 x 40 ladder is one block with no K4 minor: one node and no
+    # canonical key (151 nodes when such blocks were memoized)
+    calls = count_key_calls(monkeypatch)
+    assert tutte_dc(mt.Graphic(grid_graph(2, 40)), budget_nodes=1) == grid2(40)
+    assert calls == []
+
+
+@pytest.mark.parametrize("g", [complete_graph(10), wheel_graph(30)], ids=["K10", "W30"])
+def test_dc_counts_spanning_forests_past_the_subset_limit(g):
+    assert tutte_dc(mt.Graphic(g)).eval(1, 1) == spanning_forests(g)
+
+
+def test_dc_counts_spanning_forests_of_large_series_parallel_graphs():
+    rng = random.Random(29)
+    for _ in range(20):
+        g = series_parallel_multigraph(rng, rng.randint(30, 60))
+        assert tutte_dc(mt.Graphic(g), budget_nodes=1).eval(1, 1) == spanning_forests(g), g
+
+
+ISOLATED = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from tuttepoly import engines, matroids as mt
+from tuttepoly.families import cycle
+from tuttepoly.graphs import Multigraph
+n = 10**7 + 3
+g = Multigraph(n, [(5, n - 3), (n - 3, n - 1), (n - 1, 5)])
+print(engines.tutte_dc(mt.Graphic(g)) == cycle(3))
+"""
+
+
+def test_dc_drops_isolated_vertices_before_it_builds_anything():
+    # a triangle among 10^7 isolated vertices, under a 512 MB address space:
+    # a list per vertex would not fit
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(engines.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", ISOLATED], capture_output=True,
+                          text=True, env=env, timeout=120, check=False)
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
 
 def test_dc_fat_cycle_near_misses_match_subset():
@@ -1239,31 +1320,12 @@ def test_transfer_grid_ladders_match_closed_form():
         assert transfer_grid(2, n) == grid2(n), n
 
 
-def _spanning_trees(g):
-    """Kirchhoff: a Laplacian cofactor of a connected simple graph, by Bareiss."""
-    size = g.nverts - 1
-    lap = [[0] * size for _ in range(size)]
-    for u, v in g.edges:
-        for a, b in ((u, v), (v, u)):
-            if a < size:
-                lap[a][a] += 1
-                if b < size:
-                    lap[a][b] -= 1
-    prev = 1
-    for k in range(size - 1):
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                lap[i][j] = (lap[i][j] * lap[k][k] - lap[i][k] * lap[k][j]) // prev
-        prev = lap[k][k]
-    return lap[-1][-1]
-
-
 @pytest.mark.parametrize("m,n", [(5, 5), (5, 6), (6, 6)])
 def test_wide_grids_count_subsets_and_spanning_trees(m, n):
     g = grid_graph(m, n)
     t = transfer_grid(m, n)
     assert t.eval(2, 2) == 2 ** len(g.edges)
-    assert t.eval(1, 1) == _spanning_trees(g)
+    assert t.eval(1, 1) == spanning_forests(g)
 
 
 def test_frontier_follows_the_edge_order():
