@@ -9,8 +9,10 @@ others:
   parallel- and series-class shortcuts, on masks of the input's rank oracle,
   each child inheriting the ranks and the class partitions its parent knows,
   and a node that knows none testing only the classes it splits on; graphs
-  recurse on multigraphs as a product over their blocks, a block with no
-  K4 minor closed by series and parallel steps on Brylawski's pointed
+  recurse on multigraphs of at most 2|E| vertices (k edges touch at most
+  2k, and ``Graphic`` drops isolated ones past that) as a product over
+  their blocks, which give the rank as the sum of |V(B)| - 1, a block with
+  no K4 minor closed by series and parallel steps on Brylawski's pointed
   pairs (f, g) and every other one memoized on a one-way canonical key
   (equal keys imply isomorphic blocks) computed only for blocks that share
   a cheap invariant, each split once on an edge set X as T = w_d T(G\\X) +
@@ -178,9 +180,12 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     else e's classes cost about 2|L| rank calls, not |L|^2 / 2.  In the
     split on e, M\\e's coloops are e's series class less e and M/e's loops
     its parallel class less e, so neither child strips anything.
-    Graphic inputs instead recurse on multigraphs, their isolated vertices
-    dropped.  T is multiplicative over one-point joins and disjoint unions,
-    so a graph's T is the product over its blocks (``Multigraph.blocks``):
+    Graphic inputs instead recurse on multigraphs, of at most 2|E| vertices
+    (``Graphic`` drops isolated ones past that, as k edges touch at most
+    2k), so per-vertex lists cost O(|E|).  The rank adds and T multiplies
+    over one-point joins and disjoint unions, so r is the sum of |V(B)| - 1
+    over the blocks B, each connected (a loop adds 0, an isolated vertex is
+    in no block), and T the product over the blocks (``Multigraph.blocks``):
     a bond on k edges gives B(k), a bridge x, a loop y, a block on n >= 3
     vertices with n distinct end pairs is a fat cycle (a 2-connected simple
     graph with n edges is a cycle), and a block with no K4 minor is closed
@@ -218,14 +223,15 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
         raise InvalidParameters(f"node budget must be at least 1, not {budget_nodes}")
     if isinstance(m, mt.DualView):
         return tutte_dc(m.parent, budget_nodes).swap()
-    if isinstance(m, mt.Graphic):  # isolated vertices change no rank: drop them
-        m = mt.Graphic(m.graph._pieces([range(m.n)], False)[0][1])
     budget = _Budget(budget_nodes)
-    r = m.full_rank
-    pk = _Packing(m.n - r, comb(m.n, r))
     if isinstance(m, mt.Graphic):
-        v = _dc_graph(m.graph.blocks(), pk, budget, ({}, {}))
+        blocks = m.graph.blocks()
+        r = sum(g.nverts - 1 for _, g in blocks)
+        pk = _Packing(m.n - r, comb(m.n, r))
+        v = _dc_graph(blocks, pk, budget, ({}, {}))
     else:
+        r = m.full_rank
+        pk = _Packing(m.n - r, comb(m.n, r))
         v = _dc_generic(m._rank, (1 << m.n) - 1, 0, 0, r, 3, None, None, pk, budget)
     return _wrap(pk.unpack(v))
 
@@ -496,13 +502,6 @@ def _dc_generic(rank, live, con, rc, full, strip, par, ser, pk, budget):
 # -- basis activities ---------------------------------------------------------
 
 
-def _basis_mask_set(m):
-    """The basis masks of m, kept on m as ``full_rank`` keeps its rank."""
-    if not hasattr(m, "_bases"):
-        m._bases = frozenset(mt._basis_masks(m))
-    return m._bases
-
-
 def tutte_activities(m, order=None):
     """Tutte polynomial as sum of x^i y^j over bases by activity counts.
 
@@ -514,7 +513,7 @@ def tutte_activities(m, order=None):
     n = m.n
     if n > _ACTIVITY_CAP:
         raise GroundSetTooLarge(f"activity expansion needs n <= {_ACTIVITY_CAP}")
-    masks = _basis_mask_set(m)
+    masks = mt._basis_mask_set(m)
     if order is None:
         order = list(range(n))
     else:

@@ -49,6 +49,7 @@ _DET = X * Y - X - Y  # (x-1)(y-1) - 1, the recurring 2-sum denominator
 
 COMPLETE_GRAPH_LIMIT = 30
 UNIFORM_LIMIT = 500
+CATALAN_LIMIT = 500  # one dict entry per term: n(n+1)/2 of them
 COMPLETE_BIPARTITE_LIMIT = 64
 RECURRENCE_LIMIT = 250  # wheel, whirl and grid2
 GEOMETRY_POINT_LIMIT = 2**16
@@ -191,10 +192,12 @@ def catalan(n):
     """Tutte polynomial of the n-th lattice-path matroid on 2n steps.
 
     The x^i y^j coefficient is ((i+j-2)/(n-1)) C(2n-i-j-1, n-i-j+1); it
-    depends on i and j only through i + j.
+    depends on i and j only through i + j.  n is at most CATALAN_LIMIT.
     """
     if n < 2:
         raise InvalidSize("need n >= 2")
+    if n > CATALAN_LIMIT:
+        raise SizeBudgetExceeded(f"supported range is n <= {CATALAN_LIMIT}")
     terms = {}
     for s in range(2, n + 2):  # s = i + j
         c = Fraction(s - 2, n - 1) * comb(2 * n - s - 1, n - s + 1)

@@ -85,9 +85,15 @@ class Uniform(Matroid):
 
 
 class Graphic(Matroid):
+    """The cycle matroid of graph, kept as given unless it has more than 2|E|
+    vertices (k edges touch at most 2k): then on the touched ones only, by
+    ``Multigraph._pieces``, so no route pays per isolated vertex."""
+
     def __init__(self, graph):
         if not isinstance(graph, Multigraph):
             raise InvalidParameters("Graphic wants a Multigraph")
+        if graph.nverts > 2 * graph.nedges:
+            graph = graph._pieces([range(graph.nedges)], False)[0][1]
         self.graph = graph
         self.n = graph.nedges
 
@@ -544,8 +550,16 @@ def _basis_masks(m):
     return (b for b in _subset_masks(m.n, r) if m._rank(b) == r)
 
 
+def _basis_mask_set(m):
+    """The basis masks of m, kept on m as ``full_rank`` keeps its rank."""
+    if not hasattr(m, "_bases"):
+        m._bases = frozenset(_basis_masks(m))
+    return m._bases
+
+
 def bases(m):
-    return [_set(b) for b in _basis_masks(m)]
+    """The bases of m, from the masks ``_basis_mask_set`` kept on m if any."""
+    return [_set(b) for b in getattr(m, "_bases", None) or _basis_masks(m)]
 
 
 def circuits(m):

@@ -397,6 +397,16 @@ def test_uniform_family_size_guard(capsys):
         assert f"n <= {fam.UNIFORM_LIMIT}" in err and time.perf_counter() - start < 1
 
 
+def test_catalan_family_size_guard(capsys):
+    # past CATALAN_LIMIT the formula's one dict entry per term (n = 1,000 took
+    # 0.9 s and 311 MB) is over the size budget (3), refused before any work
+    start = time.perf_counter()
+    code, out, err = run(["compute", "--family", "catalan", "--n", str(fam.CATALAN_LIMIT + 1)],
+                         capsys)
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert f"n <= {fam.CATALAN_LIMIT}" in err and time.perf_counter() - start < 1
+
+
 def test_geometry_family_size_guard(capsys):
     # more than 2^16 points is over the size budget (3), refused before any work
     for argv in (

@@ -928,26 +928,48 @@ def test_dc_counts_spanning_forests_of_large_series_parallel_graphs():
 
 
 ISOLATED = """
-import resource
+import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 from tuttepoly import engines, matroids as mt
-from tuttepoly.families import cycle
-from tuttepoly.graphs import Multigraph
-n = 10**7 + 3
+from tuttepoly.graphs import Multigraph, cycle_graph
+route = getattr(engines, sys.argv[1])
+n = 10**8 + 3
 g = Multigraph(n, [(5, n - 3), (n - 3, n - 1), (n - 1, 5)])
-print(engines.tutte_dc(mt.Graphic(g)) == cycle(3))
+print(route(mt.Graphic(g)) == route(mt.Graphic(cycle_graph(3))))
 """
 
 
-def test_dc_drops_isolated_vertices_before_it_builds_anything():
-    # a triangle among 10^7 isolated vertices, under a 512 MB address space:
+@pytest.mark.parametrize("route", ["tutte_dc", "tutte_subset", "char_poly",
+                                   "tutte_activities", "tutte_via_coboundary"])
+def test_graphic_routes_drop_isolated_vertices_before_they_build_anything(route):
+    # a triangle among 10^8 isolated vertices, under a 512 MB address space:
     # a list per vertex would not fit
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(engines.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", ISOLATED], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", ISOLATED, route], capture_output=True,
                           text=True, env=env, timeout=120, check=False)
     assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_dc_matches_subset_with_isolated_vertices(data):
+    # multigraphs with loops and parallel edges among 0 to 3|E| extra vertices,
+    # labels shuffled: Graphic keeps the graph given up to 2|E| vertices and
+    # else only the touched ones, and DC ranks it by its blocks either way
+    k = data.draw(st.integers(1, 6))
+    ends = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    edges = data.draw(st.lists(ends, max_size=10))
+    n = k + data.draw(st.integers(0, 3 * len(edges)))
+    label = data.draw(st.permutations(range(n)))
+    g = Multigraph(n, [(label[u], label[v]) for u, v in edges])
+    m = mt.Graphic(g)
+    if n <= 2 * len(edges):
+        assert m.graph is g
+    else:
+        assert m.graph.nverts == len({w for e in edges for w in e})
+    assert tutte_dc(m) == tutte_subset(m), g
 
 
 def test_dc_fat_cycle_near_misses_match_subset():

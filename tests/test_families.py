@@ -717,6 +717,30 @@ def test_no_assert_statements_in_package():
     assert hits == []
 
 
+def test_no_private_definition_without_a_caller():
+    # code with no caller is deleted: every private (not dunder) module-level
+    # function or class, and every private method, is named somewhere in the
+    # package outside its own definition
+    uses, defs = {}, []  # name -> [(file, line)], [(file, definition)]
+    for path in sorted(Path(tuttepoly.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name:
+                uses.setdefault(name, []).append((path.name, node.lineno))
+        for node in tree.body:
+            for d in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]:
+                name = d.name if isinstance(d, (ast.FunctionDef, ast.ClassDef)) else ""
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defs.append((path.name, d))
+    orphans = [f"{f}:{d.lineno} {d.name}" for f, d in defs
+               if all(uf == f and d.lineno <= line <= d.end_lineno
+                      for uf, line in uses.get(d.name, []))]
+    assert orphans == []
+
+
 # raises of classes outside the package's taxonomy: (module, function, class)
 OTHER_RAISES = sorted([
     ("bipoly.py", "__init__", "TypeError"),
