@@ -61,7 +61,7 @@ from .errors import (
     ResourceBudgetExceeded,
     UnsupportedWidth,
 )
-from .graphs import canonical_key, grid_graph
+from .graphs import Multigraph, canonical_key, frontier_order, grid_graph
 
 _ACTIVITY_CAP = 20
 _FRONTIER_CAP = 8
@@ -207,8 +207,13 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
     memo keyed on every block.  Isomorphic blocks may get different keys;
     the one that misses is expanded again, to the same value.  Such a block
     splits once on an edge set X read from the same table, its largest
-    parallel class, else a degree-2 chain, else its last edge, as
-    T = w_d T(G\\X) + w_c T(G/X) (``_dc_block``).  G\\X gets its blocks
+    parallel class (the lowest end pair's on ties), else the degree-2 chain
+    through its highest vertex h, else the edge from h to h's highest
+    neighbour, as T = w_d T(G\\X) + w_c T(G/X) (``_dc_block``); the
+    children keep the order of G's vertices, so DC works through a block
+    from one end of that order, and a root block on more than 12 vertices
+    that it splits is first renumbered along ``graphs.frontier_order``
+    (Cuthill & McKee, 1969).  G\\X gets its blocks
     from Tarjan's search (``Multigraph.blocks``), G/X from one union-find
     pass around the vertex w that X merges into (``Multigraph.blocks_at``):
     for any other vertex z, (G/X) - z = (G - z)/X is connected, as a block
@@ -228,7 +233,7 @@ def tutte_dc(m, budget_nodes=DEFAULT_BUDGET):
         blocks = m.graph.blocks()
         r = sum(g.nverts - 1 for _, g in blocks)
         pk = _Packing(m.n - r, comb(m.n, r))
-        v = _dc_graph(blocks, pk, budget, ({}, {}))
+        v = _dc_graph(blocks, pk, budget, ({}, {}), root=True)
     else:
         r = m.full_rank
         pk = _Packing(m.n - r, comb(m.n, r))
@@ -272,8 +277,8 @@ def _line(sx, sy, r, sizes):
     return t
 
 
-def _dc_graph(blocks, pk, budget, memo):
-    """T, packed by pk, of the graph whose ``Multigraph.blocks`` are blocks."""
+def _dc_graph(blocks, pk, budget, memo, root=False):
+    """T, packed by pk, of the graph whose blocks (the input's when root) are blocks."""
     budget.tick()
     acc = 1
     for _, block in blocks:
@@ -290,42 +295,50 @@ def _dc_graph(blocks, pk, budget, memo):
         if len(pairs) == block.nverts:  # a fat cycle, closed faster than by _series_parallel
             acc *= _fat_cycle(pk, [len(es) for es in pairs.values()])
         else:
-            acc *= _memo_block(block, pairs, pk, budget, memo)
+            acc *= _memo_block(block, pairs, pk, budget, memo, root)
     return acc
 
 
-def _memo_block(block, pairs, pk, budget, memo):
+def _memo_block(block, pairs, pk, budget, memo, root):
     """T of a block, neither a bond nor a fat cycle, by ``_series_parallel``
     or through the memo (labelled, which holds every block's T, and
     classes); pairs lists its edges per vertex pair.  A class is (first
     block, T) until it becomes {canonical_key: T}.  A block's descendants
-    have fewer edges, so they never reach its class while it is expanded."""
+    have fewer edges, so they never reach its class while it is expanded.
+    A root block on n > 12 vertices that DC splits is first renumbered, the
+    k-th vertex of ``graphs.frontier_order`` becoming n - 1 - k."""
     labelled, classes = memo
     poly = labelled.get(block)
     if poly is not None:
         return poly
-    poly = _series_parallel(block.nverts, pairs, pk)
+    n = block.nverts
+    poly = _series_parallel(n, pairs, pk)
     if poly is None:
-        deg = [0] * block.nverts
+        g = block
+        if root and n > 12:
+            label = {w: n - 1 - k for k, w in enumerate(frontier_order(block))}
+            g = Multigraph._trusted(n, [(label[u], label[v]) for u, v in block.edges])
+            pairs = {tuple(sorted((label[u], label[v]))): es for (u, v), es in pairs.items()}
+        deg = [0] * n
         for (u, v), es in pairs.items():
             deg[u] += len(es)
             deg[v] += len(es)
-        inv = (block.nverts, tuple(sorted(
+        inv = (n, tuple(sorted(
             (deg[u], deg[v], len(es)) if deg[u] <= deg[v] else (deg[v], deg[u], len(es))
             for (u, v), es in pairs.items()
         )))
         cls = classes.get(inv)
         if cls is None:
-            poly = _dc_block(block, pairs, pk, budget, memo)
-            classes[inv] = (block, poly)
+            poly = _dc_block(g, pairs, pk, budget, memo)
+            classes[inv] = (g, poly)
         else:
             if isinstance(cls, tuple):
                 first, first_poly = cls
                 cls = classes[inv] = {canonical_key(first): first_poly}
-            key = canonical_key(block)
+            key = canonical_key(g)
             poly = cls.get(key)
             if poly is None:
-                poly = cls[key] = _dc_block(block, pairs, pk, budget, memo)
+                poly = cls[key] = _dc_block(g, pairs, pk, budget, memo)
     labelled[block] = poly
     return poly
 
@@ -370,25 +383,27 @@ def _series_parallel(n, pairs, pk):
 def _dc_block(g, pairs, pk, budget, memo):
     """T of a 2-connected g with a K4 minor (so on at least 4 vertices), whose
     edges pairs lists per end pair, by one split on an edge set X of size p:
-    T = w_d T(g\\X) + w_c T(g/X).  X is the largest parallel class (w_d = 1,
-    w_c = [p]_y = 1 + y + ... + y^(p-1)), else the maximal degree-2 chain
-    through the least degree-2 vertex (w_d = [p]_x, w_c = 1), else the last
-    edge (both 1).  As g is neither a bond nor a cycle, no such class is a
-    cocircuit and no such chain is a circuit."""
+    T = w_d T(g\\X) + w_c T(g/X).  X is the largest parallel class, at the
+    lowest end pair on ties (w_d = 1, w_c = [p]_y = 1 + y + ... + y^(p-1)),
+    else the maximal degree-2 chain through the highest vertex h when h has
+    degree 2 (w_d = [p]_x, w_c = 1), else the edge from h to its highest
+    neighbour (both 1).  As g is neither a bond nor a cycle, no such class is
+    a cocircuit and no such chain is a circuit.  Both children and their
+    blocks number their vertices in g's order, so DC keeps to its high end."""
     wd = wc = 1
-    x = max(pairs.values(), key=len)  # the earliest of the largest classes
-    if len(x) > 1:
-        wc = pk.geom(pk.y, len(x))
-    else:  # g is simple: walk both ways from its least degree-2 vertex
+    p = max(map(len, pairs.values()))
+    if p > 1:
+        x = pairs[min(ends for ends, es in pairs.items() if len(es) == p)]
+        wc = pk.geom(pk.y, p)
+    else:  # g is simple: walk both ways from its highest vertex
         nbrs = [[] for _ in range(g.nverts)]
         for (u, v), (i,) in pairs.items():
             nbrs[u].append((v, i))
             nbrs[v].append((u, i))
-        w = next((w for w, nb in enumerate(nbrs) if len(nb) == 2), None)
-        x = [len(g.edges) - 1]
-        if w is not None:
+        x = [max(nbrs[-1])[1]]
+        if len(nbrs[-1]) == 2:
             x = []
-            for z, i in nbrs[w]:
+            for z, i in nbrs[-1]:
                 x.append(i)
                 while len(nbrs[z]) == 2:
                     z, i = next(step for step in nbrs[z] if step[1] != i)

@@ -15,7 +15,8 @@ merges into: for z != w, (g/X) - z = (g - z)/X is connected.
 ``canonical_key`` relabels a graph along one path of
 individualization-refinement: equal keys imply isomorphic graphs, which is
 all the deletion-contraction memo needs, but isomorphic graphs may get
-different keys.
+different keys.  ``frontier_order`` is a greedy vertex order of small
+frontier, along which deletion-contraction renumbers a large block.
 """
 
 from __future__ import annotations
@@ -303,6 +304,29 @@ def canonical_key(g):
     ]))
     loops = tuple(sorted((col[w], c) for w, c in enumerate(loopc) if c))
     return (n, loops, edges)
+
+
+def frontier_order(g):
+    """g's vertices in a greedy order of small frontier (Cuthill & McKee,
+    1969): a least-degree vertex first, then always one with the most placed
+    neighbours (edges counted with multiplicity; the least vertex on ties)."""
+    n = g.nverts
+    nbrs = [[] for _ in range(n)]
+    for u, v in g.edges:
+        if u != v:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    placed = [0] * n  # placed neighbours of each vertex, -1 once it is placed
+    order = []
+    w = min(range(n), key=lambda z: len(nbrs[z]), default=None)
+    for _ in range(n):
+        order.append(w)
+        placed[w] = -1
+        for z in nbrs[w]:
+            if placed[z] >= 0:
+                placed[z] += 1
+        w = max(range(n), key=placed.__getitem__)
+    return order
 
 
 # -- builders ----------------------------------------------------------------

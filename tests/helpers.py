@@ -598,6 +598,27 @@ def _shuffled(rng, n, edges, marked):
     return g, sorted(k for k, i in enumerate(order) if i in marked)
 
 
+def relabelled(rng, g):
+    """g with its vertices renamed, its edges reordered and each edge's ends
+    swapped at random."""
+    perm = list(range(g.nverts))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+             for u, v in g.edges]
+    rng.shuffle(edges)
+    return Multigraph(g.nverts, edges)
+
+
+def random_regular(rng, n, k):
+    """A random simple k-regular graph: pairings drawn until one is simple."""
+    stubs = [w for w in range(n) for _ in range(k)]
+    while True:
+        rng.shuffle(stubs)
+        edges = {(min(e), max(e)) for e in zip(stubs[::2], stubs[1::2])}
+        if len(edges) * 2 == len(stubs) and all(u != v for u, v in edges):
+            return Multigraph(n, sorted(edges))
+
+
 def chord_chain(rng, k4=False):
     """(g, X): a random 2-connected multigraph (with k4, one with a K4
     minor) and a maximal degree-2 chain X of it whose ends are also joined

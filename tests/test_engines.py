@@ -53,6 +53,7 @@ from tuttepoly.graphs import (
     bond_graph,
     complete_graph,
     cycle_graph,
+    frontier_order,
     grid_graph,
     path_graph,
     wheel_graph,
@@ -63,12 +64,15 @@ from helpers import (
     chord_chain,
     contract_one,
     corank_nullity_counts_unfactored,
+    random_regular,
+    relabelled,
     series_parallel_multigraph,
     spanning_forests,
     split_class,
     standard_rep,
     transfer_wheel_lists,
     tutte_frontier_three_pass,
+    two_connected_edges,
 )
 
 # frozen expected polynomials, written as {(x-exp, y-exp): coeff}
@@ -655,18 +659,38 @@ def test_dc_disconnected_graph_multiplies():
     assert tutte_dc(mt.Graphic(g)) == t3 * t3
 
 
-@pytest.mark.parametrize("g, nodes", [(grid_graph(3, 12), 2121), (complete_graph(8), 569)],
+@pytest.mark.parametrize("g, nodes", [(grid_graph(3, 12), 233), (complete_graph(8), 365)],
                          ids=["grid3x12", "K8"])
 def test_dc_graph_node_counts(g, nodes):
     # one node per product over blocks: the exact count passes, one less does
-    # not; before fat cycles were a closed form they were 2,365 and 763, and
-    # before every block with no K4 minor was, 2,359 and 711
+    # not; before fat cycles were a closed form they were 2,365 and 763,
+    # before every block with no K4 minor was, 2,359 and 711, and before
+    # every block was split at the high end of its vertex order, 2,121 and 569
     m = mt.Graphic(g)
     t = tutte_dc(m, budget_nodes=nodes)
     assert t == tutte_frontier(g)
     assert t.eval(1, 1) == spanning_forests(g)
     with pytest.raises(ResourceBudgetExceeded):
         tutte_dc(m, budget_nodes=nodes - 1)
+
+
+def swept(g):
+    """g renumbered along ``graphs.frontier_order`` with its edges sorted by
+    their later end: an edge order that ``tutte_frontier`` sweeps narrowly."""
+    pos = {w: k for k, w in enumerate(frontier_order(g))}
+    return Multigraph(g.nverts, sorted(((pos[u], pos[v]) for u, v in g.edges),
+                                       key=lambda e: (max(e), min(e))))
+
+
+@pytest.mark.parametrize("g, budget", [(grid_graph(4, 8), 1240),
+                                       (random_regular(random.Random(2), 24, 3), 4230)],
+                         ids=["grid4x8", "cubic24"])
+def test_dc_graph_works_from_one_end(g, budget):
+    # about 1.2 times the nodes DC takes (1,033 and 3,527); splitting a block
+    # at both ends of its vertex order took 30,437 and 12,881
+    t = tutte_dc(mt.Graphic(g), budget_nodes=budget)
+    assert t == tutte_frontier(swept(g))
+    assert t.eval(1, 1) == spanning_forests(g)
 
 
 def count_key_calls(monkeypatch):
@@ -755,9 +779,10 @@ def test_dc_contraction_children_blocks(monkeypatch, shape, case):
 
 # canonical forms per tutte_dc call; when every memoized block was keyed
 # they were 2,401 and 677, with fat cycles memoized and an invariant blind
-# to edge multiplicities 1,261 and 280, and with blocks that have no K4
-# minor memoized 1,207 and 208
-@pytest.mark.parametrize("g, keys", [(grid_graph(3, 12), 969), (complete_graph(8), 130)],
+# to edge multiplicities 1,261 and 280, with blocks that have no K4 minor
+# memoized 1,207 and 208, and with blocks split at both ends of their
+# vertex order 969 and 130
+@pytest.mark.parametrize("g, keys", [(grid_graph(3, 12), 32), (complete_graph(8), 155)],
                          ids=["grid3x12", "K8"])
 def test_dc_graph_key_counts(monkeypatch, g, keys):
     calls = count_key_calls(monkeypatch)
@@ -915,9 +940,42 @@ def test_ladder_is_one_node_and_no_key(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("g", [complete_graph(10), wheel_graph(30)], ids=["K10", "W30"])
+@pytest.mark.parametrize("g", [
+    complete_graph(10), wheel_graph(30), grid_graph(4, 10),
+    random_regular(random.Random(31), 20, 3), random_regular(random.Random(37), 22, 3),
+], ids=["K10", "W30", "grid4x10", "cubic20", "cubic22"])
 def test_dc_counts_spanning_forests_past_the_subset_limit(g):
     assert tutte_dc(mt.Graphic(g)).eval(1, 1) == spanning_forests(g)
+
+
+def with_loops_and_parallels(rng, g):
+    """g with up to two loops and up to two copies of its edges added."""
+    extra = [(w, w) for w in rng.sample(range(g.nverts), rng.randint(0, 2))]
+    return Multigraph(g.nverts, list(g.edges) + extra + rng.sample(g.edges, rng.randint(0, 2)))
+
+
+def long_cycle(rng, k4=False):
+    """(g, []): a random 2-connected multigraph on more than 12 vertices (with
+    k4, one with a K4 minor), so that DC renumbers it before it splits it."""
+    n, edges = two_connected_edges(rng, rng.randint(12, 15), rng.randint(1, 3), k4)
+    return Multigraph(n, edges), []
+
+
+@pytest.mark.parametrize("shape", [chord_chain, split_class, long_cycle])
+def test_dc_does_not_depend_on_labels(shape):
+    # labels steer where DC splits a block, and a root block on more than 12
+    # vertices is renumbered before it is split, but not the polynomial: a
+    # copy with its vertices relabelled and its edges shuffled gets the same
+    # one, and so does the subset sweep up to 24 edges
+    rng = random.Random(47)
+    for _ in range(10):
+        g = with_loops_and_parallels(rng, shape(rng, k4=True)[0])
+        t = tutte_dc(mt.Graphic(g))
+        assert tutte_dc(mt.Graphic(relabelled(rng, g))) == t, g
+        if g.nedges <= 24:
+            assert t == tutte_subset(mt.Graphic(g)), g
+        else:
+            assert t.eval(1, 1) == spanning_forests(g), g
 
 
 def test_dc_counts_spanning_forests_of_large_series_parallel_graphs():

@@ -10,7 +10,9 @@ against the blocks read off the circuits and its block graphs against
 ``helpers.restricted``; ``blocks_at`` against ``blocks`` on the contraction
 children deletion-contraction makes.  The rank of an edge mask is checked
 against a component count by search, and ``contract_edges`` against
-single contractions taken one at a time in random order.
+single contractions taken one at a time in random order.  ``frontier_order``
+must be a deterministic permutation whose frontier is no wider than that of
+the given labels on grids and on a random cubic graph.
 """
 
 from __future__ import annotations
@@ -29,12 +31,21 @@ from tuttepoly.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    frontier_order,
     grid_graph,
     path_graph,
     wheel_graph,
 )
 
-from helpers import chord_chain, contract_one, reference_key, restricted, split_class
+from helpers import (
+    chord_chain,
+    contract_one,
+    random_regular,
+    reference_key,
+    relabelled,
+    restricted,
+    split_class,
+)
 
 
 def random_multigraph(rng, max_verts, max_edges):
@@ -50,25 +61,6 @@ def random_multigraph(rng, max_verts, max_edges):
         else:
             edges.append((rng.randrange(n), rng.randrange(n)))
     return Multigraph(n, edges)
-
-
-def relabelled(rng, g):
-    perm = list(range(g.nverts))
-    rng.shuffle(perm)
-    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
-             for u, v in g.edges]
-    rng.shuffle(edges)
-    return Multigraph(g.nverts, edges)
-
-
-def random_regular(rng, n, k):
-    """A random simple k-regular graph: pairings drawn until one is simple."""
-    stubs = [w for w in range(n) for _ in range(k)]
-    while True:
-        rng.shuffle(stubs)
-        edges = {(min(e), max(e)) for e in zip(stubs[::2], stubs[1::2])}
-        if len(edges) * 2 == len(stubs) and all(u != v for u, v in edges):
-            return Multigraph(n, sorted(edges))
 
 
 def petersen():
@@ -329,3 +321,31 @@ def test_constructors_refuse_empty_shapes_and_rank_of_checks_indices():
     for i in (-1, 3):
         with pytest.raises(ElementOutOfRange):
             g.rank_of([0, i])
+
+
+def frontier_width(g, order):
+    """The most vertices, over the cuts of order, that come before the cut
+    and have a neighbour after it."""
+    pos = {w: k for k, w in enumerate(order)}
+    return max(len({a for u, v in g.edges for a, b in ((u, v), (v, u)) if pos[a] < k <= pos[b]})
+               for k in range(g.nverts + 1))
+
+
+def test_frontier_order_is_a_deterministic_permutation():
+    rng = random.Random(19)
+    graphs = [random_multigraph(rng, 12, 20) for _ in range(150)]
+    graphs += [Multigraph(0, []), wheel_graph(7), complete_bipartite_graph(3, 5), petersen()]
+    for g in graphs:
+        order = frontier_order(g)
+        assert sorted(order) == list(range(g.nverts)), g
+        assert frontier_order(Multigraph(g.nverts, g.edges)) == order, g
+
+
+@pytest.mark.parametrize("g", [
+    grid_graph(2, 9), grid_graph(3, 12), grid_graph(4, 8), grid_graph(4, 10),
+    grid_graph(5, 5), grid_graph(6, 3), random_regular(random.Random(2), 24, 3),
+], ids=["grid2x9", "grid3x12", "grid4x8", "grid4x10", "grid5x5", "grid6x3", "cubic24"])
+def test_frontier_order_is_no_wider_than_the_labels(g):
+    # grid_graph numbers its vertices column by column, the narrowest order
+    # when no column is longer than a row
+    assert frontier_width(g, frontier_order(g)) <= frontier_width(g, range(g.nverts))
